@@ -5,9 +5,8 @@ Boots the supervised simulation service on a throwaway data directory,
 submits an Exp 6-shaped workload over HTTP, SIGKILLs the worker process
 mid-run, and demands:
 
-1. **Recovery** — the supervisor restarts the worker, which resumes
-   from its latest verified snapshot and replays the submission log;
-   the service keeps accepting submissions afterwards.
+1. **Recovery** — the supervisor restarts the worker, which replays the
+   submission log; the service keeps accepting submissions afterwards.
 2. **No lost work** — every acknowledged submission completes (100%
    job completion in the drain summary).
 3. **Byte-identical results** — the drained canonical result JSON
@@ -21,7 +20,7 @@ Usage::
     PYTHONPATH=src python benchmarks/check_service_recovery.py \
         [--data-dir DIR] [--jobs N]
 
-``--data-dir`` keeps the submission log and snapshots around (CI
+``--data-dir`` keeps the recipe, submission log and result around (CI
 uploads them as artifacts on failure); the default is a temp dir.
 Exit status 0 when every check passes, 1 on any violation.
 """
@@ -82,7 +81,7 @@ def main() -> int:
         canonical_result,
         replay_result,
     )
-    from repro.snapshot import SimRecipe, SnapshotPlan
+    from repro.snapshot import SimRecipe
     from repro.units import MB
 
     if args.data_dir:
@@ -98,7 +97,6 @@ def main() -> int:
     supervisor = Supervisor(
         ServiceConfig(
             data_dir=data_dir, recipe=recipe, port=0,
-            snapshot_plan=SnapshotPlan.fixed(0.5, keep=3),
             queue_capacity=32,
         ),
         max_restarts=3, backoff=0.05,

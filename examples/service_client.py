@@ -7,8 +7,8 @@ with the standard library — and demonstrates the robustness headline:
 
 * streaming submissions with idempotent tokens (safe retries),
 * a kill -9 of the worker process mid-run,
-* automatic restart + recovery from the latest snapshot and the durable
-  submission log (no acknowledged job is lost),
+* automatic restart + recovery by replaying the durable submission log
+  (no acknowledged job is lost),
 * graceful drain with a final summary.
 
 Run it with::
@@ -29,7 +29,7 @@ import urllib.request
 from pathlib import Path
 
 from repro.service import ServiceConfig, Supervisor
-from repro.snapshot import SimRecipe, SnapshotPlan
+from repro.snapshot import SimRecipe
 from repro.units import MB
 
 N_JOBS = 8
@@ -56,10 +56,7 @@ def main() -> None:
             input_size=64 * MB, chunk_size=32 * MB,
         ))
         supervisor = Supervisor(
-            ServiceConfig(
-                data_dir=data_dir, recipe=recipe, port=0,
-                snapshot_plan=SnapshotPlan.fixed(0.5, keep=3),
-            ),
+            ServiceConfig(data_dir=data_dir, recipe=recipe, port=0),
             max_restarts=3, backoff=0.1,
         ).start()
         try:
@@ -86,7 +83,7 @@ def main() -> None:
                   f"duplicate={dup.get('duplicate')}")
 
             # Crash the worker mid-run; the supervisor restarts it and
-            # recovery replays the snapshot + submission log.
+            # recovery replays the submission log.
             time.sleep(0.5)
             killed = supervisor.kill_worker()
             print(f"\nkill -9 worker pid {killed} ...")

@@ -33,10 +33,9 @@ The package is organised in layers:
 ``repro.experiments``
     The evaluation harness regenerating every table and figure.
 ``repro.snapshot``
-    Checkpoint/restore of full simulator state: versioned snapshot
-    files (recipe + replay-to-T + verified state fingerprint), periodic
-    checkpointing with Young/Daly-tuned intervals, crash-recoverable
-    runs and resumable sweeps.
+    Snapshot/restore of full simulator state: versioned snapshot
+    files (recipe + replay-to-T + verified state fingerprint) and
+    warm-start branching of scheduler variants off one restore.
 """
 
 from repro.version import __version__

@@ -15,13 +15,10 @@ stock Linux kernel (the values used on the paper's CentOS 8.1 cluster):
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 from repro.errors import ConfigurationError
 from repro.units import MB
-
-_UNSET = object()
 
 
 @dataclass
@@ -75,11 +72,6 @@ class PageCacheConfig:
         memory manager), a policy subclass, or a zero-argument factory.
         The default ``"lru"`` reproduces the pre-policy cache
         bit-identically (pinned by the parity suite).
-
-    The former ``coalesce_extents`` knob is gone: the extent-native cache
-    coalesces losslessly and always.  Constructing with
-    ``coalesce_extents=...`` (directly or through :meth:`with_updates`)
-    still works — the kwarg is dropped with a :class:`DeprecationWarning`.
     """
 
     dirty_ratio: float = 0.20
@@ -152,27 +144,3 @@ class PageCacheConfig:
     def no_periodic_flush(cls) -> "PageCacheConfig":
         """Configuration with the background flusher disabled (for tests)."""
         return cls(periodic_flushing=False)
-
-
-# The ``coalesce_extents`` field is gone (it selected nothing since the
-# extent-native cache landed), but old call sites — including
-# ``with_updates(coalesce_extents=...)`` copies, which ``dataclasses.replace``
-# routes through ``__init__`` — must keep constructing.  Wrap the generated
-# ``__init__`` with a shim that warns and drops the kwarg.
-_generated_init = PageCacheConfig.__init__
-
-
-def _init_with_coalesce_shim(self, *args, coalesce_extents=_UNSET, **kwargs):
-    if coalesce_extents is not _UNSET and coalesce_extents is not None:
-        warnings.warn(
-            "PageCacheConfig(coalesce_extents=...) is deprecated and "
-            "ignored: the page cache stores extent runs natively and "
-            "coalescing is lossless and always on",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    _generated_init(self, *args, **kwargs)
-
-
-_init_with_coalesce_shim.__wrapped__ = _generated_init
-PageCacheConfig.__init__ = _init_with_coalesce_shim

@@ -6,8 +6,8 @@ submissions into a :class:`~repro.scheduler.cluster.ClusterScheduler`,
 advancing the DES incrementally between arrivals; a stdlib HTTP/JSON API
 (:mod:`repro.service.http`) exposes submit/status/metrics/snapshot/drain
 with idempotent tokens and explicit backpressure; and a
-:class:`~repro.service.supervisor.Supervisor` restarts a crashed worker
-from the newest verified snapshot plus the durable submission log.
+:class:`~repro.service.supervisor.Supervisor` restarts a crashed worker,
+which recovers by replaying the durable submission log.
 
 Run one from the command line with ``python -m repro.service``.
 """

@@ -4,8 +4,7 @@
 :func:`repro.service.base.build_service_cluster`) behind a bounded
 admission queue.  Client threads submit job specs; a single worker thread
 owns the simulation and alternates between admitting queued submissions
-and advancing the DES with ``step_until`` — taking
-:class:`~repro.snapshot.plan.SnapshotPlan`-driven snapshots along the way.
+and advancing the DES with ``step_until``.
 
 Determinism contract
 --------------------
@@ -13,20 +12,22 @@ The durable submission log fully determines the results.  Every accepted
 operation is applied at a recorded *injection time* ``t`` (the service
 frontier, ``max(previous frontier, env.now)``) via the fixed procedure
 ``step_until(t); apply(op)``; replaying the log through the same
-procedure — from scratch or on top of a snapshot covering a prefix —
-reproduces the exact event sequence, so recovered runs are byte-identical
-to uninterrupted ones (:func:`replay_entries` is the reference
-implementation, and what the crash-recovery tests compare against).
+procedure reproduces the exact event sequence, so recovered runs are
+byte-identical to uninterrupted ones (:func:`replay_entries` is the
+reference implementation, and what the crash-recovery tests compare
+against).
 
 Recovery protocol
 -----------------
-On start, the service restores from the newest *verified* snapshot in its
-data directory: rebuild the recipe, replay the log prefix the snapshot
-covers (``applied_seq``), ``step_until`` to the snapshot time, check the
-fingerprint.  A snapshot that fails verification (or parsing) is skipped
-in favour of the next-newest; with no usable snapshot the whole log is
-replayed from scratch.  Entries past the snapshot's prefix — acknowledged
-submissions the snapshot never saw — are then replayed the ordinary way.
+Recovery is log replay: on start the service rebuilds the simulation from
+its recipe and replays every durable log entry from t=0.  A snapshot
+cannot shorten that — generators cannot be pickled, so restoring one
+rebuilds and replays from t=0 as well — so the service writes none by
+default and recovery never reads ``snapshots/``.  Snapshots remain an
+opt-in determinism audit (``snapshot_plan=``, :meth:`SimulationService.
+snapshot_now`, ``POST /snapshot``): each records the state fingerprint at
+a simulated time together with the log prefix it covers, and replaying
+that prefix to that time reproduces the fingerprint.
 """
 
 from __future__ import annotations
@@ -37,17 +38,17 @@ import threading
 import time
 from concurrent.futures import Future
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.errors import (
     ConfigurationError,
     ServiceBackpressure,
     ServiceDraining,
     ServiceError,
-    SnapshotError,
 )
 from repro.obs import MetricsRegistry
 from repro.scheduler.arrivals import SubmissionQueue
+from repro.scheduler.job import Job
 from repro.service.log import (
     OP_CLOSE,
     OP_SUBMIT,
@@ -62,13 +63,12 @@ from repro.snapshot import (
     canonical_json,
     capture_state,
     fingerprint,
-    read_snapshot_doc,
     to_jsonable,
     write_snapshot_doc,
 )
 from repro.snapshot.store import FORMAT, VERSION
 
-#: Service snapshot file prefix (distinct from batch ``snap-`` files).
+#: Service snapshot file prefix.
 SERVICE_SNAPSHOT_PREFIX = "svc"
 
 #: File names inside a service data directory.
@@ -79,12 +79,13 @@ SNAPSHOT_DIR = "snapshots"
 
 
 # --------------------------------------------------------------------- replay
-def apply_entry(sim, entry: LogEntry) -> None:
+def apply_entry(sim, entry: LogEntry) -> Optional[Job]:
     """Apply one log entry to a paused simulation (the replay primitive).
 
     The single procedure both the live path and every replay path share:
     ``step_until(entry.t)`` then the operation.  Sharing it is what makes
     recovery byte-identical — feeds happen at identical paused states.
+    Returns the submitted job (``None`` for the close op).
     """
     sim.step_until(entry.t)
     if entry.op == OP_SUBMIT:
@@ -92,7 +93,7 @@ def apply_entry(sim, entry: LogEntry) -> None:
         arrival = entry.t
         if spec.arrival_time is not None:
             arrival = max(arrival, spec.arrival_time)
-        sim.submit_job(
+        return sim.submit_job(
             spec.build_workflow(sim.service_datasets),
             cores=spec.cores,
             arrival_time=arrival,
@@ -103,6 +104,7 @@ def apply_entry(sim, entry: LogEntry) -> None:
         sim.scheduler.close_stream()
     else:  # pragma: no cover - entries() already validates ops
         raise ServiceError(f"unknown log op {entry.op!r}")
+    return None
 
 
 def replay_entries(recipe: SimRecipe, entries: List[LogEntry]):
@@ -149,24 +151,21 @@ class SimulationService:
     Parameters
     ----------
     data_dir:
-        Durable state: the recipe, the submission log, snapshots and the
-        final result all live here.  A service re-opened on an existing
-        directory recovers from it.
+        Durable state: the recipe, the submission log, the final result
+        and any audit snapshots live here.  A service re-opened on an
+        existing directory recovers from it by replaying the log.
     recipe:
         Build recipe of the base simulation.  Required on first open
         (persisted to ``recipe.json``); on re-open it must be omitted or
         equal to the persisted one.
     snapshot_plan:
-        Periodic checkpointing plan (simulated-time boundaries anchored
-        at t=0).  ``None`` disables periodic snapshots (crash recovery
-        then replays the full log).
+        Opt-in audit snapshots at simulated-time boundaries anchored at
+        t=0.  ``None`` (the default) writes none; recovery never reads
+        them.
     queue_capacity:
         Admission queue bound — the backpressure contract.
     request_timeout:
         Default seconds a :meth:`submit` caller waits for its ack.
-    verify:
-        Verify snapshot fingerprints on recovery (skipping unverifiable
-        snapshots).
     advance_slice:
         Wall-clock budget in seconds of one DES advance burst; keeps the
         worker responsive to new submissions.
@@ -177,17 +176,14 @@ class SimulationService:
                  snapshot_plan: Optional[SnapshotPlan] = None,
                  queue_capacity: int = 64,
                  request_timeout: float = 30.0,
-                 verify: bool = True,
                  advance_slice: float = 0.05,
                  poll_interval: float = 0.05):
         self.data_dir = Path(data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self.snapshot_dir = self.data_dir / SNAPSHOT_DIR
-        self.snapshot_dir.mkdir(exist_ok=True)
         self.recipe = self._load_or_persist_recipe(recipe)
         self.plan = snapshot_plan
         self.request_timeout = float(request_timeout)
-        self.verify = bool(verify)
         self.advance_slice = float(advance_slice)
         self.poll_interval = float(poll_interval)
 
@@ -202,12 +198,13 @@ class SimulationService:
         self._next_seq = 0
         self._closed = False
         self._tokens: Dict[str, Dict[str, Any]] = {}
-        self._labels: set = set()
-        self._snap_index = 0
+        #: Submitted jobs by label (labels are unique).
+        self._jobs: Dict[str, Job] = {}
+        #: Index of the last snapshot file; found by the first write.
+        self._snap_index: Optional[int] = None
         self._snap_paths: List[Path] = []
         self._boundaries = None
         self._next_boundary: Optional[float] = None
-        self._recovered_from: Optional[Path] = None
 
         self._drain_requested = threading.Event()
         self._drained = threading.Event()
@@ -256,47 +253,30 @@ class SimulationService:
         return self
 
     def _recover(self) -> None:
+        """Rebuild the simulation by replaying the whole durable log."""
+        start = time.perf_counter()
         entries = self.log.entries()
-        sim = None
-        skip_seq = 0
-        snapshots = sorted(
-            self.snapshot_dir.glob(f"{SERVICE_SNAPSHOT_PREFIX}-*.json"),
-            reverse=True,
+        sim = replay_entries(self.recipe, entries)
+        registry = self.registry
+        registry.gauge("service.recovery_seconds").set(
+            time.perf_counter() - start
         )
-        if snapshots:
-            self._snap_paths = sorted(snapshots)
-            self._snap_index = max(
-                int(path.stem.split("-")[-1]) for path in snapshots
-            )
-        for path in snapshots:
-            try:
-                sim, skip_seq = self._restore_snapshot(path, entries)
-            except (SnapshotError, ValueError, KeyError, OSError):
-                continue
-            self._recovered_from = path
-            break
-        if sim is None:
-            sim = replay_entries(self.recipe, entries)
-        else:
-            for entry in entries[skip_seq:]:
-                apply_entry(sim, entry)
-        if entries or snapshots:
-            self.registry.counter("service.recoveries").inc()
+        registry.counter("service.recovery_entries").inc(len(entries))
+        if entries:
+            registry.counter("service.recoveries").inc()
 
         self._sim = sim
         self._next_seq = len(entries)
-        self._frontier = max(
-            [sim.env.now] + [entry.t for entry in entries]
-        )
+        # Replay leaves the clock at the last entry's injection time.
+        self._frontier = sim.env.now
         self._closed = bool(entries) and entries[-1].op == OP_CLOSE
+        self._jobs = {job.label: job for job in sim.scheduler.jobs}
         for entry in entries:
-            if entry.op != OP_SUBMIT:
-                continue
-            ack = {"seq": entry.seq, "label": entry.spec["label"],
-                   "t": entry.t}
-            if entry.token is not None:
-                self._tokens[entry.token] = ack
-            self._labels.add(entry.spec["label"])
+            if entry.op == OP_SUBMIT and entry.token is not None:
+                self._tokens[entry.token] = {
+                    "seq": entry.seq, "label": entry.spec["label"],
+                    "t": entry.t,
+                }
         if self.plan is not None:
             self._boundaries = self.plan.boundaries()
             self._next_boundary = next(self._boundaries)
@@ -306,32 +286,6 @@ class SimulationService:
             # The previous lifetime was already draining; finish its
             # drain now so /result becomes available.
             self._finish_drain()
-
-    def _restore_snapshot(self, path: Path,
-                          entries: List[LogEntry]) -> Tuple[object, int]:
-        """Restore one service snapshot; raises if unusable."""
-        doc = read_snapshot_doc(path)
-        meta = doc.get("service")
-        if not isinstance(meta, dict):
-            raise SnapshotError(f"{path} is not a service snapshot")
-        applied = int(meta["applied_seq"])
-        if applied > len(entries):
-            raise SnapshotError(
-                f"{path} covers {applied} log entries but only "
-                f"{len(entries)} are durable"
-            )
-        sim = build_from_recipe(SimRecipe.decode(doc))
-        sim.step_until(0.0)
-        for entry in entries[:applied]:
-            apply_entry(sim, entry)
-        sim.step_until(doc["t"])
-        if self.verify:
-            replayed = fingerprint(to_jsonable(capture_state(sim)))
-            if replayed != doc["fingerprint"]:
-                raise SnapshotError(
-                    f"snapshot {path} failed fingerprint verification"
-                )
-        return sim, applied
 
     def stop(self, *, timeout: Optional[float] = None) -> None:
         """Request a graceful drain and wait for the worker to finish."""
@@ -382,7 +336,7 @@ class SimulationService:
                              else self.request_timeout)
 
     def request_drain(self) -> None:
-        """Ask the worker to drain: finish accepted jobs, snapshot, stop."""
+        """Ask the worker to drain: finish accepted jobs, then stop."""
         self._drain_requested.set()
 
     def drain(self, timeout: Optional[float] = None) -> Dict[str, Any]:
@@ -395,7 +349,7 @@ class SimulationService:
         return self.summary()
 
     def snapshot_now(self) -> Dict[str, Any]:
-        """Take an out-of-band snapshot; returns its metadata."""
+        """Take an out-of-band audit snapshot; returns its metadata."""
         with self._lock:
             self._require_live()
             path = self._write_snapshot()
@@ -403,35 +357,30 @@ class SimulationService:
                     "applied_seq": self._next_seq}
 
     def job_status(self, label: str) -> Dict[str, Any]:
-        """The lifecycle state of one submitted job."""
+        """The lifecycle state of one submitted job.
+
+        ``scheduled`` (fed, arrival still ahead), ``queued``, ``running``
+        or ``completed``; raises :class:`KeyError` for an unknown label.
+        """
         with self._lock:
-            if label not in self._labels:
-                raise KeyError(label)
+            job = self._jobs[label]
+            if job.end_time is not None:
+                return {
+                    "label": label, "state": "completed",
+                    "node": job.node_name,
+                    "start_time": job.start_time,
+                    "end_time": job.end_time,
+                    "wait_time": max(0.0, job.start_time - job.arrival_time),
+                }
             scheduler = self._sim.scheduler
-            for record in scheduler.records:
-                if record.label == label:
-                    return {
-                        "label": label, "state": "completed",
-                        "node": record.node,
-                        "start_time": record.start_time,
-                        "end_time": record.end_time,
-                        "wait_time": max(
-                            0.0, record.start_time - record.arrival_time
-                        ),
-                    }
-            for job in scheduler.jobs:
-                if job.label != label:
-                    continue
-                if job.id in scheduler._running_procs:
-                    state = "running"
-                elif job in scheduler.queue:
-                    state = "queued"
-                else:
-                    state = "scheduled"
-                return {"label": label, "state": state,
-                        "node": job.node_name,
-                        "arrival_time": job.arrival_time}
-            return {"label": label, "state": "accepted"}
+            if job.id in scheduler._running_procs:
+                state = "running"
+            elif job in scheduler.queue:
+                state = "queued"
+            else:
+                state = "scheduled"
+            return {"label": label, "state": state, "node": job.node_name,
+                    "arrival_time": job.arrival_time}
 
     def metrics(self) -> Dict[str, Any]:
         """Service + simulation metrics (the ``repro.obs`` registry view)."""
@@ -467,7 +416,8 @@ class SimulationService:
             }
 
     def health(self) -> Dict[str, Any]:
-        """Liveness: ok / draining / drained / crashed."""
+        """Liveness (ok / draining / drained / crashed) and the start-up
+        recovery: log entries replayed and the seconds it took."""
         if self._crashed is not None:
             status = "crashed"
         elif self._drained.is_set():
@@ -476,10 +426,15 @@ class SimulationService:
             status = "draining"
         else:
             status = "ok"
-        return {"status": status,
-                "recovered_from": (
-                    str(self._recovered_from) if self._recovered_from else None
-                )}
+        registry = self.registry
+        return {
+            "status": status,
+            "recovery_entries": int(
+                registry.counter("service.recovery_entries").value
+            ),
+            "recovery_seconds": registry.gauge(
+                "service.recovery_seconds").value,
+        }
 
     @property
     def ready(self) -> bool:
@@ -573,7 +528,7 @@ class SimulationService:
                 n_datasets=len(self._sim.service_datasets),
                 max_cores=max(n.total_cores for n in scheduler.nodes),
             )
-            if spec.label in self._labels:
+            if spec.label in self._jobs:
                 raise ConfigurationError(
                     f"a job labelled {spec.label!r} was already submitted; "
                     "labels must be unique (use a token for safe retries)"
@@ -584,10 +539,9 @@ class SimulationService:
                 spec=spec.as_dict(),
             ))
             # Durable from here: the ack below survives any crash.
-            apply_entry(self._sim, entry)
+            self._jobs[spec.label] = apply_entry(self._sim, entry)
             self._frontier = t
             self._next_seq = seq + 1
-            self._labels.add(spec.label)
             ack = {"seq": seq, "label": spec.label, "t": t}
             if token is not None:
                 self._tokens[token] = ack
@@ -611,12 +565,12 @@ class SimulationService:
                     or scheduler._stream_arrivals)
 
     def _advance(self, wall_budget: float) -> None:
-        """Advance the DES within a wall-clock budget, snapshotting at
-        plan boundaries (lock held).
+        """Advance the DES within a wall-clock budget (lock held), taking
+        an audit snapshot at each plan boundary when a plan is set.
 
         Only advances while accepted jobs are outstanding: an idle open
         stream parks the simulated clock instead of racing it through
-        background-flusher ticks (and pointless snapshots) forever.
+        background-flusher ticks forever.
         """
         sim = self._sim
         env = sim.env
@@ -637,7 +591,22 @@ class SimulationService:
             sim.step_until(min(target, peek + 1.0))
 
     def _write_snapshot(self) -> Path:
-        """One service snapshot: a batch snapshot doc plus service meta."""
+        """One audit snapshot: a batch snapshot doc plus service meta.
+
+        The first write of a lifetime numbers its file after the highest
+        one already in ``snapshots/``, so files an earlier lifetime left
+        are never overwritten (nor pruned: rotation keeps ``plan.keep`` of
+        this lifetime's files, two without a plan).
+        """
+        if self._snap_index is None:
+            suffixes = (
+                path.stem[len(SERVICE_SNAPSHOT_PREFIX) + 1:] for path in
+                self.snapshot_dir.glob(f"{SERVICE_SNAPSHOT_PREFIX}-*.json")
+            )
+            self._snap_index = max(
+                (int(suffix) for suffix in suffixes if suffix.isdigit()),
+                default=0,
+            )
         sim = self._sim
         state = to_jsonable(capture_state(sim))
         doc = {
@@ -671,13 +640,10 @@ class SimulationService:
         return path
 
     def _finish_drain(self) -> None:
-        """Run the closed stream to completion, snapshot, finalize."""
+        """Run the closed stream to completion and persist the result."""
         if self._drained.is_set():
             return
-        sim = self._sim
-        sim.step_until(math.inf)
-        self._write_snapshot()
-        self._result = sim.run()
+        self._result = self._sim.run()
         text = canonical_result(self._result)
         tmp = self.data_dir / (RESULT_FILE + ".tmp")
         tmp.write_text(text, encoding="utf-8")

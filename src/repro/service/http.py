@@ -12,9 +12,9 @@ Routes (all JSON)::
     GET  /readyz     200 while accepting submissions, 503 otherwise.
     GET  /result     canonical result JSON (404 until drained).
     GET  /summary    small summary of the drained run (404 until drained).
-    POST /snapshot   take an out-of-band snapshot now.
-    POST /drain      graceful shutdown: drain jobs, final snapshot;
-                     blocks until done and returns the summary.
+    POST /snapshot   take an out-of-band audit snapshot now.
+    POST /drain      graceful shutdown: finish accepted jobs, write the
+                     result; blocks until done and returns the summary.
 
 Built on ``http.server.ThreadingHTTPServer`` — per-request threads feed
 the service's bounded admission queue; the backpressure contract is

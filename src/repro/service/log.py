@@ -4,9 +4,9 @@ The log is the service's source of truth: together with the build recipe
 it *fully determines* the simulation's results.  Every accepted operation
 — a job submission or the close of the submission stream — is appended as
 one JSON line and fsync'd **before** the client is acknowledged, so an
-acknowledged submission survives any crash.  Recovery replays the log
-(optionally on top of a snapshot that already covers a prefix of it) and
-reaches a byte-identical state.
+acknowledged submission survives any crash.  Recovery rebuilds the
+simulation from its recipe and replays the whole log from t=0, reaching a
+byte-identical state.
 
 Each entry records the simulated *injection time* ``t`` at which the
 operation was applied to the paused simulation.  Injection times are
@@ -73,13 +73,13 @@ class SubmissionLog:
 
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         self._file = None
 
     # ----------------------------------------------------------------- append
     def append(self, entry: LogEntry) -> LogEntry:
         """Durably append ``entry``; returns it once it is on disk."""
         if self._file is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
             self._file = open(self.path, "a", encoding="utf-8")
         line = json.dumps(entry.as_dict(), sort_keys=True,
                           separators=(",", ":"))

@@ -23,6 +23,7 @@ True
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, TYPE_CHECKING, Union
@@ -690,13 +691,17 @@ class Simulation:
         """Advance the simulation to simulated time ``t`` and pause.
 
         Processes every event with timestamp ``<= t`` (stopping early at
-        completion), then returns the simulated clock.  No guard events
-        are inserted: the event heap is driven directly, so a run stepped
-        in any number of segments processes *exactly* the events a plain
-        :meth:`run` would, in the same order, with the same event ids —
-        the invariant that makes snapshot-at-T byte-identical to an
-        uninterrupted run.  Call :meth:`run` afterwards to finish the
-        simulation and collect the result.
+        completion), then returns the simulated clock.  A run that stops
+        before completion leaves the clock at ``t`` (as
+        ``Environment.run(until=t)`` does), not at its last event, so an
+        operation applied right after ``step_until(t)`` happens at ``t``
+        whether or not telemetry sampler ticks were processed on the way.
+        No guard events are inserted: the event heap is driven directly,
+        so a run stepped in any number of segments processes *exactly* the
+        events a plain :meth:`run` would, in the same order, with the same
+        event ids — the invariant that makes snapshot-at-T byte-identical
+        to an uninterrupted run.  Call :meth:`run` afterwards to finish
+        the simulation and collect the result.
         """
         import time as _time
 
@@ -712,6 +717,8 @@ class Simulation:
         try:
             while not completion.processed:
                 if env.peek() > t:
+                    if t != math.inf:
+                        env._now = t
                     break
                 env.step()
         finally:

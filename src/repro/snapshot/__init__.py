@@ -1,12 +1,12 @@
-"""Checkpoint/restore of full simulator state.
+"""Snapshot/restore of full simulator state.
 
 Deterministic snapshots of a live simulation (``write_snapshot`` /
-``restore_simulation``), checkpoint-interval planning (``SnapshotPlan``
-with Young- and Daly-optimal intervals tuned against a fault plan's
-MTBF), and crash-recoverable execution (``run_checkpointed`` /
-``resume_checkpointed``).  The invariant throughout: a run snapshotted at
-``t=T`` and restored produces byte-identical results to the uninterrupted
-run.
+``restore_simulation``), warm-start branching of scheduler variants off
+one restore (``warm_start_values``), and fixed-interval ``SnapshotPlan``s
+for the service's opt-in audit snapshots.  The invariant throughout: a
+run snapshotted at ``t=T`` and restored produces byte-identical results to
+the uninterrupted run.  A restore rebuilds from the recipe and replays
+from t=0, so it is a verified branch point, not a faster recovery.
 """
 
 from repro.snapshot.canonical import (
@@ -16,12 +16,7 @@ from repro.snapshot.canonical import (
     to_jsonable,
 )
 from repro.snapshot.capture import capture_state
-from repro.snapshot.plan import (
-    SnapshotPlan,
-    daly_interval,
-    effective_mtbf,
-    young_interval,
-)
+from repro.snapshot.plan import SnapshotPlan
 from repro.snapshot.recipe import (
     BUILDERS,
     FINISHERS,
@@ -31,13 +26,8 @@ from repro.snapshot.recipe import (
 )
 from repro.snapshot.run import (
     LIVE_OVERRIDES,
-    SNAPSHOT_PREFIX,
     apply_live_overrides,
-    latest_snapshot,
     restore_simulation,
-    resume_checkpointed,
-    run_checkpointed,
-    snapshot_path,
     warm_start_values,
     write_snapshot,
 )
@@ -54,7 +44,6 @@ __all__ = [
     "FORMAT",
     "LIVE_OVERRIDES",
     "NONDETERMINISTIC_FIELDS",
-    "SNAPSHOT_PREFIX",
     "SimRecipe",
     "SnapshotPlan",
     "VERSION",
@@ -62,19 +51,12 @@ __all__ = [
     "build_from_recipe",
     "canonical_json",
     "capture_state",
-    "daly_interval",
-    "effective_mtbf",
     "fingerprint",
     "finish_point",
-    "latest_snapshot",
     "read_snapshot_doc",
     "restore_simulation",
-    "resume_checkpointed",
-    "run_checkpointed",
-    "snapshot_path",
     "to_jsonable",
     "warm_start_values",
     "write_snapshot",
     "write_snapshot_doc",
-    "young_interval",
 ]

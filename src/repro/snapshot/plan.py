@@ -1,99 +1,24 @@
-"""Checkpoint-interval planning: fixed, Young and Daly intervals.
+"""Snapshot plans: when, in simulated time, a run takes audit snapshots.
 
-How often should a long run snapshot itself?  Too often and the run pays
-the checkpoint cost for nothing; too rarely and a crash throws away a lot
-of replayed work.  The classical answers, as functions of the checkpoint
-cost ``delta`` (here: simulated seconds per snapshot boundary) and the
-system's mean time between failures ``M``:
-
-* **Young's first-order approximation** — ``tau = sqrt(2 * delta * M)``;
-* **Daly's higher-order formula** — a perturbation solution of the full
-  optimization that stays accurate when ``delta`` is not negligible
-  against ``M``::
-
-      tau = sqrt(2*delta*M) * [1 + sqrt(delta/(2M))/3 + (delta/(2M))/9] - delta
-
-  for ``delta < 2M``, and ``tau = M`` otherwise (checkpointing cannot pay
-  for itself past that point).
-
-A cluster's effective MTBF aggregates the per-node failure streams of a
-:class:`~repro.faults.plan.FaultPlan`: independent exponential streams
-superpose, so failure *rates* add — ``1/M_eff = sum(1/mtbf_i)`` over every
-expanded (spec, node) stream.  This closes PR 8's open follow-up
-("checkpoint-interval tuning against the MTBF"): build the plan straight
-from the fault plan with :meth:`SnapshotPlan.from_fault_plan`.
+A :class:`SnapshotPlan` is a fixed interval of simulated time anchored at
+t=0 plus how many files to keep.  Restoring a snapshot rebuilds and
+replays from t=0, so a snapshot cannot make recovery faster than replay;
+plans drive the opt-in periodic *audit* snapshots of
+:class:`~repro.service.core.SimulationService`, where each file pins the
+state fingerprint a replay of the log prefix must reproduce.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator
 
 from repro.errors import ConfigurationError
-from repro.faults.plan import ALL_NODES, FaultPlan
-
-
-def young_interval(checkpoint_cost: float, mtbf: float) -> float:
-    """Young's optimal checkpoint interval ``sqrt(2 * delta * M)``."""
-    _validate(checkpoint_cost, mtbf)
-    if math.isinf(mtbf):
-        return math.inf
-    return math.sqrt(2.0 * checkpoint_cost * mtbf)
-
-
-def daly_interval(checkpoint_cost: float, mtbf: float) -> float:
-    """Daly's higher-order optimal checkpoint interval.
-
-    Reduces to Young's estimate as ``delta / M -> 0`` and degrades
-    gracefully (``tau = M``) when the checkpoint cost reaches ``2 * M``.
-    """
-    _validate(checkpoint_cost, mtbf)
-    if math.isinf(mtbf):
-        return math.inf
-    ratio = checkpoint_cost / (2.0 * mtbf)
-    if ratio >= 1.0:
-        return mtbf
-    return (
-        math.sqrt(2.0 * checkpoint_cost * mtbf)
-        * (1.0 + math.sqrt(ratio) / 3.0 + ratio / 9.0)
-        - checkpoint_cost
-    )
-
-
-def effective_mtbf(plan: FaultPlan,
-                   node_names: Sequence[str]) -> float:
-    """The cluster-wide MTBF implied by a fault plan.
-
-    Expands wildcard specs over ``node_names`` (exactly as the
-    :class:`~repro.faults.injector.FaultInjector` does) and superposes the
-    independent exponential crash streams: rates add, so
-    ``M_eff = 1 / sum(1/mtbf_i)``.  Streams capped at zero failures are
-    skipped; a plan with no crash stream has infinite MTBF.
-    """
-    rate = 0.0
-    for spec in plan.node_faults:
-        if spec.max_failures == 0:
-            continue
-        n_streams = len(node_names) if spec.node == ALL_NODES else 1
-        rate += n_streams / spec.mtbf
-    if rate <= 0.0:
-        return math.inf
-    return 1.0 / rate
-
-
-def _validate(checkpoint_cost: float, mtbf: float) -> None:
-    if checkpoint_cost <= 0:
-        raise ConfigurationError(
-            f"checkpoint cost must be > 0, got {checkpoint_cost}"
-        )
-    if mtbf <= 0:
-        raise ConfigurationError(f"mtbf must be > 0, got {mtbf}")
 
 
 @dataclass(frozen=True)
 class SnapshotPlan:
-    """When (in simulated time) a checkpointed run snapshots itself.
+    """When (in simulated time) a run snapshots itself.
 
     Attributes
     ----------
@@ -101,18 +26,10 @@ class SnapshotPlan:
         Simulated seconds between snapshot boundaries.
     keep:
         Snapshot files retained on disk (older boundaries are pruned).
-    rule:
-        How the interval was chosen (``"fixed"``, ``"young"`` or
-        ``"daly"``) — informational.
-    mtbf:
-        The MTBF the interval was tuned against (``None`` for fixed
-        plans) — informational.
     """
 
     interval: float
     keep: int = 2
-    rule: str = "fixed"
-    mtbf: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not (self.interval > 0):
@@ -124,52 +41,11 @@ class SnapshotPlan:
                 f"snapshot plan must keep at least one file, got {self.keep}"
             )
 
-    # ------------------------------------------------------------ constructors
     @classmethod
     def fixed(cls, interval: float, *, keep: int = 2) -> "SnapshotPlan":
         """A plain fixed-interval plan."""
-        return cls(interval=interval, keep=keep, rule="fixed")
+        return cls(interval=interval, keep=keep)
 
-    @classmethod
-    def young(cls, checkpoint_cost: float, mtbf: float, *,
-              keep: int = 2) -> "SnapshotPlan":
-        """Young-optimal interval for the given cost and MTBF."""
-        return cls(interval=young_interval(checkpoint_cost, mtbf),
-                   keep=keep, rule="young", mtbf=mtbf)
-
-    @classmethod
-    def daly(cls, checkpoint_cost: float, mtbf: float, *,
-             keep: int = 2) -> "SnapshotPlan":
-        """Daly-optimal interval for the given cost and MTBF."""
-        return cls(interval=daly_interval(checkpoint_cost, mtbf),
-                   keep=keep, rule="daly", mtbf=mtbf)
-
-    @classmethod
-    def from_fault_plan(cls, fault_plan: FaultPlan,
-                        node_names: Sequence[str], *,
-                        checkpoint_cost: float = 1.0,
-                        rule: str = "daly",
-                        keep: int = 2) -> "SnapshotPlan":
-        """Tune the interval against a fault plan's effective MTBF.
-
-        Raises if the plan injects no crashes at all (infinite MTBF means
-        no finite interval is optimal — use :meth:`fixed` instead).
-        """
-        mtbf = effective_mtbf(fault_plan, node_names)
-        if math.isinf(mtbf):
-            raise ConfigurationError(
-                "the fault plan injects no node crashes (infinite MTBF); "
-                "use SnapshotPlan.fixed for fault-free runs"
-            )
-        if rule == "young":
-            return cls.young(checkpoint_cost, mtbf, keep=keep)
-        if rule == "daly":
-            return cls.daly(checkpoint_cost, mtbf, keep=keep)
-        raise ConfigurationError(
-            f"unknown interval rule {rule!r}; use 'young' or 'daly'"
-        )
-
-    # -------------------------------------------------------------- boundaries
     def boundaries(self, start: float = 0.0) -> Iterator[float]:
         """The snapshot times ``start + k * interval`` for ``k >= 1``."""
         k = 1

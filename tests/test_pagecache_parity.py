@@ -46,34 +46,26 @@ class TestWorkloadParity:
             "run on a known-good implementation"
         )
 
-    @pytest.mark.parametrize(
-        "variant", ["default", "deprecated-knob", "lru-policy-object"]
-    )
+    @pytest.mark.parametrize("variant", ["default", "lru-policy-object"])
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     def test_trace_parity(self, golden, scenario, variant):
         """Replays match the pre-extent golden byte for byte.
 
         The extent-run cache coalesces losslessly and unconditionally, so
         the replay must be bit-identical to the golden recorded from the
-        one-block-per-node implementation.  The ``deprecated-knob``
-        variant passes the retired ``coalesce_extents`` flag through the
-        deprecation shim; the ``lru-policy-object`` variant routes victim
-        selection through an explicit
-        :class:`~repro.pagecache.policy.LRUPolicy` instance — both must
+        one-block-per-node implementation.  The ``lru-policy-object``
+        variant routes victim selection through an explicit
+        :class:`~repro.pagecache.policy.LRUPolicy` instance and must
         reproduce the exact same trace.
         """
         expected = golden["scenarios"][scenario]
         if variant == "default":
             actual = run_parity_workload(**SCENARIOS[scenario])
-        elif variant == "lru-policy-object":
+        else:
             from repro.pagecache.policy import LRUPolicy
 
             actual = run_parity_workload(eviction_policy=LRUPolicy(),
                                          **SCENARIOS[scenario])
-        else:
-            with pytest.warns(DeprecationWarning, match="coalesce_extents"):
-                actual = run_parity_workload(coalesce_extents=True,
-                                             **SCENARIOS[scenario])
         assert len(actual) == len(expected)
         for step, (got, want) in enumerate(zip(actual, expected)):
             assert set(got) == set(want), f"step {step}"

@@ -1,11 +1,10 @@
 """Tests of the sweep runner's robustness layer.
 
 Wall-clock timeouts, identically-reseeded retries with exponential
-backoff, recovery from a worker pool broken by a dying worker, the
-point-value cache that makes killed sweeps resumable, and per-point
-simulator snapshots under ``snapshot_plan``.  The governing invariant:
-no recovery mechanism may change a sweep's results — a disturbed sweep
-and an undisturbed one return byte-identical values.
+backoff, recovery from a worker pool broken by a dying worker, and the
+point-value cache that makes killed sweeps resumable.  The governing
+invariant: no recovery mechanism may change a sweep's results — a
+disturbed sweep and an undisturbed one return byte-identical values.
 """
 
 from __future__ import annotations
@@ -15,18 +14,14 @@ import pickle
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.experiments import runner
 from repro.experiments.runner import (
-    PointOptions,
     SweepPointError,
     make_spec,
     point_cache_key,
     register_experiment,
     run_sweep,
-    _execute_point,
 )
-from repro.snapshot import SnapshotPlan, canonical_json
 
 
 @pytest.fixture
@@ -235,68 +230,3 @@ class TestPointCache:
         run_sweep(specs, checkpoint_dir=tmp_path,
                   progress=lambda r, done, total: seen.append((done, total)))
         assert seen == [(1, 3), (2, 3), (3, 3)]
-
-
-# -------------------------------------------------- snapshots in sweeps
-class TestSweepSnapshots:
-    def test_snapshot_plan_requires_checkpoint_dir(self):
-        with pytest.raises(ConfigurationError):
-            run_sweep([make_spec("exp6")],
-                      snapshot_plan=SnapshotPlan.fixed(5.0))
-
-    def test_checkpointed_point_matches_plain_point(self, tmp_path):
-        from repro.experiments.exp6_cluster import run_exp6
-
-        plain = run_exp6("cache", n_jobs=30)
-        results = run_sweep(
-            [make_spec("exp6", placement="cache", n_jobs=30)],
-            checkpoint_dir=tmp_path,
-            snapshot_plan=SnapshotPlan.fixed(5.0),
-        )
-        assert canonical_json(results[0].value) == canonical_json(plain)
-
-    def test_killed_point_resumes_from_its_snapshot(self, tmp_path):
-        """Simulate a worker death mid-point: the first attempt times out
-        after snapshots were written; the retry resumes from the last
-        snapshot and completes with byte-identical results."""
-        from repro.experiments.exp6_cluster import run_exp6
-
-        plain = run_exp6("cache", n_jobs=30)
-        spec = make_spec("exp6", placement="cache", n_jobs=30)
-        key = point_cache_key(spec, None)
-        run_dir = tmp_path / f"run-{key}"
-
-        # "Crash" mid-point: run the checkpointed point by hand up to a
-        # boundary, leaving snapshots behind, as a killed worker would.
-        from repro.snapshot import latest_snapshot, write_snapshot
-        from repro.snapshot.recipe import SimRecipe, build_from_recipe
-
-        sim = build_from_recipe(SimRecipe("exp6", dict(spec.params)))
-        sim.step_until(5.0)
-        run_dir.mkdir(parents=True)
-        write_snapshot(sim, run_dir / "snap-00000001.json")
-        assert latest_snapshot(run_dir) is not None
-        del sim
-
-        results = run_sweep(
-            [spec],
-            checkpoint_dir=tmp_path,
-            snapshot_plan=SnapshotPlan.fixed(5.0),
-        )
-        assert canonical_json(results[0].value) == canonical_json(plain)
-        # The finished point's snapshots were pruned with its value cached.
-        assert not run_dir.exists()
-
-    def test_execute_point_runs_checkpointed_when_plan_set(self, tmp_path):
-        """_execute_point routes through the snapshot machinery."""
-        from repro.experiments.exp6_cluster import run_exp6
-
-        plain = run_exp6("cache", n_jobs=30)
-        spec = make_spec("exp6", placement="cache", n_jobs=30)
-        options = PointOptions(
-            checkpoint_dir=str(tmp_path),
-            snapshot_plan=SnapshotPlan.fixed(4.0, keep=3),
-        )
-        index, ok, value, _, _ = _execute_point((0, spec, None, options))
-        assert ok, value
-        assert canonical_json(value) == canonical_json(plain)

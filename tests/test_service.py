@@ -13,6 +13,8 @@ import json
 import shutil
 import threading
 import time
+from concurrent.futures import Future
+from pathlib import Path
 
 import pytest
 
@@ -27,10 +29,13 @@ from repro.scheduler.arrivals import SubmissionQueue
 from repro.service import (
     JobSpec,
     LogEntry,
+    ServiceConfig,
     SimulationService,
     SubmissionLog,
+    apply_entry,
     build_service_cluster,
     canonical_result,
+    replay_entries,
     replay_result,
 )
 from repro.service.log import OP_CLOSE, OP_SUBMIT, SubmissionLogError
@@ -38,7 +43,11 @@ from repro.snapshot import (
     SimRecipe,
     SnapshotPlan,
     apply_live_overrides,
+    capture_state,
+    fingerprint,
+    read_snapshot_doc,
     restore_simulation,
+    to_jsonable,
     warm_start_values,
     write_snapshot,
 )
@@ -130,6 +139,43 @@ class TestStreamingScheduler:
         sim.submit_job(workflow, label="dup")
         with pytest.raises(SchedulingError, match="unique label"):
             sim.submit_job(workflow, label="dup")
+
+    def test_telemetry_ticks_do_not_move_the_injection_clock(
+            self, monkeypatch):
+        """An op logged at ``t`` is applied at ``t``, observed or not.
+
+        The DES sampler's 1 s ticks are events only an observed run has.
+        A pause must leave both clocks at ``t`` — not at their last event
+        — or a replayed close (or submit) wakes the scheduler at a
+        different simulated time than the live service did.
+        """
+        sims = []
+        for observed in (True, False):
+            if observed:
+                monkeypatch.setenv("REPRO_OBS", "1")
+            else:
+                monkeypatch.delenv("REPRO_OBS")
+            sim = self.build()
+            assert (sim.observer is not None) is observed
+            sims.append(sim)
+        t = 3.5
+        entries = [
+            LogEntry(seq=0, op=OP_SUBMIT, t=0.0, spec=spec_dict("j0")),
+            LogEntry(seq=1, op=OP_CLOSE, t=t),
+        ]
+        for sim in sims:
+            sim.step_until(0.0)
+            apply_entry(sim, entries[0])
+            sim.step_until(t)
+            assert sim.env.now == t
+        observed, unobserved = sims
+        # t lies between a sampler tick and the next real event.
+        assert unobserved.scheduler.jobs[0].end_time < 3.0
+        assert observed.env.peek() == 4.0 < unobserved.env.peek()
+        for sim in sims:
+            apply_entry(sim, entries[1])
+        assert (canonical_result(observed.run())
+                == canonical_result(unobserved.run()))
 
 
 # ------------------------------------------------------- submission queue
@@ -346,6 +392,36 @@ class TestSimulationService:
             service.submit(spec_dict("j1"))
         service.drain(timeout=60.0)
 
+    def test_job_status_walks_the_lifecycle(self, tmp_path):
+        # Admit and advance by hand, without the worker thread, so every
+        # state is observed deterministically.
+        service = small_service(tmp_path)
+        service._recover()
+        sim = service._sim
+
+        def admit(spec):
+            future = Future()
+            service._admit(None, spec, future)
+            return future.result(timeout=0)
+
+        for i in range(2):  # both 2-core nodes busy for 5 s
+            admit(spec_dict(f"busy{i}", cores=2, runtime=5.0))
+        admit(spec_dict("watched", cores=2, runtime=1.0, arrival_time=2.0))
+        states = [service.job_status("watched")["state"]]
+        for _ in range(200):
+            if states[-1] == "completed":
+                break
+            sim.step_until(sim.env.now + 0.25)
+            state = service.job_status("watched")["state"]
+            if state != states[-1]:
+                states.append(state)
+        assert states == ["scheduled", "queued", "running", "completed"]
+        done = service.job_status("watched")
+        assert done["node"] in {node.name for node in sim.scheduler.nodes}
+        assert done["wait_time"] == done["start_time"] - 2.0 > 0.0
+        with pytest.raises(KeyError):
+            service.job_status("nope")
+
     def test_job_status_and_metrics(self, tmp_path):
         service = small_service(tmp_path).start()
         service.submit(spec_dict("watched"))
@@ -382,7 +458,11 @@ class TestSimulationService:
 
 
 class TestServiceRecovery:
-    """In-process recovery: re-open a data directory and converge."""
+    """In-process recovery: re-open a data directory and converge.
+
+    Recovery is log replay; snapshots are an opt-in audit that recovery
+    never reads.
+    """
 
     def run_and_abandon(self, tmp_path, n_jobs=4):
         """Run a service to completion, return its data dir + reference.
@@ -391,14 +471,29 @@ class TestServiceRecovery:
         mid-run crash (copy-while-running) is covered below and the real
         SIGKILL in ``test_service_recovery.py``.
         """
-        service = small_service(
-            tmp_path, snapshot_plan=SnapshotPlan.fixed(1.0, keep=3)
-        ).start()
+        service = small_service(tmp_path).start()
         for i in range(n_jobs):
             service.submit(spec_dict(f"job{i}", dataset=i % 3,
                                      runtime=0.5 + 0.5 * i))
         service.drain(timeout=60.0)
         return service.data_dir, service.canonical_result()
+
+    def midrun_copy(self, tmp_path, n_jobs=4):
+        """Submit ``n_jobs``, copy the data dir (an open log), drain."""
+        service = small_service(tmp_path).start()
+        for i in range(n_jobs):
+            service.submit(spec_dict(f"job{i}", dataset=i % 3,
+                                     runtime=1.0))
+        # Wait until the worker has advanced into the work, then copy
+        # the dir — a crash at an arbitrary moment before the drain.
+        deadline = time.monotonic() + 30.0
+        while (service.metrics()["sim"]["now"] <= 0.0
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        crashed_dir = tmp_path / "crashed-copy"
+        shutil.copytree(service.data_dir, crashed_dir)
+        service.drain(timeout=60.0)
+        return crashed_dir
 
     def test_reopen_closed_log_reproduces_result(self, tmp_path):
         data_dir, reference = self.run_and_abandon(tmp_path)
@@ -410,67 +505,83 @@ class TestServiceRecovery:
         assert (data_dir / "result.json").read_text("utf-8") == reference
 
     def test_midrun_copy_recovers_byte_identical(self, tmp_path):
-        service = small_service(
-            tmp_path, snapshot_plan=SnapshotPlan.fixed(1.0, keep=5)
-        ).start()
-        for i in range(4):
-            service.submit(spec_dict(f"job{i}", dataset=i % 3,
-                                     runtime=1.0))
-        # Wait until the worker has advanced into the work (some
-        # snapshot exists), then copy the dir — a crash at an arbitrary
-        # moment, with jobs still in flight.
-        deadline = time.monotonic() + 30.0
-        while time.monotonic() < deadline:
-            if list((service.data_dir / "snapshots").glob("svc-*.json")):
-                break
-            time.sleep(0.01)
-        crashed_dir = tmp_path / "crashed-copy"
-        shutil.copytree(service.data_dir, crashed_dir)
-        service.drain(timeout=60.0)
-
-        log = SubmissionLog(crashed_dir / "submissions.log")
-        entries = log.entries()
+        crashed_dir = self.midrun_copy(tmp_path)
+        entries = SubmissionLog(crashed_dir / "submissions.log").entries()
         assert entries, "the copy should hold acknowledged submissions"
         reference = canonical_result(
             replay_result(SMALL_RECIPE, entries)
         )
         recovered = SimulationService(crashed_dir).start()
-        assert recovered._recovered_from is not None
         summary = recovered.drain(timeout=60.0)
         assert summary["jobs_completed"] == sum(
             1 for e in entries if e.op == OP_SUBMIT
         )
         assert recovered.canonical_result() == reference
 
-    def test_corrupt_newest_snapshot_falls_back(self, tmp_path):
+    def test_reopen_reports_entries_replayed(self, tmp_path):
+        crashed_dir = self.midrun_copy(tmp_path, n_jobs=3)
+        n_entries = len(SubmissionLog(crashed_dir / "submissions.log")
+                        .entries())
+        assert n_entries == 3
+        recovered = SimulationService(crashed_dir).start()
+        health = recovered.health()
+        assert health["status"] == "ok"
+        assert health["recovery_entries"] == n_entries
+        assert health["recovery_seconds"] > 0.0
+        service_metrics = recovered.metrics()["service"]
+        assert service_metrics["service.recoveries"] == {"": 1.0}
+        assert recovered.job_status("job2")["label"] == "job2"
+        recovered.drain(timeout=60.0)
+
+    def test_default_config_writes_no_snapshots(self, tmp_path):
+        service = ServiceConfig(data_dir=tmp_path / "svc",
+                                recipe=SMALL_RECIPE).build_service().start()
+        for i in range(3):
+            service.submit(spec_dict(f"job{i}", dataset=i % 3,
+                                     runtime=1.0 + i))
+        service.drain(timeout=60.0)
+        assert service.summary()["jobs_completed"] == 3
+        assert not (service.data_dir / "snapshots").exists()
+
+    def test_stale_and_corrupt_snapshots_are_ignored(self, tmp_path):
+        crashed_dir = self.midrun_copy(tmp_path)
+        entries = SubmissionLog(crashed_dir / "submissions.log").entries()
+        reference = canonical_result(replay_result(SMALL_RECIPE, entries))
+        # A snapshot of some other history, plus one torn file.
+        other = build_service_cluster(**SMALL_PARAMS)
+        other.step_until(2.0)
+        snap_dir = crashed_dir / "snapshots"
+        stale = write_snapshot(other, snap_dir / "svc-00000003.json")
+        corrupt = snap_dir / "svc-00000007.json"
+        corrupt.write_text("{ not json", encoding="utf-8")
+        before = {path: path.read_bytes() for path in (stale, corrupt)}
+
+        recovered = SimulationService(crashed_dir).start()
+        audit = Path(recovered.snapshot_now()["path"])
+        assert audit == snap_dir / "svc-00000008.json"
+        recovered.drain(timeout=60.0)
+        assert recovered.canonical_result() == reference
+        assert {path: path.read_bytes() for path in before} == before
+
+    def test_audit_snapshot_fingerprint_matches_replay(self, tmp_path):
         service = small_service(
-            tmp_path, snapshot_plan=SnapshotPlan.fixed(1.0, keep=5)
+            tmp_path, snapshot_plan=SnapshotPlan.fixed(0.5, keep=50)
         ).start()
         for i in range(3):
-            service.submit(spec_dict(f"job{i}", runtime=1.0))
+            service.submit(spec_dict(f"job{i}", dataset=i % 3,
+                                     runtime=1.0))
+        service.snapshot_now()
         service.drain(timeout=60.0)
-        reference = service.canonical_result()
-        (service.data_dir / "result.json").unlink()
-        snapshots = sorted(
-            (service.data_dir / "snapshots").glob("svc-*.json"))
-        assert snapshots
-        snapshots[-1].write_text("{ not json", encoding="utf-8")
-
-        recovered = SimulationService(service.data_dir).start()
-        recovered.join(timeout=60.0)
-        assert recovered.canonical_result() == reference
-        # New snapshots must not collide with surviving file names.
-        assert recovered._snap_index >= len(snapshots)
-
-    def test_all_snapshots_corrupt_replays_full_log(self, tmp_path):
-        data_dir, reference = self.run_and_abandon(tmp_path, n_jobs=3)
-        (data_dir / "result.json").unlink()
-        for path in (data_dir / "snapshots").glob("svc-*.json"):
-            path.write_text("garbage", encoding="utf-8")
-        recovered = SimulationService(data_dir).start()
-        recovered.join(timeout=60.0)
-        assert recovered._recovered_from is None
-        assert recovered.canonical_result() == reference
+        entries = service.log.entries()
+        paths = sorted((service.data_dir / "snapshots").glob("svc-*.json"))
+        assert len(paths) >= 2
+        for path in paths:
+            doc = read_snapshot_doc(path)
+            applied = doc["service"]["applied_seq"]
+            sim = replay_entries(SMALL_RECIPE, entries[:applied])
+            sim.step_until(doc["t"])
+            replayed = fingerprint(to_jsonable(capture_state(sim)))
+            assert replayed == doc["fingerprint"], path.name
 
 
 # ------------------------------------------------------------ warm starts

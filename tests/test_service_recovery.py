@@ -1,11 +1,11 @@
 """End-to-end crash recovery of the supervised service.
 
 The acceptance invariant of the service mode: a SIGKILLed worker is
-restarted by the supervisor, resumes from its latest verified snapshot,
-replays the durable submission log, loses **no acknowledged submission**
-— and the drained canonical result is byte-identical to what an
-uninterrupted run of the same submissions would have produced
-(:func:`repro.service.replay_result` is the reference).  Backpressure is
+restarted by the supervisor, recovers by replaying the durable
+submission log, loses **no acknowledged submission** — and the drained
+canonical result is byte-identical to what an uninterrupted run of the
+same submissions would have produced (:func:`repro.service.replay_result`
+is the reference).  Backpressure is
 exercised over real HTTP: beyond the queue bound the server answers 429
 with a Retry-After header, never dropping the submission silently.
 """
@@ -29,7 +29,7 @@ from repro.service import (
     make_server,
     replay_result,
 )
-from repro.snapshot import SimRecipe, SnapshotPlan
+from repro.snapshot import SimRecipe
 from repro.units import MB
 
 SMALL_PARAMS = dict(
@@ -79,7 +79,6 @@ class TestSupervisorRecovery:
             data_dir=data_dir,
             recipe=SMALL_RECIPE,
             port=0,
-            snapshot_plan=SnapshotPlan.fixed(0.5, keep=3),
             queue_capacity=16,
         )
         supervisor = Supervisor(config, max_restarts=3,
@@ -105,8 +104,8 @@ class TestSupervisorRecovery:
                 "GET", f"{base}/metrics")[1]["sim"]["now"] > 0.5)
             killed_pid = supervisor.kill_worker()
 
-            # The supervisor restarts the worker; it recovers from the
-            # data dir and publishes a fresh port.
+            # The supervisor restarts the worker; it replays the log in
+            # the data dir and publishes a fresh port.
             def recovered_port():
                 if not supervisor.alive:
                     return None
@@ -170,7 +169,6 @@ class TestSupervisorRecovery:
             data_dir=tmp_path / "svc",
             recipe=SMALL_RECIPE,
             port=0,
-            snapshot_plan=None,
         )
         supervisor = Supervisor(config, backoff=0.05).start()
         port = supervisor.port()

@@ -1,11 +1,10 @@
 """Tests of the snapshot subsystem: capture, files, plans, restore parity.
 
-Unit tests pin the canonical encoder, the Young/Daly interval math and
-the snapshot file format; integration tests exercise the tentpole
-invariant — a run snapshotted at ``t=T`` and restored in a fresh
-simulation produces results byte-identical to the uninterrupted run — on
-the exp2/exp6/exp7 golden workloads, plus checkpointed execution and
-crash-style resume.
+Unit tests pin the canonical encoder, snapshot plans and the snapshot
+file format; integration tests exercise the invariant — a run
+snapshotted at ``t=T`` and restored in a fresh simulation produces
+results byte-identical to the uninterrupted run — on the exp2/exp6/exp7
+golden workloads.
 """
 
 from __future__ import annotations
@@ -30,17 +29,11 @@ from repro.snapshot import (
     build_from_recipe,
     canonical_json,
     capture_state,
-    daly_interval,
-    effective_mtbf,
     fingerprint,
-    latest_snapshot,
     read_snapshot_doc,
     restore_simulation,
-    resume_checkpointed,
-    run_checkpointed,
     to_jsonable,
     write_snapshot,
-    young_interval,
 )
 from repro.units import GB
 
@@ -78,69 +71,11 @@ class TestCanonical:
         assert fingerprint({"x": 1}) != fingerprint({"x": 2})
 
 
-# ------------------------------------------------------------ plan math
-class TestIntervals:
-    def test_young_formula(self):
-        assert young_interval(1.0, 50.0) == pytest.approx(math.sqrt(100.0))
-
-    def test_daly_reduces_to_young_for_small_cost(self):
-        # delta/M -> 0: the Daly correction terms vanish.
-        young = young_interval(1e-6, 1000.0)
-        daly = daly_interval(1e-6, 1000.0)
-        assert daly == pytest.approx(young, rel=1e-3)
-
-    def test_daly_caps_at_mtbf_when_cost_dominates(self):
-        assert daly_interval(100.0, 10.0) == 10.0
-
-    def test_daly_known_value(self):
-        # delta=1, M=60: tau = sqrt(120)*(1 + sqrt(1/120)/3 + (1/120)/9) - 1
-        ratio = 1.0 / 120.0
-        expected = math.sqrt(120.0) * (
-            1.0 + math.sqrt(ratio) / 3.0 + ratio / 9.0
-        ) - 1.0
-        assert daly_interval(1.0, 60.0) == pytest.approx(expected)
-
-    @pytest.mark.parametrize("cost,mtbf", [(0.0, 10.0), (1.0, 0.0),
-                                           (-1.0, 10.0), (1.0, -5.0)])
-    def test_validation(self, cost, mtbf):
-        with pytest.raises(ConfigurationError):
-            young_interval(cost, mtbf)
-
-    def test_effective_mtbf_superposes_rates(self):
-        plan = FaultPlan(node_faults=[NodeFaultSpec(node="*", mtbf=60.0)])
-        nodes = [f"node{i}" for i in range(4)]
-        assert effective_mtbf(plan, nodes) == pytest.approx(15.0)
-
-    def test_effective_mtbf_skips_capped_streams(self):
-        plan = FaultPlan(node_faults=[
-            NodeFaultSpec(node="node1", mtbf=30.0, max_failures=0),
-            NodeFaultSpec(node="node2", mtbf=60.0),
-        ])
-        assert effective_mtbf(plan, ["node1", "node2"]) == pytest.approx(60.0)
-
-    def test_effective_mtbf_infinite_without_crashes(self):
-        assert math.isinf(effective_mtbf(FaultPlan(), ["node1"]))
-
-
+# ---------------------------------------------------------------- plans
 class TestSnapshotPlan:
     def test_fixed(self):
         plan = SnapshotPlan.fixed(5.0, keep=3)
-        assert plan.interval == 5.0 and plan.keep == 3 and plan.rule == "fixed"
-
-    def test_daly_from_fault_plan(self):
-        fault_plan = FaultPlan(
-            seed=7, node_faults=[NodeFaultSpec(node="*", mtbf=60.0)]
-        )
-        nodes = [f"node{i}" for i in range(4)]
-        plan = SnapshotPlan.from_fault_plan(fault_plan, nodes,
-                                            checkpoint_cost=1.0)
-        assert plan.rule == "daly"
-        assert plan.mtbf == pytest.approx(15.0)
-        assert plan.interval == pytest.approx(daly_interval(1.0, 15.0))
-
-    def test_from_fault_plan_rejects_crash_free_plans(self):
-        with pytest.raises(ConfigurationError):
-            SnapshotPlan.from_fault_plan(FaultPlan(), ["node1"])
+        assert plan.interval == 5.0 and plan.keep == 3
 
     def test_boundaries(self):
         plan = SnapshotPlan.fixed(2.0)
@@ -178,6 +113,16 @@ class TestStepUntil:
         b = build_exp6("cache", n_jobs=30)
         b.step_until(8.0)
         assert fingerprint(capture_state(a)) == fingerprint(capture_state(b))
+
+    def test_clock_ends_at_t_until_completion(self):
+        """A pause leaves the clock at ``t``, not at the last event."""
+        sim = build_exp6("cache", n_jobs=30)
+        assert sim.step_until(4.3) == sim.env.now == 4.3
+        assert not sim.completed
+        sim.step_until(math.inf)
+        assert sim.completed
+        end = sim.env.now
+        assert sim.step_until(end + 100.0) == end
 
     def test_step_into_the_past_rejected(self):
         sim = build_exp6("cache", n_jobs=30)
@@ -330,49 +275,3 @@ class TestRecipes:
         trace = load_swf(default_trace_path())
         sim = build_exp7("fifo", trace=trace)
         assert sim.recipe is None
-
-
-# ------------------------------------------------- checkpointed running
-class TestCheckpointedRun:
-    def test_checkpointed_run_matches_plain_run(self, tmp_path):
-        plain = run_exp6("cache", n_jobs=30)
-        sim = build_exp6("cache", n_jobs=30)
-        result, paths = run_checkpointed(sim, SnapshotPlan.fixed(5.0),
-                                         tmp_path)
-        point = finish_exp6(result, "cache", n_jobs=30)
-        assert canon(point) == canon(plain)
-        assert paths, "expected at least one snapshot on disk"
-        assert all(p.exists() for p in paths)
-
-    def test_keep_prunes_old_snapshots(self, tmp_path):
-        sim = build_exp6("cache", n_jobs=30)
-        _, paths = run_checkpointed(sim, SnapshotPlan.fixed(2.0, keep=2),
-                                    tmp_path)
-        on_disk = sorted(tmp_path.glob("snap-*.json"))
-        assert len(on_disk) <= 2
-        assert on_disk == sorted(paths)
-
-    def test_resume_after_simulated_crash(self, tmp_path):
-        """Kill a checkpointed run mid-flight; resume must match exactly."""
-        plain = run_exp6("cache", n_jobs=30)
-        plan = SnapshotPlan.fixed(4.0, keep=2)
-
-        # "Crash": advance past two boundaries, snapshotting, then abandon
-        # the simulation object entirely (its process state dies with it).
-        crashed = build_exp6("cache", n_jobs=30)
-        for boundary in (4.0, 8.0):
-            crashed.step_until(boundary)
-            if crashed.completed:
-                break
-            write_snapshot(crashed, latest_path := tmp_path /
-                           f"snap-{int(boundary):08d}.json")
-        assert latest_snapshot(tmp_path) == latest_path
-        del crashed
-
-        result, _ = resume_checkpointed(tmp_path, plan)
-        resumed = finish_exp6(result, "cache", n_jobs=30)
-        assert canon(resumed) == canon(plain)
-
-    def test_resume_from_empty_directory_rejected(self, tmp_path):
-        with pytest.raises(SnapshotError):
-            resume_checkpointed(tmp_path, SnapshotPlan.fixed(5.0))
