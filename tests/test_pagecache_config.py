@@ -43,7 +43,16 @@ class TestValidation:
         # knob is an unknown keyword like any other.
         with pytest.raises(TypeError, match="coalesce_extents"):
             PageCacheConfig(coalesce_extents=True)
+        with pytest.raises(TypeError, match="coalesce_extents"):
+            PageCacheConfig().with_updates(coalesce_extents=True)
         assert "coalesce_extents" not in PageCacheConfig.__dataclass_fields__
+
+    def test_coalesce_extents_unset_does_not_warn(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            PageCacheConfig()
 
     def test_eviction_policy_default_and_validation(self):
         assert PageCacheConfig().eviction_policy == "lru"
