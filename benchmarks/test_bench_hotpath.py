@@ -165,8 +165,8 @@ def test_hotpath_exp5_fine_chunks(benchmark, report):
     report(
         "hotpath_exp5_fine_chunks",
         f"Exp 5 fine-chunk point (16 apps, 10 MB chunks): "
-        f"{points[0].wallclock_time:.3f}s wall-clock, "
         f"makespan {points[0].simulated_makespan:.1f}s",
+        timing=f"{points[0].wallclock_time:.3f}s wall-clock",
     )
     assert points[0].simulated_makespan > 0
 
@@ -197,8 +197,8 @@ def test_hotpath_sched_dispatch(benchmark, report):
         f"Dispatch-heavy Exp 6 (400 short jobs / 32 nodes, EASY + cache "
         f"placement): makespan {point.makespan:.2f}s, hit ratio "
         f"{100 * point.cache_hit_ratio:.1f}%, "
-        f"mean wait {point.mean_wait_time:.3f}s, "
-        f"{point.wallclock_time:.3f}s wall-clock",
+        f"mean wait {point.mean_wait_time:.3f}s",
+        timing=f"{point.wallclock_time:.3f}s wall-clock",
     )
     assert point.n_jobs == 400
     assert point.makespan > 0

@@ -31,7 +31,7 @@ from repro.des.events import (
     PENDING,
 )
 from repro.des.process import Process
-from repro.des.environment import Environment, EmptySchedule
+from repro.des.environment import Environment
 from repro.des.resources import (
     Resource,
     Request,
@@ -44,7 +44,6 @@ from repro.des.resources import (
 
 __all__ = [
     "Environment",
-    "EmptySchedule",
     "Event",
     "Timeout",
     "Condition",

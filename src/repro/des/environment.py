@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import math
 from itertools import count
 from typing import Any, Generator, List, Optional, Tuple, Union
 
@@ -17,10 +18,6 @@ from repro.des.events import (
 from repro.des.process import Process
 
 
-class EmptySchedule(Exception):
-    """Raised by :meth:`Environment.step` when no events remain."""
-
-
 class _StopSimulation(Exception):
     """Internal signal used to end :meth:`Environment.run` at ``until``."""
 
@@ -30,7 +27,8 @@ class Environment:
 
     The environment owns the simulated clock and the priority queue of
     triggered events.  Processes are created with :meth:`process` and the
-    simulation is advanced with :meth:`run` or :meth:`step`.
+    simulation is advanced with :meth:`run`, whose optional ``horizon``
+    pauses it at a simulated time so a later call can resume it.
 
     Parameters
     ----------
@@ -44,11 +42,12 @@ class Environment:
         self._eid = count()
         self._active_process: Optional[Process] = None
         #: Nullable telemetry hook (a :class:`repro.obs.spans.Observer`).
-        #: ``None`` (the default) keeps the event loop on its uninstrumented
-        #: fast path; attaching an observer routes :meth:`run` through the
-        #: counting loop and lets processes, flows and I/O controllers emit
-        #: spans.  The hook only observes — it never schedules events — so
-        #: attaching it cannot change simulated results.
+        #: ``None`` (the default) costs the event loop one ``is None`` test
+        #: per event; an attached observer makes :meth:`run` count events
+        #: per class and skipped tombstones, and lets processes, flows and
+        #: I/O controllers emit spans.  The hook only observes — it never
+        #: schedules events — so attaching it cannot change simulated
+        #: results.
         self.observer = None
 
     # ----------------------------------------------------------------- state
@@ -114,41 +113,8 @@ class Environment:
             return float("inf")
         return queue[0][0]
 
-    def step(self) -> None:
-        """Process the next event.
-
-        Raises
-        ------
-        EmptySchedule
-            If no events remain in the queue.
-        """
-        pop = heapq.heappop
-        observer = self.observer
-        try:
-            while True:
-                now, _, _, event = pop(self._queue)
-                if not event._defunct:
-                    break
-                if observer is not None:
-                    observer.des_tombstones += 1
-        except IndexError:
-            raise EmptySchedule() from None
-        self._now = now
-        if observer is not None:
-            counts = observer.des_event_counts
-            name = type(event).__name__
-            counts[name] = counts.get(name, 0) + 1
-
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-
-        if event._ok is False and not event.defused:
-            # Nobody handled the failure: surface it to the caller of run().
-            exc = event._value
-            raise exc
-
-    def run(self, until: Union[None, float, Event] = None) -> Any:
+    def run(self, until: Union[None, float, Event] = None,
+            horizon: float = math.inf) -> Any:
         """Run the simulation.
 
         Parameters
@@ -158,11 +124,24 @@ class Environment:
             * a number — run until the simulated clock reaches that time;
             * an :class:`Event` — run until that event is processed and
               return its value.
+        horizon:
+            Pause bound.  Every event with time ``<= horizon`` is processed,
+            including events scheduled at exactly ``horizon`` during the
+            pass.  If ``until`` has not been reached when the next event lies
+            beyond the bound (or the queue drains), the run returns ``None``
+            with the clock at ``horizon``.  Unlike a numeric ``until`` the
+            bound inserts no event, so a run paused at any number of
+            horizons processes the same events, with the same event ids, as
+            an unpaused one.
 
         Returns
         -------
-        The value of the ``until`` event, if one was given.
+        The value of the ``until`` event, if one was given and processed.
         """
+        if horizon < self._now:
+            raise ValueError(
+                f"horizon ({horizon}) must not be earlier than the current time ({self._now})"
+            )
         if until is not None and not isinstance(until, Event):
             at = float(until)
             if at < self._now:
@@ -181,66 +160,27 @@ class Environment:
                 raise until.value
             until.callbacks.append(_stop_simulation)
 
-        if self.observer is not None:
-            return self._run_observed(until)
-
-        # Fast path: the body of step() inlined with the queue and heappop
-        # bound locally.  The event loop is the single hottest function of
-        # any simulation; avoiding the method call, attribute lookups and
-        # per-event exception frames is worth the duplication with step().
-        # When a telemetry observer is attached the loop above hands off to
-        # :meth:`_run_observed` instead, so the disabled path pays exactly
-        # one extra ``is None`` check per :meth:`run` call, not per event.
+        # The event loop is the single hottest function of any simulation:
+        # the queue, heappop and the observer are bound locally once per
+        # call, so a detached observer costs one ``is None`` test per event.
         queue = self._queue
         pop = heapq.heappop
-        try:
-            while queue:
-                now, _, _, event = pop(queue)
-                if event._defunct:
-                    continue
-                self._now = now
-                callbacks, event.callbacks = event.callbacks, None
-                for callback in callbacks:
-                    callback(event)
-                if event._ok is False and not event.defused:
-                    # Nobody handled the failure: surface it to the caller.
-                    raise event._value
-        except _StopSimulation as stop:
-            event = stop.args[0]
-            if event._ok:
-                return event._value
-            event.defused = True
-            raise event._value
-        # The queue drained (EmptySchedule in step() terms).
-        if isinstance(until, Event) and until._value is PENDING:
-            raise RuntimeError(
-                "simulation ended before the awaited event was triggered"
-            )
-        return None
-
-    def _run_observed(self, until: Optional[Event]) -> Any:
-        """The event loop with DES introspection counters.
-
-        Identical control flow to the fast loop in :meth:`run` (the
-        ``until`` event has already been normalized by the caller), plus
-        per-event-class counting and tombstone accounting on the attached
-        observer.  Counting is pure observation: the loop processes the
-        same events in the same order as the fast path.
-        """
         observer = self.observer
-        counts = observer.des_event_counts
-        counts_get = counts.get
-        queue = self._queue
-        pop = heapq.heappop
+        counts = observer.des_event_counts if observer is not None else None
         try:
             while queue:
-                now, _, _, event = pop(queue)
+                now, priority, eid, event = pop(queue)
                 if event._defunct:
-                    observer.des_tombstones += 1
+                    if observer is not None:
+                        observer.des_tombstones += 1
                     continue
+                if now > horizon:
+                    heapq.heappush(queue, (now, priority, eid, event))
+                    break
                 self._now = now
-                name = type(event).__name__
-                counts[name] = counts_get(name, 0) + 1
+                if observer is not None:
+                    name = type(event).__name__
+                    counts[name] = counts.get(name, 0) + 1
                 callbacks, event.callbacks = event.callbacks, None
                 for callback in callbacks:
                     callback(event)
@@ -253,6 +193,13 @@ class Environment:
                 return event._value
             event.defused = True
             raise event._value
+        if horizon != math.inf:
+            # Paused before ``until``: rest at the bound, ready to resume.
+            self._now = float(horizon)
+            if isinstance(until, Event):
+                until.callbacks.remove(_stop_simulation)
+            return None
+        # The queue drained.
         if isinstance(until, Event) and until._value is PENDING:
             raise RuntimeError(
                 "simulation ended before the awaited event was triggered"

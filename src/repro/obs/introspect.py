@@ -1,7 +1,7 @@
 """DES-core introspection.
 
-The observed event loop of :class:`~repro.des.environment.Environment`
-maintains raw counters on the attached :class:`~repro.obs.spans.Observer`
+The event loop of :class:`~repro.des.environment.Environment` maintains
+raw counters on the attached :class:`~repro.obs.spans.Observer`
 (events processed per event class, tombstones skipped).  This module turns
 them into time series: :class:`DESSampler` is a lightweight simulation
 process that wakes every ``interval`` simulated seconds and records

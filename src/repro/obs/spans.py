@@ -126,7 +126,7 @@ class Observer:
         self._next_open = 0
         #: Open spans of live DES processes, keyed by ``id(process)``.
         self._process_spans: Dict[int, Span] = {}
-        # ---- DES loop counters (maintained by Environment's observed loop)
+        # ---- DES loop counters (maintained by Environment.run)
         #: Processed-event counts keyed by event class name.
         self.des_event_counts: Dict[str, int] = {}
         #: Tombstoned (cancelled) entries skipped by the event loop.

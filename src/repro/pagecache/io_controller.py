@@ -2,18 +2,24 @@
 
 Applications send chunk read and write requests to the I/O Controller,
 which orchestrates flushing, eviction, cache and disk accesses with the
-Memory Manager.  This module implements:
+Memory Manager.  The paper's Algorithms 2–3 live here once, as per-chunk
+methods:
 
 * :meth:`IOController.read_chunk` — Algorithm 2 (chunked read, writeback
   or writethrough cache);
 * :meth:`IOController.write_chunk` — Algorithm 3 (chunked writeback write);
-* :meth:`IOController.write_chunk_through` — the writethrough write path;
-* :meth:`IOController.read_file` / :meth:`IOController.write_file` — the
-  chunk-by-chunk loops used by applications, which also keep track of the
-  per-operation elapsed time reported in the experiments.
+* :meth:`IOController.write_chunk_through` — the writethrough write path.
+
+:meth:`IOController.read_file` / :meth:`IOController.write_file` are loops
+over those methods, used by local applications; they also keep track of
+the per-operation elapsed time reported in the experiments.  The NFS
+storage service loops over the same per-chunk methods.
 
 All public methods are simulation processes: ``yield`` them from a process
-(or wrap them with ``env.process``).
+(or wrap them with ``env.process``).  The per-chunk methods call the
+Memory Manager's synchronous halves (``select_flush``, ``take_from_cache``,
+``put_to_cache``) and yield the transfers themselves, so a chunk costs one
+generator frame.
 """
 
 from __future__ import annotations
@@ -65,9 +71,9 @@ class IOController:
     env:
         Simulation environment.
     memory_manager:
-        The Memory Manager of the host performing the I/O.  ``None`` is
-        allowed only for pure writethrough/direct usage where no cache is
-        simulated (the cacheless baseline bypasses the controller entirely).
+        The Memory Manager of the host performing the I/O.  ``None`` raises
+        :class:`~repro.errors.ConfigurationError` (the cacheless baseline
+        bypasses the controller entirely).
     config:
         Page cache configuration; defaults to the memory manager's.
     """
@@ -90,6 +96,7 @@ class IOController:
         storage and from the page cache respectively.
         """
         mm = self.mm
+        stats = mm.stats
         # Amount of the chunk that must come from storage: uncached data is
         # read first (round-robin access assumption), so the uncached amount
         # of the whole file bounds the storage read of this chunk.
@@ -102,7 +109,13 @@ class IOController:
         required_mem = (chunk_size if use_anonymous_memory else 0.0) + disk_read
         flush_amount = required_mem - mm._free - mm.evictable
         if flush_amount > 0:
-            yield from mm.flush(flush_amount, exclude_file=filename)
+            per_device, flushed = mm.select_flush(flush_amount,
+                                                  exclude_file=filename)
+            if flushed > 0:
+                for device, device_amount in per_device.items():
+                    yield device.write(device_amount, label=mm._label_flush)
+                stats.flushed_bytes += flushed
+                stats.flush_ops += 1
         evict_amount = required_mem - mm._free
         if evict_amount > 0:
             mm.evict(evict_amount, exclude_file=filename)
@@ -115,15 +128,17 @@ class IOController:
                 mm.evict(still_needed)
 
         if disk_read > 0:
-            self.mm.stats.record_miss(filename, disk_read)
+            stats.record_miss(filename, disk_read)
             yield storage.read(disk_read, label=f"read:{filename}")
             mm.add_to_cache(filename, disk_read, storage, dirty=False)
         if cache_read > 0:
-            yield from mm.read_from_cache(filename, cache_read)
+            served = mm.take_from_cache(filename, cache_read)
+            if served > 0:
+                yield mm.memory.read(served, label=mm._label_cache_read)
 
         if use_anonymous_memory:
             mm.use_anonymous_memory(chunk_size, owner=anonymous_owner)
-        mm.stats.read_ops += 1
+        stats.read_ops += 1
         return disk_read, cache_read
 
     # ------------------------------------------------------------- chunk write
@@ -136,6 +151,7 @@ class IOController:
         flushed synchronously to make room for them.
         """
         mm = self.mm
+        stats = mm.stats
         total_flushed = 0.0
         mem_amt = 0.0
 
@@ -147,13 +163,19 @@ class IOController:
                 mm.evict(evict_amount, exclude_file=filename)
             mem_amt = min(chunk_size, max(0.0, mm._free))
             if mem_amt > 0:
-                yield from mm.write_to_cache(filename, mem_amt, storage)
+                mm.put_to_cache(filename, mem_amt, storage)
+                yield mm.memory.write(mem_amt, label=mm._label_cache_write)
 
         remaining = chunk_size - mem_amt
         while remaining > _EPSILON:
             # Dirty threshold reached: flush, evict, then write the rest.
-            flushed = yield from mm.flush(chunk_size - mem_amt,
-                                          exclude_file=None)
+            per_device, flushed = mm.select_flush(chunk_size - mem_amt,
+                                                  exclude_file=None)
+            if flushed > 0:
+                for device, device_amount in per_device.items():
+                    yield device.write(device_amount, label=mm._label_flush)
+                stats.flushed_bytes += flushed
+                stats.flush_ops += 1
             total_flushed += flushed
             evict_amount = chunk_size - mem_amt - mm._free
             if evict_amount > 0:
@@ -165,12 +187,13 @@ class IOController:
                 # remainder straight to storage so the simulation cannot
                 # deadlock.
                 yield storage.write(remaining, label=f"write:{filename}")
-                self.mm.stats.direct_write_bytes += remaining
+                stats.direct_write_bytes += remaining
                 remaining = 0.0
                 break
-            yield from mm.write_to_cache(filename, to_cache, storage)
+            mm.put_to_cache(filename, to_cache, storage)
+            yield mm.memory.write(to_cache, label=mm._label_cache_write)
             remaining -= to_cache
-        mm.stats.write_ops += 1
+        stats.write_ops += 1
         return chunk_size - remaining, total_flushed
 
     def write_chunk_through(self, filename: str, chunk_size: float,
@@ -201,19 +224,9 @@ class IOController:
         """Read a whole file chunk by chunk (round-robin page access).
 
         Returns an :class:`IOResult`.
-
-        The loop body is the :meth:`read_chunk` algorithm specialized for
-        the whole-file case: running every chunk inside one generator
-        frame (with the synchronous cache halves of the Memory Manager
-        called directly) removes a per-chunk generator and two frame
-        switches from the simulator's hottest path.  Any behavioural
-        change here must be mirrored in :meth:`read_chunk`.
         """
         chunk = chunk_size or self.config.chunk_size
         env = self.env
-        mm = self.mm
-        stats = mm.stats
-        read_label = f"read:{filename}"
         start = env.now
         result = IOResult(filename, file_size, start, start)
         chunks = 0
@@ -222,38 +235,10 @@ class IOController:
         remaining = file_size
         while remaining > _EPSILON:
             this_chunk = min(chunk, remaining)
-            # --- read_chunk, inlined ---
-            uncached = max(0.0, file_size - mm.cached_amount(filename))
-            disk_read = min(this_chunk, uncached)
-            cache_read = this_chunk - disk_read
-            required_mem = (this_chunk if use_anonymous_memory else 0.0) + disk_read
-            flush_amount = required_mem - mm._free - mm.evictable
-            if flush_amount > 0:
-                per_device, total = mm.select_flush(flush_amount,
-                                                    exclude_file=filename)
-                if total > 0:
-                    for device, device_amount in per_device.items():
-                        yield device.write(device_amount, label=mm._label_flush)
-                    stats.flushed_bytes += total
-                    stats.flush_ops += 1
-            evict_amount = required_mem - mm._free
-            if evict_amount > 0:
-                mm.evict(evict_amount, exclude_file=filename)
-                still_needed = required_mem - mm._free
-                if still_needed > 0:
-                    mm.evict(still_needed)
-            if disk_read > 0:
-                stats.record_miss(filename, disk_read)
-                yield storage.read(disk_read, label=read_label)
-                mm.add_to_cache(filename, disk_read, storage, dirty=False)
-            if cache_read > 0:
-                served = mm.take_from_cache(filename, cache_read)
-                if served > 0:
-                    yield mm.memory.read(served, label=mm._label_cache_read)
-            if use_anonymous_memory:
-                mm.use_anonymous_memory(this_chunk, owner=anonymous_owner)
-            stats.read_ops += 1
-            # --- end read_chunk ---
+            disk_read, cache_read = yield from self.read_chunk(
+                filename, file_size, this_chunk, storage,
+                anonymous_owner, use_anonymous_memory,
+            )
             storage_bytes += disk_read
             cache_bytes += cache_read
             chunks += 1
@@ -265,7 +250,8 @@ class IOController:
         observer = env.observer
         if observer is not None:
             observer.complete(
-                read_label, "io", f"io:{storage.name}", start, result.end_time,
+                f"read:{filename}", "io", f"io:{storage.name}",
+                start, result.end_time,
                 attrs={"bytes": file_size, "cache_bytes": cache_bytes,
                        "storage_bytes": storage_bytes, "chunks": chunks},
             )
@@ -277,77 +263,32 @@ class IOController:
 
         Returns an :class:`IOResult`.  With ``writethrough=True`` the write
         bypasses the writeback path and goes synchronously to storage.
-
-        As with :meth:`read_file`, the writeback loop body is
-        :meth:`write_chunk` specialized into this generator frame; any
-        behavioural change here must be mirrored there.
         """
         chunk = chunk_size or self.config.chunk_size
         env = self.env
-        mm = self.mm
-        stats = mm.stats
         start = env.now
         result = IOResult(filename, file_size, start, start)
         chunks = 0
         storage_bytes = 0.0
         cache_bytes = 0.0
-        remaining_file = file_size
+        remaining = file_size
         self.mm.mark_file_being_written(filename)
         try:
-            while remaining_file > _EPSILON:
-                this_chunk = min(chunk, remaining_file)
+            while remaining > _EPSILON:
+                this_chunk = min(chunk, remaining)
                 if writethrough:
                     cached = yield from self.write_chunk_through(
                         filename, this_chunk, storage
                     )
                     storage_bytes += this_chunk
-                    cache_bytes += cached
                 else:
-                    # --- write_chunk, inlined ---
-                    total_flushed = 0.0
-                    mem_amt = 0.0
-                    remain_dirty = mm.dirty_capacity - mm.lists.dirty_size
-                    if remain_dirty > 0:
-                        evict_amount = min(this_chunk, remain_dirty) - mm._free
-                        if evict_amount > 0:
-                            mm.evict(evict_amount, exclude_file=filename)
-                        mem_amt = min(this_chunk, max(0.0, mm._free))
-                        if mem_amt > 0:
-                            mm.put_to_cache(filename, mem_amt, storage)
-                            yield mm.memory.write(mem_amt,
-                                                  label=mm._label_cache_write)
-                    remaining = this_chunk - mem_amt
-                    while remaining > _EPSILON:
-                        per_device, flushed = mm.select_flush(
-                            this_chunk - mem_amt, exclude_file=None
-                        )
-                        if flushed > 0:
-                            for device, device_amount in per_device.items():
-                                yield device.write(device_amount,
-                                                   label=mm._label_flush)
-                            stats.flushed_bytes += flushed
-                            stats.flush_ops += 1
-                        total_flushed += flushed
-                        evict_amount = this_chunk - mem_amt - mm._free
-                        if evict_amount > 0:
-                            mm.evict(evict_amount, exclude_file=filename)
-                        to_cache = min(remaining, max(0.0, mm._free))
-                        if to_cache <= _EPSILON:
-                            yield storage.write(remaining,
-                                                label=f"write:{filename}")
-                            stats.direct_write_bytes += remaining
-                            remaining = 0.0
-                            break
-                        mm.put_to_cache(filename, to_cache, storage)
-                        yield mm.memory.write(to_cache,
-                                              label=mm._label_cache_write)
-                        remaining -= to_cache
-                    stats.write_ops += 1
-                    # --- end write_chunk ---
-                    cache_bytes += this_chunk - remaining
-                    storage_bytes += total_flushed
+                    cached, flushed = yield from self.write_chunk(
+                        filename, this_chunk, storage
+                    )
+                    storage_bytes += flushed
+                cache_bytes += cached
                 chunks += 1
-                remaining_file -= this_chunk
+                remaining -= this_chunk
         finally:
             self.mm.unmark_file_being_written(filename)
         result.storage_bytes = storage_bytes

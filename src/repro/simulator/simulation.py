@@ -23,7 +23,6 @@ True
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, TYPE_CHECKING, Union
@@ -690,18 +689,18 @@ class Simulation:
     def step_until(self, t: float) -> float:
         """Advance the simulation to simulated time ``t`` and pause.
 
-        Processes every event with timestamp ``<= t`` (stopping early at
-        completion), then returns the simulated clock.  A run that stops
-        before completion leaves the clock at ``t`` (as
-        ``Environment.run(until=t)`` does), not at its last event, so an
-        operation applied right after ``step_until(t)`` happens at ``t``
-        whether or not telemetry sampler ticks were processed on the way.
-        No guard events are inserted: the event heap is driven directly,
-        so a run stepped in any number of segments processes *exactly* the
-        events a plain :meth:`run` would, in the same order, with the same
-        event ids — the invariant that makes snapshot-at-T byte-identical
-        to an uninterrupted run.  Call :meth:`run` afterwards to finish
-        the simulation and collect the result.
+        Runs the event loop up to completion with ``t`` as its time
+        horizon: every event with timestamp ``<= t`` is processed (stopping
+        early at completion), then the simulated clock is returned.  A run
+        that stops before completion leaves the clock at ``t``, not at its
+        last event, so an operation applied right after ``step_until(t)``
+        happens at ``t`` whether or not telemetry sampler ticks were
+        processed on the way.  The horizon inserts no guard event, so a run
+        stepped in any number of segments processes *exactly* the events a
+        plain :meth:`run` would, in the same order, with the same event ids
+        — the invariant that makes snapshot-at-T byte-identical to an
+        uninterrupted run.  Call :meth:`run` afterwards to finish the
+        simulation and collect the result.
         """
         import time as _time
 
@@ -711,19 +710,12 @@ class Simulation:
             raise ConfigurationError(
                 f"step_until({t}) is in the past (now={self.env.now})"
             )
-        env = self.env
-        completion = self._completion
         wall_start = _time.perf_counter()
         try:
-            while not completion.processed:
-                if env.peek() > t:
-                    if t != math.inf:
-                        env._now = t
-                    break
-                env.step()
+            self.env.run(until=self._completion, horizon=t)
         finally:
             self._wallclock += _time.perf_counter() - wall_start
-        return env.now
+        return self.env.now
 
     def run(self, until: Optional[float] = None) -> SimulationResult:
         """Run the simulation until all submitted workflows complete.

@@ -28,12 +28,10 @@ from repro.filesystem.nfs import NFSConfig
 from repro.pagecache.config import PageCacheConfig
 from repro.pagecache.io_controller import IOController, IOResult
 from repro.pagecache.memory_manager import MemoryManager
+from repro.pagecache.tolerances import BYTE_EPSILON as _EPSILON
 from repro.platform.host import Host
 from repro.platform.network import Network
 from repro.platform.storage import Disk
-
-#: Accounting tolerance in bytes.
-_EPSILON = 1e-6
 
 
 class StorageService:

@@ -67,9 +67,10 @@ def capture_state(sim) -> Dict[str, Any]:
 def _capture_heap(env) -> List[List[Any]]:
     """Pending heap entries in canonical (time, priority, eid) order.
 
-    Event ids are allocation-ordered and — because :meth:`Simulation.
-    step_until` inserts no guard events — identical between a stepped and
-    an unstepped run, so they can be captured verbatim.
+    Event ids are allocation-ordered and — because the time horizon that
+    :meth:`Simulation.step_until` pauses at inserts no guard event —
+    identical between a stepped and an unstepped run, so they can be
+    captured verbatim.
     """
     return [
         [time, priority, eid, type(event).__name__, bool(event._defunct)]

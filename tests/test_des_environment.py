@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.des import Environment, EmptySchedule
+from repro.des import Environment
+from repro.obs import Observer
 
 
 class TestClockAndQueue:
@@ -17,10 +18,6 @@ class TestClockAndQueue:
         env.timeout(4.0)
         env.timeout(2.0)
         assert env.peek() == 2.0
-
-    def test_step_on_empty_queue_raises(self, env):
-        with pytest.raises(EmptySchedule):
-            env.step()
 
     def test_queue_size(self, env):
         env.timeout(1.0)
@@ -116,3 +113,96 @@ class TestRun:
         process = env.process(proc(env))
         result = env.run(until=process)
         assert result is process
+
+
+class TestHorizon:
+    def test_events_at_the_horizon_run(self, env):
+        """An event at exactly ``t`` runs, even one scheduled at ``t``
+        during the pass."""
+        fired = []
+
+        def proc(env):
+            yield env.timeout(2.0)
+            fired.append(("first", env.now))
+            yield env.timeout(0.0)
+            fired.append(("second", env.now))
+
+        env.process(proc(env))
+        assert env.run(horizon=2.0) is None
+        assert fired == [("first", 2.0), ("second", 2.0)]
+        assert env.now == 2.0
+
+    def test_event_just_beyond_the_horizon_stays_queued(self, env):
+        later = 2.0 + 1e-9
+        event = env.timeout(later)
+        env.run(horizon=2.0)
+        assert env.now == 2.0
+        assert not event.processed
+        assert env.peek() == later
+        env.run()
+        assert event.processed
+        assert env.now == later
+
+    def test_drained_queue_leaves_the_clock_at_the_horizon(self, env):
+        env.timeout(1.0)
+        env.run(horizon=5.0)
+        assert env.now == 5.0
+        assert env.queue_size == 0
+
+    def test_until_reached_before_the_horizon_stops_there(self, env):
+        def proc(env):
+            yield env.timeout(3.0)
+            return "done"
+
+        process = env.process(proc(env))
+        later = env.timeout(4.0)
+        assert env.run(until=process, horizon=10.0) == "done"
+        assert env.now == 3.0
+        assert not later.processed
+
+    def test_pause_detaches_the_stop_callback(self, env):
+        done = env.timeout(5.0)
+        env.run(until=done, horizon=2.0)
+        assert done.callbacks == []
+        env.run(until=done, horizon=3.0)
+        assert done.callbacks == []
+
+    def test_horizon_in_the_past_rejected(self, env):
+        env.run(horizon=5.0)
+        with pytest.raises(ValueError):
+            env.run(horizon=1.0)
+
+    def test_segmented_run_allocates_the_same_event_ids(self):
+        """Pausing inserts no event: the queue (times, priorities, event
+        ids) seen at every resume matches an unpaused run, and tombstones
+        reaped at a pause are counted like any other."""
+
+        def workload(env, log):
+            def worker(idx):
+                delay = 0.5 * (idx + 1)
+                for step in range(4):
+                    doomed = env.timeout(delay + 0.1)
+                    yield env.timeout(delay)
+                    env.cancel(doomed)
+                    log.append((env.now, idx, step,
+                                sorted(entry[:3] for entry in env._queue)))
+
+            return env.all_of([env.process(worker(i)) for i in range(3)])
+
+        runs = []
+        for horizons in ((), (0.5, 0.75, 1.0, 1.0, 3.0)):
+            env, log = Environment(), []
+            env.observer = Observer()
+            done = workload(env, log)
+            for t in horizons:
+                env.run(until=done, horizon=t)
+                assert not done.processed
+            env.run(until=done)
+            runs.append((env, log))
+        (plain, plain_log), (stepped, stepped_log) = runs
+        assert stepped_log == plain_log
+        assert next(stepped._eid) == next(plain._eid)
+        assert plain.observer.des_tombstones > 0
+        assert stepped.observer.des_tombstones == plain.observer.des_tombstones
+        assert (stepped.observer.des_event_counts
+                == plain.observer.des_event_counts)

@@ -124,6 +124,24 @@ class TestStepUntil:
         end = sim.env.now
         assert sim.step_until(end + 100.0) == end
 
+    def test_stepped_observed_run_counts_like_plain_run(self, monkeypatch):
+        """Pausing at ``t`` counts DES events and tombstones like run()."""
+        monkeypatch.setenv("REPRO_OBS", "1")
+        params = dict(policy="easy", n_jobs=60, n_nodes=4, seed=3)
+        plain = build_exp6("cache", **params)
+        plain.run()
+        stepped = build_exp6("cache", **params)
+        t = 0.0
+        while not stepped.completed:
+            t += 0.5
+            stepped.step_until(t)
+        stepped.run()
+        assert plain.observer.des_tombstones > 0
+        assert (stepped.observer.des_tombstones
+                == plain.observer.des_tombstones)
+        assert (stepped.observer.des_event_counts
+                == plain.observer.des_event_counts)
+
     def test_step_into_the_past_rejected(self):
         sim = build_exp6("cache", n_jobs=30)
         sim.step_until(5.0)
