@@ -4,20 +4,21 @@ This subpackage provides a small but complete process-oriented
 discrete-event simulation engine in the spirit of SimPy, written from
 scratch.  It plays the role that SimGrid plays for WRENCH in the original
 paper: an event queue, simulated processes implemented as Python
-generators, composite events, and contention-aware shared resources.
+generators, composite events, and a counted resource for contention.
 
 Typical usage::
 
-    from repro.des import Environment
+    from repro.des import Environment, Resource
 
-    def producer(env, store):
-        for i in range(3):
-            yield env.timeout(1.0)
-            yield store.put(i)
+    def task(env, cores, duration):
+        with (yield cores.request()):
+            yield env.timeout(duration)
 
     env = Environment()
-    ...
-    env.run()
+    cores = Resource(env, capacity=2)
+    for duration in (1.0, 2.0, 3.0):
+        env.process(task(env, cores, duration))
+    env.run()  # the third task waits for a core: env.now == 4.0
 """
 
 from repro.des.events import (
@@ -32,15 +33,7 @@ from repro.des.events import (
 )
 from repro.des.process import Process
 from repro.des.environment import Environment
-from repro.des.resources import (
-    Resource,
-    Request,
-    Release,
-    PriorityResource,
-    Container,
-    Store,
-    Lock,
-)
+from repro.des.resources import Resource, Request
 
 __all__ = [
     "Environment",
@@ -55,9 +48,4 @@ __all__ = [
     "Process",
     "Resource",
     "Request",
-    "Release",
-    "PriorityResource",
-    "Container",
-    "Store",
-    "Lock",
 ]

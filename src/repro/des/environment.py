@@ -104,11 +104,17 @@ class Environment:
         event._defunct = True
 
     def peek(self) -> float:
-        """Return the time of the next scheduled event, or ``inf``."""
+        """Return the time of the next scheduled event, or ``inf``.
+
+        Tombstoned (cancelled) entries at the front are reaped, and an
+        attached observer counts them exactly as :meth:`run` does.
+        """
         queue = self._queue
-        # Lazily reap tombstoned (cancelled) entries from the front.
+        observer = self.observer
         while queue and queue[0][3]._defunct:
             heapq.heappop(queue)
+            if observer is not None:
+                observer.des_tombstones += 1
         if not queue:
             return float("inf")
         return queue[0][0]

@@ -1,24 +1,14 @@
-"""Shared resources for simulated processes.
+"""Counted resource for simulated processes.
 
-Provides the classic SimPy-style primitives used throughout the simulator:
-
-* :class:`Resource` — a counted resource with FIFO queuing (e.g. CPU cores);
-* :class:`PriorityResource` — same, with priority-ordered queuing;
-* :class:`Container` — a continuous quantity with ``put``/``get`` (e.g. a
-  memory pool measured in bytes);
-* :class:`Store` — a FIFO queue of Python objects (used for mailboxes
-  between services);
-* :class:`Lock` — a mutex built on :class:`Resource` with capacity 1, used
-  to serialise access to the page-cache LRU lists exactly like the paper
-  uses SimGrid's locking between the two Memory Manager threads.
+:class:`Resource` is the classic SimPy-style primitive: ``capacity``
+units granted to requesting processes in FIFO order.  The simulator uses
+it for the cores of every CPU (:mod:`repro.platform.cpu`).
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from itertools import count
-from typing import Any, Deque, List, Optional
+from typing import Deque, List, Optional
 
 from repro.des.events import Event
 
@@ -30,12 +20,11 @@ class Request(Event):
     managers: leaving the ``with`` block releases the unit.
     """
 
-    __slots__ = ("resource", "priority", "_released", "_withdrawn")
+    __slots__ = ("resource", "_released", "_withdrawn")
 
-    def __init__(self, resource: "Resource", priority: int = 0):
+    def __init__(self, resource: "Resource"):
         super().__init__(resource.env)
         self.resource = resource
-        self.priority = priority
         self._released = False
         #: Tombstone flag: a cancelled queued request stays in the queue
         #: structure and is skipped at grant time (no rescans).
@@ -59,17 +48,6 @@ class Request(Event):
         self.release()
 
 
-class Release(Event):
-    """Immediately-triggered event confirming a release (for symmetry)."""
-
-    __slots__ = ()
-
-    def __init__(self, resource: "Resource", request: Request):
-        super().__init__(resource.env)
-        request.release()
-        self.succeed()
-
-
 class Resource:
     """Counted resource with ``capacity`` units and FIFO queuing.
 
@@ -87,7 +65,6 @@ class Resource:
         self.name = name or type(self).__name__
         self.users: List[Request] = []
         self._pending: Deque[Request] = deque()
-        self._tie = count()
 
     # ------------------------------------------------------------------ api
     @property
@@ -105,36 +82,23 @@ class Resource:
         """The waiting (non-withdrawn) requests, in grant order (snapshot)."""
         return [r for r in self._pending if not r._withdrawn]
 
-    def request(self, priority: int = 0) -> Request:
+    def request(self) -> Request:
         """Request one unit; returns an event that triggers when granted."""
-        return Request(self, priority=priority)
-
-    def release(self, request: Request) -> Release:
-        """Release a previously granted request."""
-        return Release(self, request)
+        return Request(self)
 
     # ------------------------------------------------------------- internals
     def _add_request(self, request: Request) -> None:
-        self._enqueue(request)
+        self._pending.append(request)
         self._grant()
 
-    def _enqueue(self, request: Request) -> None:
-        self._pending.append(request)
-
-    def _pop_next(self) -> Optional[Request]:
-        """Pop the next live queued request, reaping tombstones."""
-        pending = self._pending
-        while pending:
-            request = pending.popleft()
-            if not request._withdrawn:
-                return request
-        return None
-
     def _grant(self) -> None:
-        while len(self.users) < self.capacity:
-            request = self._pop_next()
-            if request is None:
-                return
+        """Grant free units to queued requests in FIFO order, reaping
+        tombstones."""
+        pending = self._pending
+        while pending and len(self.users) < self.capacity:
+            request = pending.popleft()
+            if request._withdrawn:
+                continue
             self.users.append(request)
             # The request succeeds with itself as value so that processes can
             # write ``with (yield resource.request()): ...``.
@@ -156,223 +120,3 @@ class Resource:
             f"<{type(self).__name__} {self.name!r} "
             f"{self.count}/{self.capacity} used, {len(self.queue)} queued>"
         )
-
-
-class PriorityResource(Resource):
-    """Resource whose queue is served in increasing ``priority`` order.
-
-    Backed by a heap keyed by ``(priority, arrival)`` — the old
-    implementation re-sorted the whole queue at every grant.  Ties keep
-    FIFO order, exactly as the stable sort did.
-    """
-
-    def __init__(self, env, capacity: int = 1, name: Optional[str] = None):
-        super().__init__(env, capacity, name)
-        self._pending: List = []
-
-    @property
-    def queue(self) -> List[Request]:
-        """The waiting (non-withdrawn) requests, in grant order (snapshot)."""
-        return [
-            entry[2]
-            for entry in sorted(self._pending)
-            if not entry[2]._withdrawn
-        ]
-
-    def _enqueue(self, request: Request) -> None:
-        heapq.heappush(
-            self._pending, (request.priority, next(self._tie), request)
-        )
-
-    def _pop_next(self) -> Optional[Request]:
-        pending = self._pending
-        while pending:
-            request = heapq.heappop(pending)[2]
-            if not request._withdrawn:
-                return request
-        return None
-
-
-class ContainerPut(Event):
-    """Pending deposit of ``amount`` into a :class:`Container`."""
-
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float):
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        super().__init__(container.env)
-        self.amount = amount
-        container._put_queue.append(self)
-        container._trigger()
-
-
-class ContainerGet(Event):
-    """Pending withdrawal of ``amount`` from a :class:`Container`."""
-
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float):
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        super().__init__(container.env)
-        self.amount = amount
-        container._get_queue.append(self)
-        container._trigger()
-
-
-class Container:
-    """A homogeneous continuous quantity (bytes, joules, ...).
-
-    ``put`` blocks while the container is full, ``get`` blocks while it does
-    not hold enough.
-    """
-
-    def __init__(self, env, capacity: float = float("inf"), init: float = 0.0,
-                 name: Optional[str] = None):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if init < 0 or init > capacity:
-            raise ValueError("init must be within [0, capacity]")
-        self.env = env
-        self.capacity = capacity
-        self.name = name or type(self).__name__
-        self._level = float(init)
-        self._put_queue: Deque[ContainerPut] = deque()
-        self._get_queue: Deque[ContainerGet] = deque()
-
-    @property
-    def level(self) -> float:
-        """Current amount stored in the container."""
-        return self._level
-
-    def put(self, amount: float) -> ContainerPut:
-        """Deposit ``amount``; returns an event triggered when it fits."""
-        return ContainerPut(self, amount)
-
-    def get(self, amount: float) -> ContainerGet:
-        """Withdraw ``amount``; returns an event triggered when available."""
-        return ContainerGet(self, amount)
-
-    def _trigger(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._put_queue:
-                put = self._put_queue[0]
-                if self._level + put.amount <= self.capacity + 1e-9:
-                    self._level += put.amount
-                    self._put_queue.popleft()
-                    put.succeed()
-                    progressed = True
-            if self._get_queue:
-                get = self._get_queue[0]
-                if self._level + 1e-9 >= get.amount:
-                    self._level -= get.amount
-                    self._get_queue.popleft()
-                    get.succeed(get.amount)
-                    progressed = True
-
-    def __repr__(self) -> str:
-        return f"<Container {self.name!r} level={self._level}/{self.capacity}>"
-
-
-class StorePut(Event):
-    """Pending deposit of an item into a :class:`Store`."""
-
-    __slots__ = ("item",)
-
-    def __init__(self, store: "Store", item: Any):
-        super().__init__(store.env)
-        self.item = item
-        store._put_queue.append(self)
-        store._trigger()
-
-
-class StoreGet(Event):
-    """Pending retrieval of an item from a :class:`Store`."""
-
-    __slots__ = ()
-
-    def __init__(self, store: "Store"):
-        super().__init__(store.env)
-        store._get_queue.append(self)
-        store._trigger()
-
-
-class Store:
-    """FIFO queue of arbitrary Python objects with bounded capacity."""
-
-    def __init__(self, env, capacity: float = float("inf"), name: Optional[str] = None):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.env = env
-        self.capacity = capacity
-        self.name = name or type(self).__name__
-        self.items: Deque[Any] = deque()
-        self._put_queue: Deque[StorePut] = deque()
-        self._get_queue: Deque[StoreGet] = deque()
-
-    def put(self, item: Any) -> StorePut:
-        """Append ``item``; returns an event triggered once stored."""
-        return StorePut(self, item)
-
-    def get(self) -> StoreGet:
-        """Retrieve the oldest item; returns an event carrying the item."""
-        return StoreGet(self)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def _trigger(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._put_queue and len(self.items) < self.capacity:
-                put = self._put_queue.popleft()
-                self.items.append(put.item)
-                put.succeed()
-                progressed = True
-            if self._get_queue and self.items:
-                get = self._get_queue.popleft()
-                get.succeed(self.items.popleft())
-                progressed = True
-
-    def __repr__(self) -> str:
-        return f"<Store {self.name!r} items={len(self.items)}>"
-
-
-class Lock:
-    """A mutex for simulated processes.
-
-    The page cache LRU lists are manipulated both by foreground I/O and by
-    the background periodical-flush process; a lock serialises those
-    accesses the same way the WRENCH implementation uses SimGrid mutexes.
-
-    Usage from a process::
-
-        with (yield lock.acquire()):
-            ... critical section ...
-    """
-
-    def __init__(self, env, name: Optional[str] = None):
-        self.env = env
-        self.name = name or "Lock"
-        self._resource = Resource(env, capacity=1, name=self.name)
-
-    def acquire(self) -> Request:
-        """Return an event granting the lock when it becomes free."""
-        return self._resource.request()
-
-    @property
-    def locked(self) -> bool:
-        """True while some process holds the lock."""
-        return self._resource.count > 0
-
-    @property
-    def waiters(self) -> int:
-        """Number of processes queued for the lock."""
-        return len(self._resource.queue)
-
-    def __repr__(self) -> str:
-        return f"<Lock {self.name!r} locked={self.locked} waiters={self.waiters}>"

@@ -24,8 +24,11 @@ functions (which construct via
 **Failures carry their spec.**  A point that raises in a worker surfaces
 in the parent as a :class:`SweepPointError` with the failing
 :class:`PointSpec` attached and the remote traceback in the message;
-remaining queued points are cancelled.  ``KeyboardInterrupt`` cancels the
-queue and shuts the pool down cleanly before re-raising.
+remaining queued points are cancelled.  A worker that dies mid-point
+fails the sweep the same way.  ``KeyboardInterrupt`` cancels the queue
+and shuts the pool down cleanly before re-raising.  A point is never
+retried: rerunning a failed sweep with the same ``checkpoint_dir=``
+recomputes only the points whose values are not cached.
 
 The worker count resolves, in order: the explicit ``workers=`` argument,
 the ``REPRO_WORKERS`` environment variable (an integer, or ``auto`` for
@@ -43,16 +46,12 @@ import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.rng import derive_seed
-
-#: Patchable sleep used between point retries (tests stub it out).
-_sleep = time.sleep
 
 #: Environment variable consulted when ``workers`` is not passed explicitly.
 WORKERS_ENV = "REPRO_WORKERS"
@@ -200,44 +199,6 @@ class SweepPointError(SimulationError):
         self.index = index
 
 
-class PointTimeoutError(SimulationError):
-    """A sweep point exceeded its wall-clock ``timeout=`` budget."""
-
-
-@dataclass(frozen=True)
-class PointOptions:
-    """Per-point execution policy, shipped to the worker with the spec.
-
-    Attributes
-    ----------
-    timeout:
-        Wall-clock seconds one attempt of the point may run before being
-        interrupted with :class:`PointTimeoutError` (``None`` = no limit).
-        Enforced with ``SIGALRM`` on a Unix main thread and with an
-        async-exception watchdog thread everywhere else.
-    retries:
-        Extra attempts after a failed one.  Every attempt runs with the
-        *identical* derived seed and parameters — a retried point is a
-        reseeded-identical rerun, so a flaky-environment retry can never
-        change the sweep's results.
-    retry_backoff:
-        Base of the exponential backoff between attempts: attempt ``k``
-        sleeps ``retry_backoff * 2**k`` seconds (via the patchable
-        module-level ``_sleep``).
-    checkpoint_dir:
-        Directory of the sweep's crash-recovery state: finished point
-        values are cached here, and a re-run sweep skips them.
-    """
-
-    timeout: Optional[float] = None
-    retries: int = 0
-    retry_backoff: float = 0.5
-    checkpoint_dir: Optional[str] = None
-
-
-_DEFAULT_OPTIONS = PointOptions()
-
-
 def resolve_workers(workers: Union[None, int, str] = None) -> int:
     """Resolve a worker count: argument, then ``REPRO_WORKERS``, then 1.
 
@@ -287,91 +248,6 @@ def _describe_exception(exc: BaseException) -> Tuple[str, str, str]:
     return type(exc).__name__, message, remote_tb
 
 
-@contextmanager
-def _wall_clock_limit(seconds: Optional[float]):
-    """Interrupt the enclosed block after ``seconds`` of wall-clock time.
-
-    On a Unix main thread this uses ``SIGALRM``/``setitimer``.  Anywhere
-    else — a sweep driven from a worker thread, or a platform without
-    ``SIGALRM`` — it falls back to a watchdog thread that injects
-    :class:`PointTimeoutError` into the running thread via CPython's
-    ``PyThreadState_SetAsyncExc``, so the limit is enforced everywhere a
-    CPU-bound simulation can run.  If neither mechanism is available the
-    limit raises :class:`~repro.errors.ConfigurationError` up front
-    instead of silently running unbounded.
-    """
-    if seconds is None:
-        yield
-        return
-    import signal
-    import threading
-
-    if (hasattr(signal, "SIGALRM")
-            and threading.current_thread() is threading.main_thread()):
-
-        def _on_alarm(signum, frame):
-            raise PointTimeoutError(
-                f"point exceeded its wall-clock timeout of {seconds}s"
-            )
-
-        previous = signal.signal(signal.SIGALRM, _on_alarm)
-        signal.setitimer(signal.ITIMER_REAL, seconds)
-        try:
-            yield
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous)
-        return
-
-    with _async_exc_limit(seconds):
-        yield
-
-
-@contextmanager
-def _async_exc_limit(seconds: float):
-    """Watchdog-thread timeout for threads that cannot receive signals.
-
-    ``PyThreadState_SetAsyncExc`` schedules the exception at the target
-    thread's next bytecode boundary, which is exactly where a pure-Python
-    simulation loop spends its time.  The pending exception is cleared on
-    exit in case the watchdog fired just as the block finished.
-    """
-    import ctypes
-    import threading
-
-    api = getattr(ctypes, "pythonapi", None)
-    set_async_exc = getattr(api, "PyThreadState_SetAsyncExc", None)
-    if set_async_exc is None:
-        raise ConfigurationError(
-            "timeout= needs SIGALRM on a Unix main thread or CPython's "
-            "PyThreadState_SetAsyncExc; neither is available here — run "
-            "the sweep from the main thread or drop the timeout"
-        )
-    target = ctypes.c_ulong(threading.get_ident())
-    finished = threading.Event()
-
-    def _watchdog() -> None:
-        if finished.wait(seconds):
-            return
-        hit = set_async_exc(target, ctypes.py_object(PointTimeoutError))
-        if hit > 1:  # pragma: no cover - CPython contract: undo a misfire
-            set_async_exc(target, None)
-
-    watchdog = threading.Thread(target=_watchdog,
-                                name="point-timeout-watchdog", daemon=True)
-    watchdog.start()
-    try:
-        yield
-    except PointTimeoutError:
-        raise PointTimeoutError(
-            f"point exceeded its wall-clock timeout of {seconds}s"
-        ) from None
-    finally:
-        finished.set()
-        watchdog.join()
-        set_async_exc(target, None)  # drop a not-yet-delivered injection
-
-
 def point_cache_key(spec: PointSpec, seed: Optional[int]) -> str:
     """Deterministic identity of one point: experiment + params + seed.
 
@@ -415,59 +291,41 @@ def _store_cached_value(checkpoint_dir: str, key: str, value) -> None:
     os.replace(tmp, path)
 
 
-def _execute_point(
-    payload: Tuple[int, PointSpec, Optional[int], PointOptions]
-):
+def _execute_point(payload: Tuple[int, PointSpec, Optional[int], Optional[str]]):
     """Run one point (in a worker or inline) and report success or failure.
 
     Returns ``(index, ok, value_or_error, elapsed, pid)``.  Failures are
     returned as ``(type name, message, formatted traceback)`` — three
     plain strings — rather than raised, so arbitrary (possibly
-    unpicklable) exceptions never poison the pool's result channel.
-    Honors the payload's :class:`PointOptions`: each attempt runs under
-    the wall-clock ``timeout``, failed attempts are retried up to
-    ``retries`` times with exponential backoff and the *identical* seed,
-    and a finished value is cached under ``checkpoint_dir``.
+    unpicklable) exceptions never poison the pool's result channel.  A
+    finished value is cached under the payload's checkpoint directory.
     """
-    index, spec, seed, options = payload
+    index, spec, seed, checkpoint_dir = payload
     kwargs = spec.kwargs()
     if seed is not None:
         kwargs["seed"] = seed
-    attempts = max(0, options.retries) + 1
     start = time.perf_counter()
-    detail = ("SimulationError", "point never ran", "")
-    for attempt in range(attempts):
+    try:
+        value = experiment_fn(spec.experiment)(**kwargs)
+    except KeyboardInterrupt:
+        raise
+    except BaseException as exc:  # noqa: BLE001 - reported with the spec
+        return (index, False, _describe_exception(exc),
+                time.perf_counter() - start, os.getpid())
+    elapsed = time.perf_counter() - start
+    if checkpoint_dir is not None:
         try:
-            with _wall_clock_limit(options.timeout):
-                value = experiment_fn(spec.experiment)(**kwargs)
-        except KeyboardInterrupt:
-            raise
-        except BaseException as exc:  # noqa: BLE001 - reported with the spec
-            type_name, message, remote_tb = _describe_exception(exc)
-            if attempt + 1 < attempts:
-                _sleep(options.retry_backoff * (2 ** attempt))
-                continue
-            if attempts > 1:
-                message = f"(after {attempts} attempts) {message}"
-            detail = (type_name, message, remote_tb)
-        else:
-            elapsed = time.perf_counter() - start
-            if options.checkpoint_dir is not None:
-                try:
-                    _store_cached_value(
-                        options.checkpoint_dir,
-                        point_cache_key(spec, seed), value,
-                    )
-                except (OSError, pickle.PickleError):
-                    pass  # caching is best-effort; the value still returns
-            return index, True, value, elapsed, os.getpid()
-    return index, False, detail, time.perf_counter() - start, os.getpid()
+            _store_cached_value(checkpoint_dir, point_cache_key(spec, seed),
+                                value)
+        except (OSError, pickle.PickleError):
+            pass  # caching is best-effort; the value still returns
+    return index, True, value, elapsed, os.getpid()
 
 
 def _payloads(
     specs: Sequence[PointSpec], base_seed: Optional[int],
-    options: PointOptions = _DEFAULT_OPTIONS,
-) -> List[Tuple[int, PointSpec, Optional[int], PointOptions]]:
+    checkpoint_dir: Optional[str],
+) -> List[Tuple[int, PointSpec, Optional[int], Optional[str]]]:
     payloads = []
     for index, spec in enumerate(specs):
         seed = None
@@ -478,7 +336,7 @@ def _payloads(
                     "run_sweep was called without base_seed"
                 )
             seed = derive_point_seed(base_seed, spec.seed_key)
-        payloads.append((index, spec, seed, options))
+        payloads.append((index, spec, seed, checkpoint_dir))
     return payloads
 
 
@@ -516,92 +374,73 @@ def _mp_context():
     return multiprocessing.get_context()
 
 
-def _run_pool(payloads, workers, progress, *,
-              pool_respawns: int = 1) -> List[PointResult]:
-    """Fan payloads over a process pool, surviving pool crashes.
+def _run_pool(payloads, workers, progress) -> List[PointResult]:
+    """Fan payloads over a process pool; the first failure fails the sweep.
 
     A worker dying mid-point (OOM kill, segfault, ``os._exit``) breaks
-    the whole :class:`ProcessPoolExecutor`, not just its own future.  The
-    results already retrieved are kept; the pool is respawned (at most
-    ``pool_respawns`` times) and only the still-unfinished points are
-    resubmitted — with per-point seeding the resubmitted points produce
-    byte-identical values, so an undisturbed sweep and a
-    crashed-and-recovered one cannot differ.
+    the whole :class:`ProcessPoolExecutor`, not just its own future; the
+    sweep then fails with a :class:`SweepPointError` naming the first
+    unfinished point.  With ``checkpoint_dir=`` the values finished
+    before the failure are cached, so a rerun computes only the rest.
     """
     total = len(payloads)
     by_index = {payload[0]: payload[1] for payload in payloads}
     results: Dict[int, PointResult] = {}
-    remaining = list(payloads)
-    respawns_left = max(0, pool_respawns)
-    while remaining:
-        executor = ProcessPoolExecutor(max_workers=workers,
-                                       mp_context=_mp_context())
-        futures: Dict[Any, int] = {}
-        try:
-            for payload in remaining:
-                futures[executor.submit(_execute_point, payload)] = payload[0]
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    try:
-                        index, ok, value, elapsed, pid = future.result()
-                    except KeyboardInterrupt:
-                        raise
-                    except BrokenProcessPool:
-                        raise
-                    except BaseException as exc:  # noqa: BLE001
-                        # The failure report itself failed to cross the
-                        # process boundary (unpicklable point *value*, a
-                        # worker killed mid-point...).  Pin the blame on
-                        # the point whose future broke instead of
-                        # surfacing a bare pool internals error.
-                        index = futures[future]
-                        type_name, message, _ = _describe_exception(exc)
-                        raise SweepPointError(
-                            by_index[index], index,
-                            f"result could not be retrieved from the worker: "
-                            f"{type_name}: {message}",
-                        ) from exc
-                    if not ok:
-                        type_name, message, remote_tb = value
-                        raise SweepPointError(
-                            by_index[index], index,
-                            f"{type_name}: {message}\n--- worker traceback ---\n"
-                            f"{remote_tb}",
-                        )
-                    result = PointResult(spec=by_index[index], index=index,
-                                         value=value, wallclock_time=elapsed,
-                                         pid=pid)
-                    results[index] = result
-                    if progress is not None:
-                        progress(result, len(results), total)
-        except BrokenProcessPool as exc:
-            # A worker died abruptly and took the pool with it.  Keep what
-            # finished, respawn, resubmit the rest.
-            executor.shutdown(wait=True, cancel_futures=True)
-            remaining = [p for p in remaining if p[0] not in results]
-            if not remaining:
-                break
-            if respawns_left <= 0:
-                index = remaining[0][0]
-                raise SweepPointError(
-                    by_index[index], index,
-                    f"a worker process died abruptly and the pool-respawn "
-                    f"budget ({pool_respawns}) is exhausted",
-                ) from exc
-            respawns_left -= 1
-            continue
-        except BaseException:
-            # Failure, KeyboardInterrupt, or a raising progress callback:
-            # drop everything still queued and shut the pool down before
-            # propagating (in-flight points finish, workers then exit).
-            for future in futures:
-                future.cancel()
-            executor.shutdown(wait=True, cancel_futures=True)
-            raise
-        executor.shutdown(wait=True)
-        break
+    executor = ProcessPoolExecutor(max_workers=workers,
+                                   mp_context=_mp_context())
+    futures: Dict[Any, int] = {}
+    try:
+        for payload in payloads:
+            futures[executor.submit(_execute_point, payload)] = payload[0]
+        pending = set(futures)
+        while pending:
+            done, pending = wait(pending, return_when=FIRST_COMPLETED)
+            for future in done:
+                try:
+                    index, ok, value, elapsed, pid = future.result()
+                except (KeyboardInterrupt, BrokenProcessPool):
+                    raise
+                except BaseException as exc:  # noqa: BLE001
+                    # The failure report itself failed to cross the
+                    # process boundary (unpicklable point *value*...).
+                    # Pin the blame on the point whose future broke
+                    # instead of surfacing a bare pool internals error.
+                    index = futures[future]
+                    type_name, message, _ = _describe_exception(exc)
+                    raise SweepPointError(
+                        by_index[index], index,
+                        f"result could not be retrieved from the worker: "
+                        f"{type_name}: {message}",
+                    ) from exc
+                if not ok:
+                    type_name, message, remote_tb = value
+                    raise SweepPointError(
+                        by_index[index], index,
+                        f"{type_name}: {message}\n--- worker traceback ---\n"
+                        f"{remote_tb}",
+                    )
+                result = PointResult(spec=by_index[index], index=index,
+                                     value=value, wallclock_time=elapsed,
+                                     pid=pid)
+                results[index] = result
+                if progress is not None:
+                    progress(result, len(results), total)
+    except BaseException as exc:
+        # Failure, KeyboardInterrupt, a raising progress callback or a
+        # worker that died and broke the pool: drop everything still
+        # queued and shut the pool down before propagating (in-flight
+        # points finish, workers then exit).
+        for future in futures:
+            future.cancel()
+        executor.shutdown(wait=True, cancel_futures=True)
+        if isinstance(exc, BrokenProcessPool):
+            index = next(p[0] for p in payloads if p[0] not in results)
+            raise SweepPointError(
+                by_index[index], index,
+                "a worker process died abruptly and broke the pool",
+            ) from exc
+        raise
+    executor.shutdown(wait=True)
     return [results[index] for index in sorted(results)]
 
 
@@ -609,10 +448,6 @@ def run_sweep(specs: Sequence[PointSpec], *,
               workers: Union[None, int, str] = None,
               base_seed: Optional[int] = None,
               progress: Optional[Callable[[PointResult, int, int], None]] = None,
-              timeout: Optional[float] = None,
-              retries: int = 0,
-              retry_backoff: float = 0.5,
-              pool_respawns: int = 1,
               checkpoint_dir: Union[None, str, Path] = None,
               ) -> List[PointResult]:
     """Execute every spec and return results in spec order.
@@ -632,23 +467,11 @@ def run_sweep(specs: Sequence[PointSpec], *,
         Called as ``progress(result, n_completed, n_total)`` after each
         point completes.  Completion order is nondeterministic under a
         pool; only the returned list's order is guaranteed.
-    timeout:
-        Wall-clock seconds per point *attempt*; an attempt past the limit
-        is interrupted with :class:`PointTimeoutError` (and retried, if
-        ``retries`` allows).
-    retries:
-        Extra attempts for a failed point, with exponential backoff
-        (``retry_backoff * 2**attempt`` seconds between attempts) and the
-        identical derived seed — retrying cannot change results.
-    pool_respawns:
-        How many times a crashed worker pool (a worker killed mid-point
-        breaks the whole pool) is respawned; the finished results are
-        kept and only unfinished points are resubmitted.
     checkpoint_dir:
         Crash-recovery directory for the sweep.  Finished point values
-        are cached here and skipped on a re-run, so a killed sweep
-        re-invoked with the same directory completes with byte-identical
-        outputs, computing only what is missing.
+        are cached here and skipped on a re-run, so a sweep that failed
+        or was killed, re-invoked with the same directory, completes with
+        byte-identical outputs, computing only what is missing.
 
     Returns
     -------
@@ -656,24 +479,18 @@ def run_sweep(specs: Sequence[PointSpec], *,
     completion order — with per-point seeding this makes sweep outputs
     byte-identical across worker counts.
     """
-    specs = list(specs)
-    options = PointOptions(
-        timeout=timeout,
-        retries=retries,
-        retry_backoff=retry_backoff,
-        checkpoint_dir=(None if checkpoint_dir is None
-                        else str(checkpoint_dir)),
-    )
-    payloads = _payloads(specs, base_seed, options)
+    if checkpoint_dir is not None:
+        checkpoint_dir = str(checkpoint_dir)
+    payloads = _payloads(list(specs), base_seed, checkpoint_dir)
     total = len(payloads)
 
     # Resume: points whose value is already cached are not re-executed.
     cached: Dict[int, PointResult] = {}
-    if options.checkpoint_dir is not None:
+    if checkpoint_dir is not None:
         pending = []
         for payload in payloads:
             index, spec, seed, _ = payload
-            hit, value = _load_cached_value(options.checkpoint_dir,
+            hit, value = _load_cached_value(checkpoint_dir,
                                             point_cache_key(spec, seed))
             if hit:
                 cached[index] = PointResult(
@@ -700,7 +517,7 @@ def run_sweep(specs: Sequence[PointSpec], *,
         executed = _run_inline(payloads, progress)
     else:
         executed = _run_pool(payloads, min(count, max(1, len(payloads))),
-                             progress, pool_respawns=pool_respawns)
+                             progress)
     merged = dict(cached)
     merged.update({result.index: result for result in executed})
     return [merged[index] for index in sorted(merged)]
@@ -718,8 +535,8 @@ def run_named_sweep(experiment: str, variants: Dict[Any, Dict[str, Any]], *,
     This is the shape of every comparison series (placements × one
     workload, policies × one trace, …): insertion order is preserved and
     the values come back matched to their keys for any worker count.
-    Robustness options (``timeout``, ``retries``, ``checkpoint_dir``, …)
-    pass through to :func:`run_sweep`.
+    Further keywords (``checkpoint_dir``) pass through to
+    :func:`run_sweep`.
     """
     keys = list(variants)
     values = sweep_values(

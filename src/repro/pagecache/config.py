@@ -5,8 +5,6 @@ stock Linux kernel (the values used on the paper's CentOS 8.1 cluster):
 
 * ``vm.dirty_ratio`` = 20 % — foreground writes block once dirty data
   exceeds this fraction of memory;
-* ``vm.dirty_background_ratio`` = 10 % — background writeback starts at
-  this fraction (used only by the higher-fidelity reference model);
 * ``vm.dirty_expire_centisecs`` = 3000 (30 s) — age after which dirty data
   is flushed by the periodical flusher;
 * ``vm.dirty_writeback_centisecs`` = 500 (5 s) — period of the flusher
@@ -30,10 +28,6 @@ class PageCacheConfig:
     dirty_ratio:
         Maximum fraction of memory that may hold dirty data before
         foreground writes must flush (``vm.dirty_ratio``).
-    dirty_background_ratio:
-        Fraction of memory above which background writeback kicks in.  The
-        coarse model of the paper does not use it; the calibrated reference
-        model does.
     dirty_expire:
         Age in seconds after which dirty blocks are flushed by the
         periodical flusher (``vm.dirty_expire_centisecs`` / 100).
@@ -75,7 +69,6 @@ class PageCacheConfig:
     """
 
     dirty_ratio: float = 0.20
-    dirty_background_ratio: float = 0.10
     dirty_expire: float = 30.0
     writeback_interval: float = 5.0
     chunk_size: float = 100 * MB
@@ -97,11 +90,6 @@ class PageCacheConfig:
         if not (0.0 < self.dirty_ratio <= 1.0):
             raise ConfigurationError(
                 f"dirty_ratio must be in (0, 1], got {self.dirty_ratio}"
-            )
-        if not (0.0 <= self.dirty_background_ratio <= self.dirty_ratio):
-            raise ConfigurationError(
-                "dirty_background_ratio must be within [0, dirty_ratio], got "
-                f"{self.dirty_background_ratio}"
             )
         if self.dirty_expire < 0:
             raise ConfigurationError("dirty_expire must be >= 0")

@@ -91,19 +91,15 @@ class MemoryManager:
         self._free = float(memory.size)
         self._anonymous = 0.0
         self._anonymous_by_owner: Dict[str, float] = {}
-        # With a "total" threshold base the dirty capacities are constants;
-        # precompute them so the per-chunk I/O paths skip the property
+        # With a "total" threshold base the dirty capacity is a constant;
+        # precompute it so the per-chunk I/O paths skip the property
         # arithmetic (the product is the same float either way).
         if self.config.dirty_threshold_base == "total":
             self._dirty_capacity_const: Optional[float] = (
                 self.config.dirty_ratio * self.total_memory
             )
-            self._background_capacity_const: Optional[float] = (
-                self.config.dirty_background_ratio * self.total_memory
-            )
         else:
             self._dirty_capacity_const = None
-            self._background_capacity_const = None
         self.lists = PageCacheLists(
             active_to_inactive_ratio=self.config.active_to_inactive_ratio,
             balance=self.config.balance_lists,
@@ -196,18 +192,6 @@ class MemoryManager:
         if self._dirty_capacity_const is not None:
             return self._dirty_capacity_const
         return self.config.dirty_ratio * self.available_mem
-
-    @property
-    def dirty_background_capacity(self) -> float:
-        """Dirty amount above which background writeback starts."""
-        if self._background_capacity_const is not None:
-            return self._background_capacity_const
-        return self.config.dirty_background_ratio * self.available_mem
-
-    @property
-    def remaining_dirty_allowance(self) -> float:
-        """How much more dirty data may be produced before flushing."""
-        return self.dirty_capacity - self.dirty
 
     def cached_amount(self, filename: str) -> float:
         """Bytes of ``filename`` currently in the page cache."""

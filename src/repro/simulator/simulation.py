@@ -797,8 +797,7 @@ class Simulation:
         return write_snapshot(self, path)
 
     @classmethod
-    def restore(cls, path, *, verify: bool = True,
-                overrides: Optional[Dict[str, object]] = None) -> "Simulation":
+    def restore(cls, path, *, verify: bool = True) -> "Simulation":
         """Rebuild a simulation from a snapshot file, replayed to time T.
 
         The returned simulation is paused exactly where :meth:`snapshot`
@@ -806,17 +805,12 @@ class Simulation:
         replay to the snapshot time, and (unless ``verify=False``) a
         byte-exact comparison of the replayed state fingerprint against
         the recorded one (:class:`repro.errors.SnapshotIntegrityError` on
-        mismatch).  Continue with :meth:`step_until` / :meth:`run`.
-
-        ``overrides`` merges recipe parameters at restore time (warm-start
-        sweeps: N policy variants branching off one snapshot); overriding
-        disables the fingerprint check, because the replayed history is
-        the variant's own, not the snapshot producer's.  See
+        mismatch).  Continue with :meth:`step_until` / :meth:`run`.  See
         :func:`repro.snapshot.restore_simulation`.
         """
         from repro.snapshot import restore_simulation
 
-        return restore_simulation(path, verify=verify, overrides=overrides)
+        return restore_simulation(path, verify=verify)
 
     def _publish_final_metrics(self, observer: Observer,
                                cache_stats: Dict[str, CacheStatistics]) -> None:

@@ -22,7 +22,7 @@ scheduler variants off the live replayed state.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 from repro.errors import SnapshotError, SnapshotIntegrityError
 from repro.snapshot.canonical import fingerprint, to_jsonable
@@ -69,33 +69,20 @@ def write_snapshot(sim, path: Union[str, Path]) -> Path:
     return write_snapshot_doc(doc, path)
 
 
-def restore_simulation(path: Union[str, Path], *, verify: bool = True,
-                       overrides: Optional[dict] = None):
+def restore_simulation(path: Union[str, Path], *, verify: bool = True):
     """Rebuild the snapshotted simulation and replay it to snapshot time.
 
     With ``verify=True`` (the default) the replayed state's fingerprint is
     checked against the one stored in the file;
     :class:`~repro.errors.SnapshotIntegrityError` is raised on mismatch.
     The returned simulation is paused at the snapshot time — continue it
-    with :meth:`step_until` / :meth:`run`.
-
-    ``overrides`` merges into the embedded recipe's parameters before the
-    rebuild (warm-start sweeps: N variants branch off one snapshot).  An
-    overridden restore replays *the variant's own* history from t=0 to the
-    snapshot time, so the stored fingerprint cannot apply and verification
-    is skipped.  For overrides that can be applied to the *live* restored
-    state without rebuilding (scheduler policy/placement), prefer
-    :func:`warm_start_values`, which also amortizes a single verified
-    replay across all variants.
+    with :meth:`step_until` / :meth:`run`.  Scheduler variants branch off
+    a restored state through :func:`apply_live_overrides` /
+    :func:`warm_start_values`.
     """
     path = Path(path)
     doc = read_snapshot_doc(path)
-    recipe = SimRecipe.decode(doc)
-    if overrides:
-        recipe = SimRecipe(recipe.experiment,
-                           {**recipe.params, **overrides})
-        verify = False
-    sim = build_from_recipe(recipe)
+    sim = build_from_recipe(SimRecipe.decode(doc))
     sim.step_until(doc["t"])
     if verify:
         replayed = fingerprint(to_jsonable(capture_state(sim)))
@@ -147,9 +134,8 @@ def apply_live_overrides(sim, overrides: dict) -> None:
         if applier is None:
             raise SnapshotError(
                 f"parameter {key!r} cannot be applied to a live simulation "
-                f"(supported: {sorted(LIVE_OVERRIDES)}); use "
-                "restore_simulation(path, overrides=...) to rebuild the "
-                "variant from scratch instead"
+                f"(supported: {sorted(LIVE_OVERRIDES)}); build the variant "
+                "with its own parameters and run it from t=0 instead"
             )
         applier(sim, value)
 

@@ -19,6 +19,21 @@ class TestClockAndQueue:
         env.timeout(2.0)
         assert env.peek() == 2.0
 
+    def test_peek_counts_the_tombstones_it_reaps(self):
+        """A cancelled front entry is one tombstone whether peek() or
+        run() reaps it."""
+        counts = []
+        for peek_first in (False, True):
+            env = Environment()
+            env.observer = Observer()
+            env.cancel(env.timeout(1.0))
+            env.timeout(2.0)
+            if peek_first:
+                assert env.peek() == 2.0
+            env.run()
+            counts.append(env.observer.des_tombstones)
+        assert counts == [1, 1]
+
     def test_queue_size(self, env):
         env.timeout(1.0)
         env.timeout(2.0)

@@ -1,8 +1,8 @@
-"""Unit tests for shared resources (Resource, Container, Store, Lock)."""
+"""Unit tests for the counted resource (Resource, Request)."""
 
 import pytest
 
-from repro.des import Container, Lock, PriorityResource, Resource, Store
+from repro.des import Resource
 
 
 class TestResource:
@@ -75,174 +75,3 @@ class TestResource:
             return len(resource.queue)
 
         assert runner(env, proc(env)) == 0
-
-    def test_priority_resource_orders_by_priority(self, env):
-        resource = PriorityResource(env, capacity=1)
-        order = []
-
-        def user(env, label, priority, delay):
-            yield env.timeout(delay)
-            with (yield resource.request(priority=priority)):
-                order.append(label)
-                yield env.timeout(5.0)
-
-        # "first" grabs the resource; "low" and "high" queue while it holds it.
-        env.process(user(env, "first", 0, 0.0))
-        env.process(user(env, "low", 5, 1.0))
-        env.process(user(env, "high", 1, 2.0))
-        env.run()
-        assert order == ["first", "high", "low"]
-
-
-class TestContainer:
-    def test_initial_level_bounds(self, env):
-        with pytest.raises(ValueError):
-            Container(env, capacity=10, init=20)
-        with pytest.raises(ValueError):
-            Container(env, capacity=0)
-
-    def test_put_and_get(self, env, runner):
-        container = Container(env, capacity=100, init=10)
-
-        def proc(env):
-            yield container.put(30)
-            yield container.get(25)
-            return container.level
-
-        assert runner(env, proc(env)) == 15
-
-    def test_get_blocks_until_available(self, env):
-        container = Container(env, capacity=100, init=0)
-        times = {}
-
-        def consumer(env):
-            yield container.get(50)
-            times["consumed"] = env.now
-
-        def producer(env):
-            yield env.timeout(3.0)
-            yield container.put(50)
-
-        env.process(consumer(env))
-        env.process(producer(env))
-        env.run()
-        assert times["consumed"] == 3.0
-
-    def test_put_blocks_when_full(self, env):
-        container = Container(env, capacity=10, init=10)
-        times = {}
-
-        def producer(env):
-            yield container.put(5)
-            times["produced"] = env.now
-
-        def consumer(env):
-            yield env.timeout(2.0)
-            yield container.get(8)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert times["produced"] == 2.0
-
-    def test_non_positive_amounts_rejected(self, env):
-        container = Container(env, capacity=10)
-        with pytest.raises(ValueError):
-            container.put(0)
-        with pytest.raises(ValueError):
-            container.get(-1)
-
-
-class TestStore:
-    def test_fifo_order(self, env, runner):
-        store = Store(env)
-
-        def proc(env):
-            yield store.put("first")
-            yield store.put("second")
-            a = yield store.get()
-            b = yield store.get()
-            return [a, b]
-
-        assert runner(env, proc(env)) == ["first", "second"]
-
-    def test_get_blocks_until_item_available(self, env):
-        store = Store(env)
-        received = {}
-
-        def consumer(env):
-            item = yield store.get()
-            received["item"] = (item, env.now)
-
-        def producer(env):
-            yield env.timeout(4.0)
-            yield store.put("payload")
-
-        env.process(consumer(env))
-        env.process(producer(env))
-        env.run()
-        assert received["item"] == ("payload", 4.0)
-
-    def test_bounded_capacity_blocks_put(self, env):
-        store = Store(env, capacity=1)
-        times = {}
-
-        def producer(env):
-            yield store.put(1)
-            yield store.put(2)
-            times["second_put"] = env.now
-
-        def consumer(env):
-            yield env.timeout(5.0)
-            yield store.get()
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert times["second_put"] == 5.0
-
-    def test_len_reports_stored_items(self, env, runner):
-        store = Store(env)
-
-        def proc(env):
-            yield store.put("x")
-            yield store.put("y")
-            return len(store)
-
-        assert runner(env, proc(env)) == 2
-
-
-class TestLock:
-    def test_mutual_exclusion(self, env):
-        lock = Lock(env)
-        critical = []
-
-        def worker(env, label):
-            with (yield lock.acquire()):
-                critical.append((label, "in", env.now))
-                yield env.timeout(1.0)
-                critical.append((label, "out", env.now))
-
-        env.process(worker(env, "a"))
-        env.process(worker(env, "b"))
-        env.run()
-        # The second worker must only enter after the first one left.
-        assert critical == [
-            ("a", "in", 0.0),
-            ("a", "out", 1.0),
-            ("b", "in", 1.0),
-            ("b", "out", 2.0),
-        ]
-
-    def test_locked_and_waiters(self, env, runner):
-        lock = Lock(env)
-
-        def proc(env):
-            assert not lock.locked
-            with (yield lock.acquire()):
-                return lock.locked, lock.waiters
-
-        locked, waiters = runner(env, proc(env))
-        assert locked is True
-        assert waiters == 0
-        assert not lock.locked

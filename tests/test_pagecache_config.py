@@ -10,7 +10,6 @@ class TestValidation:
     def test_defaults_match_stock_linux(self):
         config = PageCacheConfig()
         assert config.dirty_ratio == pytest.approx(0.20)
-        assert config.dirty_background_ratio == pytest.approx(0.10)
         assert config.dirty_expire == pytest.approx(30.0)
         assert config.writeback_interval == pytest.approx(5.0)
         assert config.active_to_inactive_ratio == pytest.approx(2.0)
@@ -18,8 +17,6 @@ class TestValidation:
     @pytest.mark.parametrize("field,value", [
         ("dirty_ratio", 0.0),
         ("dirty_ratio", 1.5),
-        ("dirty_background_ratio", -0.1),
-        ("dirty_background_ratio", 0.5),  # above dirty_ratio
         ("dirty_expire", -1.0),
         ("writeback_interval", 0.0),
         ("chunk_size", 0.0),

@@ -1,20 +1,20 @@
-"""Tests of the sweep runner's robustness layer.
+"""Tests of the sweep runner's failure handling and point-value cache.
 
-Wall-clock timeouts, identically-reseeded retries with exponential
-backoff, recovery from a worker pool broken by a dying worker, and the
-point-value cache that makes killed sweeps resumable.  The governing
-invariant: no recovery mechanism may change a sweep's results — a
-disturbed sweep and an undisturbed one return byte-identical values.
+A failing point or a dying worker fails the sweep once, with the point
+named; the point-value cache makes the failed or killed sweep resumable.
+The governing invariant: resuming cannot change a sweep's results — a
+resumed sweep and an undisturbed one return byte-identical values.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
+import time
 
 import pytest
 
-from repro.experiments import runner
 from repro.experiments.runner import (
     SweepPointError,
     make_spec,
@@ -24,151 +24,44 @@ from repro.experiments.runner import (
 )
 
 
-@pytest.fixture
-def patched_sleep(monkeypatch):
-    """Capture retry backoff sleeps instead of actually sleeping."""
-    sleeps = []
-    monkeypatch.setattr(runner, "_sleep", sleeps.append)
-    return sleeps
+def _fail_and_count(counter: str = "", **kwargs):
+    """Point that records each call in ``counter`` and then fails."""
+    with open(counter, "a") as handle:
+        handle.write("x")
+    raise RuntimeError("boom")
 
 
-# -------------------------------------------------------------- timeout
-class TestTimeout:
-    def test_point_over_budget_is_interrupted(self):
-        import time
-
-        def spin(**kwargs):
-            for _ in range(10_000):
-                time.sleep(0.01)
-
-        register_experiment("rt-spin", spin)
-        with pytest.raises(SweepPointError) as excinfo:
-            run_sweep([make_spec("rt-spin")], timeout=0.2)
-        assert "PointTimeoutError" in str(excinfo.value)
-
-    def test_fast_point_unaffected_by_timeout(self):
-        register_experiment("rt-fast", lambda **kw: "done")
-        results = run_sweep([make_spec("rt-fast")], timeout=30.0)
-        assert results[0].value == "done"
-
-    def test_timer_is_cleared_after_the_point(self):
-        import signal
-
-        register_experiment("rt-quick", lambda **kw: 1)
-        run_sweep([make_spec("rt-quick")], timeout=5.0)
-        # No pending real-timer may leak out of the sweep.
-        assert signal.getitimer(signal.ITIMER_REAL)[0] == 0.0
-
-
-# -------------------------------------------------------------- retries
-class TestRetries:
-    def test_flaky_point_recovers_with_backoff(self, patched_sleep):
-        calls = {"n": 0}
-
-        def flaky(**kwargs):
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise RuntimeError("transient")
-            return "recovered"
-
-        register_experiment("rt-flaky", flaky)
-        results = run_sweep([make_spec("rt-flaky")], retries=3,
-                            retry_backoff=0.5)
-        assert results[0].value == "recovered"
-        assert calls["n"] == 3
-        # Exponential: 0.5, then 1.0 (the third attempt succeeded).
-        assert patched_sleep == [0.5, 1.0]
-
-    def test_retries_reuse_the_identical_seed(self, patched_sleep):
-        seeds = []
-
-        def flaky_seeded(seed=None, **kwargs):
-            seeds.append(seed)
-            if len(seeds) < 3:
-                raise RuntimeError("transient")
-            return seed
-
-        register_experiment("rt-flaky-seed", flaky_seeded)
-        results = run_sweep(
-            [make_spec("rt-flaky-seed", seed_key="p0")],
-            base_seed=42, retries=2,
-        )
-        assert len(set(seeds)) == 1, "retries must not reseed"
-        assert results[0].value == seeds[0]
-
-    def test_exhausted_retries_report_attempt_count(self, patched_sleep):
-        register_experiment(
-            "rt-hopeless",
-            lambda **kw: (_ for _ in ()).throw(RuntimeError("always"))
-        )
-        with pytest.raises(SweepPointError) as excinfo:
-            run_sweep([make_spec("rt-hopeless")], retries=2)
-        assert "after 3 attempts" in str(excinfo.value)
-        assert patched_sleep == [0.5, 1.0]
-
-    def test_no_retries_by_default(self, patched_sleep):
-        calls = {"n": 0}
-
-        def fail_once(**kwargs):
-            calls["n"] += 1
-            raise RuntimeError("boom")
-
-        register_experiment("rt-failonce", fail_once)
-        with pytest.raises(SweepPointError):
-            run_sweep([make_spec("rt-failonce")])
-        assert calls["n"] == 1
-        assert patched_sleep == []
-
-
-# ---------------------------------------------------------- broken pool
-def _die_once(marker: str = "", tag: int = 0, **kwargs):
-    """Point that hard-kills its worker exactly once (marker-file latch)."""
-    if tag == 1 and marker and not os.path.exists(marker):
-        open(marker, "w").close()
-        os._exit(1)
-    return f"value-{tag}"
-
-
-register_experiment("rt-die-once", "tests.test_runner_robustness:_die_once")
-
-
-def _die_always(**kwargs):
+def _die(**kwargs):
     os._exit(1)
 
 
-register_experiment("rt-die-always",
-                    "tests.test_runner_robustness:_die_always")
+register_experiment("rt-fail-count",
+                    "tests.test_runner_robustness:_fail_and_count")
+register_experiment("rt-ok", lambda **kw: "ok")
+register_experiment("rt-die", "tests.test_runner_robustness:_die")
 
 
-class TestBrokenPool:
-    def test_killed_worker_pool_recovers(self, tmp_path):
-        """One worker hard-exits mid-point; the sweep still completes
-        with outputs identical to an undisturbed sweep."""
-        marker = str(tmp_path / "killed-once")
-        specs = [
-            make_spec("rt-die-once", marker=marker, tag=tag)
-            for tag in range(4)
-        ]
-        disturbed = run_sweep(specs, workers=2)
-        assert os.path.exists(marker), "the worker was never killed"
-
-        undisturbed = run_sweep(
-            [make_spec("rt-die-once", marker="", tag=tag) if tag != 1
-             else make_spec("rt-die-once",
-                            marker=marker, tag=tag)  # latch already set
-             for tag in range(4)],
-            workers=2,
-        )
-        assert ([r.value for r in disturbed]
-                == [r.value for r in undisturbed]
-                == [f"value-{t}" for t in range(4)])
-
-    def test_respawn_budget_exhaustion_raises(self):
+# ------------------------------------------------------------- failures
+class TestFailures:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_point_runs_exactly_once(self, tmp_path, workers):
+        counter = tmp_path / "calls"
         with pytest.raises(SweepPointError) as excinfo:
-            run_sweep([make_spec("rt-die-always"),
-                       make_spec("rt-die-always")],
-                      workers=2, pool_respawns=0)
-        assert "respawn budget" in str(excinfo.value)
+            run_sweep([make_spec("rt-fail-count", counter=str(counter)),
+                       make_spec("rt-ok")], workers=workers)
+        assert excinfo.value.index == 0
+        assert counter.read_text() == "x"
+
+    def test_dead_workers_fail_the_sweep_and_leave_no_children(self):
+        specs = [make_spec("rt-die", label=f"die-{tag}") for tag in range(2)]
+        with pytest.raises(SweepPointError) as excinfo:
+            run_sweep(specs, workers=2)
+        assert excinfo.value.spec is specs[excinfo.value.index]
+        assert "died abruptly" in str(excinfo.value)
+        deadline = time.monotonic() + 10.0
+        while multiprocessing.active_children() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert multiprocessing.active_children() == []
 
 
 # ------------------------------------------------------------ the cache

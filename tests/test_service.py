@@ -1,6 +1,6 @@
 """Tests of the simulation service: streaming scheduler, submission
-queue and log, job specs, the in-process service lifecycle, warm-start
-restores, and the off-main-thread sweep timeout.
+queue and log, job specs, the in-process service lifecycle and
+warm-start restores.
 
 The governing invariant (shared with ``test_service_recovery.py``): the
 durable submission log fully determines the results — a recovered or
@@ -603,14 +603,6 @@ class TestWarmStart:
         sim.step_until(3.0)
         return write_snapshot(sim, tmp_path / "branch.json")
 
-    def test_restore_with_recipe_overrides(self, tmp_path):
-        path = self.snapshot(tmp_path)
-        sim = restore_simulation(path, overrides={"placement":
-                                                  "round-robin"})
-        assert type(sim.scheduler.placement).__name__.startswith("RoundRobin")
-        result = sim.run()
-        assert result.scheduler.n_jobs == self.EXP6["n_jobs"]
-
     def test_live_override_unknown_key_raises(self, tmp_path):
         path = self.snapshot(tmp_path)
         sim = restore_simulation(path, verify=False)
@@ -641,54 +633,3 @@ class TestWarmStart:
         with pytest.raises(SnapshotError, match="failed"):
             warm_start_values(path, [{"policy": "no-such-policy"}],
                               verify=False)
-
-
-# ---------------------------------------------- off-main-thread timeouts
-class TestWatchdogTimeout:
-    """The sweep timeout must arm off the main thread (service workers)."""
-
-    def run_in_thread(self, target):
-        box = {}
-
-        def wrapper():
-            try:
-                box["value"] = target()
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                box["error"] = exc
-
-        thread = threading.Thread(target=wrapper)
-        thread.start()
-        thread.join(30.0)
-        assert not thread.is_alive(), "worker thread hung"
-        if "error" in box:
-            raise box["error"]
-        return box["value"]
-
-    def test_timeout_fires_off_main_thread(self):
-        from repro.experiments.runner import (
-            SweepPointError, make_spec, register_experiment, run_sweep,
-        )
-
-        def spin(**kwargs):
-            while True:
-                time.sleep(0.005)
-
-        register_experiment("svc-spin", spin)
-        with pytest.raises(SweepPointError) as excinfo:
-            self.run_in_thread(
-                lambda: run_sweep([make_spec("svc-spin")], timeout=0.2,
-                                  workers=1)
-            )
-        assert "PointTimeoutError" in str(excinfo.value)
-
-    def test_fast_point_off_main_thread_unaffected(self):
-        from repro.experiments.runner import (
-            make_spec, register_experiment, run_sweep,
-        )
-
-        register_experiment("svc-fast", lambda **kw: "done")
-        results = self.run_in_thread(
-            lambda: run_sweep([make_spec("svc-fast")], timeout=30.0,
-                              workers=1)
-        )
-        assert results[0].value == "done"
