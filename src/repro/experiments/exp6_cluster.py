@@ -26,6 +26,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 from repro.analysis.tables import format_table
 from repro.experiments.runner import run_named_sweep
 from repro.filesystem.file import File
+from repro.pagecache.config import PageCacheConfig
 from repro.rng import DeterministicRNG
 from repro.scheduler.arrivals import PoissonArrivalProcess
 from repro.simulator.simulation import Simulation, SimulationConfig
@@ -156,8 +157,8 @@ def build_exp6(placement: str = "cache", *, policy: str = "fifo",
             cache_mode="writeback",
             chunk_size=chunk_size,
             trace_interval=None,
+            page_cache=PageCacheConfig(eviction_policy=eviction_policy),
         ),
-        eviction_policy=(None if eviction_policy == "lru" else eviction_policy),
         fault_plan=fault_plan,
     )
     simulation.create_cluster_platform(

@@ -28,6 +28,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 from repro.analysis.tables import format_table
 from repro.errors import ConfigurationError
 from repro.experiments.runner import run_named_sweep
+from repro.pagecache.config import PageCacheConfig
 from repro.scheduler.metrics import PriorityClassMetrics
 from repro.scheduler.swf import SWFTrace, load_swf
 from repro.simulator.simulation import Simulation, SimulationConfig
@@ -144,8 +145,8 @@ def build_exp7(policy: str = "preemptive-priority", *,
             cache_mode="writeback",
             chunk_size=chunk_size,
             trace_interval=None,
+            page_cache=PageCacheConfig(eviction_policy=eviction_policy),
         ),
-        eviction_policy=(None if eviction_policy == "lru" else eviction_policy),
         fault_plan=fault_plan,
     )
     simulation.create_cluster_platform(

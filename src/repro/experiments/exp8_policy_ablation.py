@@ -252,8 +252,8 @@ def run_sched_cell(policy: object = "lru", *,
             cache_mode="writeback",
             chunk_size=chunk_size,
             trace_interval=None,
+            page_cache=PageCacheConfig(eviction_policy=policy),
         ),
-        eviction_policy=(None if policy == "lru" else policy),
     )
     simulation.create_cluster_platform(
         n_nodes,

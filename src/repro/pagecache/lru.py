@@ -462,13 +462,6 @@ class LRUList:
         """Mapping ``filename -> cached bytes`` for this list."""
         return dict(self._per_file)
 
-    def runs_of_file(self, filename: str) -> List[ExtentRun]:
-        """The file's live runs (clean first), unordered pair."""
-        index = self._file_runs.get(filename)
-        if index is None:
-            return []
-        return [run for run in (index.clean, index.dirty) if run is not None]
-
     def blocks_of_file(self, filename: str) -> List[Block]:
         """Fragments of ``filename``, in LRU order (O(k) in the answer)."""
         index = self._file_runs.get(filename)
@@ -733,11 +726,6 @@ class PageCacheLists:
     def add_to_inactive(self, block: Block) -> None:
         """Insert a newly cached block (first access) and rebalance."""
         self.inactive.append(block)
-        self.balance()
-
-    def add_to_active(self, block: Block) -> None:
-        """Insert a re-accessed block into the active list and rebalance."""
-        self.active.append(block)
         self.balance()
 
     def promote(self, block: Block, now: float) -> None:

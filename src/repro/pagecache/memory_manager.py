@@ -611,10 +611,13 @@ class MemoryManager:
         """
         removed = 0.0
         for lru in (self.lists.inactive, self.lists.active):
-            for block in lru.blocks_of_file(filename):
+            cursor = lru.file_cursor(filename)
+            block = cursor.next()
+            while block is not None:
                 lru.remove(block)
                 removed += block.size
                 self._free += block.size
+                block = cursor.next()
         if removed > 0:
             self.lists.balance()
             if self._policy_events:

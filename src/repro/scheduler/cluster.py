@@ -200,12 +200,12 @@ class ClusterScheduler:
         (checkpoint-and-requeue redoes the work since the last
         checkpoint); forwarded to the workflow executors.
     streaming:
-        Accept submissions *while the simulation runs*: :meth:`feed` may
-        be called at any paused point and the main loop waits for new
-        work instead of terminating when it drains.  The run ends once
-        :meth:`close_stream` declares the submission stream over and all
-        accepted jobs completed.  Off by default — the batch loop is the
-        parity-pinned historical behaviour.
+        Decides when the submission stream closes.  A batch scheduler
+        (the default) closes it when :meth:`run` starts.  A streaming one
+        keeps it open while the simulation runs: :meth:`submit` may be
+        called at any paused point, and the main loop waits for new work
+        instead of terminating when it drains, until :meth:`close_stream`
+        declares the stream over.
     """
 
     def __init__(self, env: Environment, nodes: List[NodeState],
@@ -255,38 +255,39 @@ class ClusterScheduler:
         self.n_job_restarts = 0
         #: Fault mode keeps the scheduler alive when no node is currently
         #: available (all down / draining): instead of raising the stall
-        #: guard, the main loop also waits on a :meth:`kick` event that
-        #: fault and elasticity transitions trigger.  Enabled by the fault
-        #: injector; off by default so fault-free runs are byte-identical
-        #: to the pre-fault scheduler.
+        #: guard, the main loop also waits on the shared wake event, which
+        #: fault and elasticity transitions trigger through :meth:`kick`.
+        #: Enabled by the fault injector; off by default so fault-free runs
+        #: are byte-identical to the pre-fault scheduler.
         self.fault_mode = False
-        self._kick: Optional[Event] = None
+        #: The main loop's wake event (see :meth:`kick`), waited on while
+        #: in fault mode or while the submission stream is open.
+        self._wake: Optional[Event] = None
         #: Streaming mode (see the class docstring).
         self.streaming = bool(streaming)
         self._stream_closed = False
-        self._stream_event: Optional[Event] = None
-        #: Fed-but-not-yet-arrived jobs, a heap of (arrival_time, id, job).
-        self._stream_arrivals: List[Tuple[float, int, Job]] = []
+        #: Submitted-but-not-yet-arrived jobs, a heap of
+        #: (arrival_time, id, job).
+        self._arrivals: List[Tuple[float, int, Job]] = []
         self._labels: set = set()
         self._next_id = 0
         self._started = False
 
     # ------------------------------------------------------------ submission
     def submit(self, job: Job) -> Job:
-        """Register a job for execution; must be called before :meth:`run`."""
-        if self.streaming:
-            return self.feed(job)
-        if self._started:
-            raise SchedulingError(
-                "jobs must be submitted before the simulation starts"
-            )
-        self._validate(job)
-        job.id = self._next_id
-        self._next_id += 1
-        self.jobs.append(job)
-        return job
+        """Register a job for execution while the submission stream is open.
 
-    def _validate(self, job: Job) -> None:
+        A batch scheduler's stream closes when :meth:`run` starts; a
+        streaming one's stays open — submissions are accepted at any
+        *paused* point, e.g. from a service loop that drives the DES via
+        ``step_until`` — until :meth:`close_stream`.  An arrival time in
+        the simulated past is clamped to ``env.now``: a job cannot arrive
+        before the instant it was submitted.
+        """
+        if self._stream_closed:
+            raise SchedulingError(
+                "the submission stream is closed; no further jobs accepted"
+            )
         max_cores = max(node.total_cores for node in self.nodes)
         if job.cores > max_cores:
             raise SchedulingError(
@@ -301,56 +302,28 @@ class ClusterScheduler:
                 "give each job a unique label"
             )
         self._labels.add(job.label)
-
-    def feed(self, job: Job) -> Job:
-        """Submit a job to a streaming scheduler, possibly mid-run.
-
-        May be called before the simulation starts or at any *paused*
-        point afterwards (between :meth:`Environment.step` calls — e.g.
-        from a service loop that drives the DES via ``step_until``).  An
-        arrival time in the simulated past is clamped to ``env.now``: a
-        job cannot arrive before the instant it was fed.
-        """
-        if not self.streaming:
-            raise SchedulingError(
-                "feed() requires a streaming scheduler; use submit()"
-            )
-        if self._stream_closed:
-            raise SchedulingError(
-                "the submission stream is closed; no further jobs accepted"
-            )
-        self._validate(job)
         job.id = self._next_id
         self._next_id += 1
         if self._started and job.arrival_time < self.env.now:
             job.arrival_time = self.env.now
         self.jobs.append(job)
-        heapq.heappush(
-            self._stream_arrivals, (job.arrival_time, job.id, job)
-        )
-        if self._started:
-            self._wake_stream()
+        heapq.heappush(self._arrivals, (job.arrival_time, job.id, job))
+        self.kick()
         return job
 
     def close_stream(self) -> None:
-        """Declare the submission stream over.
+        """Declare a streaming scheduler's submission stream over.
 
-        The streaming main loop terminates once every already-accepted
-        job has completed; further :meth:`feed` calls raise.  Idempotent.
+        The main loop terminates once every already-accepted job has
+        completed; further :meth:`submit` calls raise.  Idempotent: a
+        second close does not wake the loop.
         """
         if not self.streaming:
             raise SchedulingError("close_stream() requires a streaming scheduler")
         if self._stream_closed:
             return
         self._stream_closed = True
-        if self._started:
-            self._wake_stream()
-
-    def _wake_stream(self) -> None:
-        """Wake the streaming main loop after a feed/close."""
-        event = self._stream_event
-        if event is not None and not event.triggered:
-            event.succeed()
+        self.kick()
 
     @property
     def total_cores(self) -> int:
@@ -370,92 +343,24 @@ class ClusterScheduler:
     def run(self):
         """Scheduler main loop; simulation process.
 
-        Event-driven: the loop wakes up on the next job arrival or on any
-        job completion, moves newly arrived jobs into the queue, and asks
-        the policy/placement pair for dispatch decisions until no further
-        job can start.
+        Event-driven: the loop wakes up on the next job arrival, on any
+        job completion or on the wake event (:meth:`kick`), moves newly
+        arrived jobs into the queue, and asks the policy/placement pair
+        for dispatch decisions until no further job can start.  A batch
+        scheduler's submission stream closes here; an open stream keeps
+        the loop alive on the wake event even when it has nothing to do.
+        The loop exits once the stream is closed and every accepted job
+        has completed.
         """
         self._started = True
-        if self.streaming:
-            yield from self._run_stream()
-            return
-        pending = sorted(self.jobs, key=lambda job: (job.arrival_time, job.id))
-        index = 0
-        # The timeout to the next arrival is reused across wake-ups (a
+        if not self.streaming:
+            self._stream_closed = True
+        arrivals = self._arrivals
+        # The timeout to the next arrival is reused across wake-ups,
+        # keyed by the head job's id (a submit may change the head): a
         # job completion must not schedule a duplicate timeout for the
-        # same arrival); processed conditions ignore late callbacks, so
-        # sharing the event across any_of calls is safe.
-        arrival_timeout = None
-        arrival_index = -1
-
-        while index < len(pending) or self.queue or self._running_procs:
-            now = self.env.now
-            while index < len(pending) and pending[index].arrival_time <= now + _EPSILON:
-                self.queue.append(pending[index])
-                index += 1
-
-            self._dispatch()
-
-            observer = self.env.observer
-            if observer is not None:
-                observer.counter_sample(
-                    "scheduler.jobs", "scheduler", now,
-                    {"queued": len(self.queue),
-                     "running": len(self._running_procs)},
-                )
-
-            waits = list(self._running_procs.values())
-            if index < len(pending):
-                if arrival_index != index:
-                    arrival_timeout = self.env.timeout(
-                        max(0.0, pending[index].arrival_time - now)
-                    )
-                    arrival_index = index
-                waits.append(arrival_timeout)
-            if self.fault_mode:
-                # Under fault injection the scheduler can be left with
-                # queued jobs and nothing to wait on (every node down or
-                # draining).  fail/restore/drain/undrain transitions
-                # trigger the kick event, re-running the dispatch pass.
-                kick = self._kick
-                if kick is None or kick.triggered:
-                    kick = self._kick = Event(self.env)
-                waits.append(kick)
-            if not waits:
-                # Jobs are validated to fit on some node at submission, so
-                # an empty cluster with a non-empty queue is a logic error.
-                raise SchedulingError(
-                    f"scheduler stalled with {len(self.queue)} queued job(s)"
-                )
-            yield self.env.any_of(waits)
-
-            # Reap completed job processes.  The dict is only mutated
-            # after the scan, so no per-poll ``list(items())`` snapshot is
-            # needed; the (usually tiny) finished list is allocated only
-            # when something actually completed.
-            finished = None
-            for job_id, process in self._running_procs.items():
-                if process.is_alive:
-                    continue
-                if not process.ok:
-                    raise process.value
-                if finished is None:
-                    finished = []
-                finished.append(job_id)
-            if finished is not None:
-                for job_id in finished:
-                    del self._running_procs[job_id]
-
-    def _run_stream(self):
-        """Streaming main loop; simulation process.
-
-        Like the batch loop, but arrivals come from the :meth:`feed` heap
-        instead of a pre-sorted snapshot, and an open stream keeps the
-        loop alive even when it has nothing to do: it waits on a wake
-        event that :meth:`feed` / :meth:`close_stream` trigger.  The loop
-        exits once the stream is closed and every accepted job finished.
-        """
-        arrivals = self._stream_arrivals
+        # same arrival, and processed conditions ignore late callbacks,
+        # so sharing the event across any_of calls is safe.
         arrival_timeout = None
         arrival_id = -1
 
@@ -477,31 +382,31 @@ class ClusterScheduler:
 
             waits = list(self._running_procs.values())
             if arrivals:
-                # Reuse the timeout to the next arrival across wake-ups,
-                # keyed by the head job's id (a feed may change the head).
                 head_time, head_id, _ = arrivals[0]
                 if arrival_id != head_id:
                     arrival_timeout = self.env.timeout(max(0.0, head_time - now))
                     arrival_id = head_id
                 waits.append(arrival_timeout)
-            if self.fault_mode:
-                kick = self._kick
-                if kick is None or kick.triggered:
-                    kick = self._kick = Event(self.env)
-                waits.append(kick)
-            if not self._stream_closed:
-                wake = self._stream_event
+            if self.fault_mode or not self._stream_closed:
+                # Under fault injection the scheduler can be left with
+                # queued jobs and nothing to wait on (every node down or
+                # draining); an open stream waits for its next submission.
+                wake = self._wake
                 if wake is None or wake.triggered:
-                    wake = self._stream_event = Event(self.env)
+                    wake = self._wake = Event(self.env)
                 waits.append(wake)
             if not waits:
-                if self.queue:
-                    raise SchedulingError(
-                        f"scheduler stalled with {len(self.queue)} queued job(s)"
-                    )
-                break
+                # Jobs are validated to fit on some node at submission, so
+                # an empty cluster with a non-empty queue is a logic error.
+                raise SchedulingError(
+                    f"scheduler stalled with {len(self.queue)} queued job(s)"
+                )
             yield self.env.any_of(waits)
 
+            # Reap completed job processes.  The dict is only mutated
+            # after the scan, so no per-poll ``list(items())`` snapshot is
+            # needed; the (usually tiny) finished list is allocated only
+            # when something actually completed.
             finished = None
             for job_id, process in self._running_procs.items():
                 if process.is_alive:
@@ -581,15 +486,18 @@ class ClusterScheduler:
 
     # ------------------------------------------------------ faults/elasticity
     def kick(self) -> None:
-        """Wake the main loop for an out-of-band cluster-state change.
+        """Trigger the main loop's wake event, re-running the dispatch pass.
 
-        Called by the fault injector after a node comes up (repair,
-        elastic join): queued jobs may now fit where nothing fit before,
-        and no arrival or completion is guaranteed to wake the loop.
+        Called by :meth:`submit` and :meth:`close_stream`, and after a
+        node comes up (repair, elastic join): queued jobs may now fit
+        where nothing fit before, and no arrival or completion is
+        guaranteed to wake the loop.  A no-op unless an untriggered wake
+        event is pending: the loop creates one only in fault mode or while
+        the stream is open.
         """
-        kick = self._kick
-        if kick is not None and not kick.triggered:
-            kick.succeed()
+        wake = self._wake
+        if wake is not None and not wake.triggered:
+            wake.succeed()
 
     def fail_node(self, name: str) -> List[Job]:
         """Crash a node: kill its jobs, mark it down, abort its transfers.

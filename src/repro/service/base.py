@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.filesystem.file import File
+from repro.pagecache.config import PageCacheConfig
 from repro.simulator.simulation import Simulation, SimulationConfig
 from repro.units import MB
 
@@ -54,8 +55,8 @@ def build_service_cluster(*, n_nodes: int = DEFAULT_N_NODES,
             cache_mode="writeback",
             chunk_size=chunk_size,
             trace_interval=None,
+            page_cache=PageCacheConfig(eviction_policy=eviction_policy),
         ),
-        eviction_policy=(None if eviction_policy == "lru" else eviction_policy),
         fault_plan=fault_plan,
     )
     simulation.create_cluster_platform(

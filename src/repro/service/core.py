@@ -84,7 +84,7 @@ def apply_entry(sim, entry: LogEntry) -> Optional[Job]:
 
     The single procedure both the live path and every replay path share:
     ``step_until(entry.t)`` then the operation.  Sharing it is what makes
-    recovery byte-identical — feeds happen at identical paused states.
+    recovery byte-identical — submissions happen at identical paused states.
     Returns the submitted job (``None`` for the close op).
     """
     sim.step_until(entry.t)
@@ -129,8 +129,7 @@ def replay_result(recipe: SimRecipe, entries: List[LogEntry]):
     bytes against this.
     """
     sim = replay_entries(recipe, entries)
-    if not sim.scheduler._stream_closed:
-        sim.scheduler.close_stream()
+    sim.scheduler.close_stream()
     return sim.run()
 
 
@@ -562,7 +561,7 @@ class SimulationService:
         """Whether any accepted job is still pending/queued/running."""
         scheduler = self._sim.scheduler
         return bool(scheduler._running_procs or scheduler.queue
-                    or scheduler._stream_arrivals)
+                    or scheduler._arrivals)
 
     def _advance(self, wall_budget: float) -> None:
         """Advance the DES within a wall-clock budget (lock held), taking

@@ -80,8 +80,15 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = (self.headers.get("Content-Length") or "0").strip()
+        if not (header.isascii() and header.isdigit()):
+            # The body's extent is unknown, so the connection cannot be
+            # reused for a next request: answer and close it.
+            self.close_connection = True
+            raise ConfigurationError(f"invalid Content-Length {header!r}")
+        length = int(header)
         if length > MAX_BODY_BYTES:
+            self.close_connection = True
             raise ConfigurationError(
                 f"request body too large ({length} bytes)"
             )

@@ -23,7 +23,7 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, TYPE_CHECKING, Union
 
@@ -192,13 +192,6 @@ class Simulation:
         and ``None`` (the default) defers to the ``REPRO_OBS``
         environment variable.  Telemetry only observes — enabling it
         does not change simulated results.
-    eviction_policy:
-        Convenience override of the page cache's victim-selection policy
-        (equivalent to setting ``config.page_cache.eviction_policy``): a
-        registered name (``"lru"``, ``"arc"``, ``"2q"``, ``"clock-pro"``,
-        ``"priority"``), an :class:`~repro.pagecache.policy.EvictionPolicy`
-        instance (single-host simulations only), a subclass, or a factory.
-        ``None`` keeps the configured policy (default LRU).
     fault_plan:
         A :class:`repro.faults.FaultPlan` describing node crashes,
         stragglers and elastic capacity to inject while the cluster
@@ -210,19 +203,9 @@ class Simulation:
     def __init__(self, env: Optional[Environment] = None,
                  config: Optional[SimulationConfig] = None,
                  observe: Union[bool, Observer, None] = None,
-                 eviction_policy=None,
                  fault_plan=None):
         self.env = env or Environment()
         self.config = config or SimulationConfig()
-        if eviction_policy is not None:
-            # Copy-on-override: the caller's config object (often shared
-            # across runs of a sweep) is never mutated.
-            self.config = replace(
-                self.config,
-                page_cache=self.config.page_cache.with_updates(
-                    eviction_policy=eviction_policy
-                ),
-            )
         if observe is None:
             observe = env_observability_enabled()
         if isinstance(observe, Observer):
@@ -646,7 +629,7 @@ class Simulation:
             raise ConfigurationError("a Simulation object can only be run once")
         scheduled_jobs = self._scheduler.jobs if self._scheduler else []
         # A streaming scheduler may legitimately start empty: jobs arrive
-        # over its lifetime via feed().
+        # over its lifetime via submit_job().
         streaming = self._scheduler is not None and self._scheduler.streaming
         if not self._executors and not scheduled_jobs and not streaming:
             raise ConfigurationError("no workflow or job was submitted")

@@ -16,7 +16,7 @@ process snapshots the memory manager at a fixed interval.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.des.environment import Environment
 from repro.pagecache.memory_manager import MemoryManager, MemorySnapshot
@@ -156,39 +156,6 @@ class Tracer:
                     contents=self._memory_managers[0].cache_content(),
                 )
             )
-
-    # ----------------------------------------------------------------- queries
-    def operations_of_kind(self, kind: str) -> List[OperationRecord]:
-        """All records of a given kind ("read", "write" or "compute")."""
-        return [record for record in self.operations if record.kind == kind]
-
-    def operation(self, app: str, task: str, kind: str,
-                  index: int = 0) -> OperationRecord:
-        """Return the ``index``-th operation of ``kind`` for ``(app, task)``."""
-        matches = [
-            record
-            for record in self.operations
-            if record.app == app and record.task == task and record.kind == kind
-        ]
-        return matches[index]
-
-    def durations_by_operation(self) -> Dict[Tuple[str, str, str], float]:
-        """Mapping ``(app, task, kind) -> summed duration``."""
-        durations: Dict[Tuple[str, str, str], float] = {}
-        for record in self.operations:
-            key = (record.app, record.task, record.kind)
-            durations[key] = durations.get(key, 0.0) + record.duration
-        return durations
-
-    def total_duration(self, kind: str) -> float:
-        """Total simulated time spent in operations of ``kind``."""
-        return sum(record.duration for record in self.operations_of_kind(kind))
-
-    def makespan(self) -> float:
-        """Time of the last recorded operation end."""
-        if not self.operations:
-            return 0.0
-        return max(record.end for record in self.operations)
 
     def __repr__(self) -> str:
         return (

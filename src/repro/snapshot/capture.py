@@ -14,8 +14,9 @@ ordered data:
   channel (mid-transfer snapshots are legal and pinned);
 * the cluster scheduler — queue contents, per-node state (free cores,
   running jobs, draining/left flags, failure counts), per-job progress,
-  completed-job records, and the executors' preemption checkpoints
-  (completed tasks, partial compute credit, suspension flags);
+  completed-job records, the executors' preemption checkpoints
+  (completed tasks, partial compute credit, suspension flags) and the
+  submission stream (closed flag, not-yet-arrived jobs);
 * RNG streams — seed, draw count and state digest of every live fault
   stream (:mod:`repro.rng` bookkeeping);
 * the telemetry metrics registry, when an observer is attached.
@@ -36,7 +37,7 @@ from repro.snapshot.canonical import fingerprint
 
 #: Capture format version; bumped when the capture layout changes (a
 #: restore compares fingerprints, so layouts must match exactly).
-CAPTURE_VERSION = 1
+CAPTURE_VERSION = 2
 
 
 def capture_state(sim) -> Dict[str, Any]:
@@ -145,20 +146,6 @@ def _capture_lru(lru) -> Dict[str, Any]:
 
 
 def _capture_scheduler(scheduler) -> Dict[str, Any]:
-    data = _capture_scheduler_base(scheduler)
-    if scheduler.streaming:
-        # Streaming-only keys are added conditionally so batch-mode
-        # fingerprints (and the pinned parity goldens) stay byte-identical.
-        data["stream"] = {
-            "closed": bool(scheduler._stream_closed),
-            "pending": sorted(
-                job_id for _, job_id, _ in scheduler._stream_arrivals
-            ),
-        }
-    return data
-
-
-def _capture_scheduler_base(scheduler) -> Dict[str, Any]:
     return {
         "queue": [job.id for job in scheduler.queue],
         "jobs": {
@@ -186,6 +173,12 @@ def _capture_scheduler_base(scheduler) -> Dict[str, Any]:
         "executors": [
             _capture_executor(executor) for executor in scheduler.executors
         ],
+        "stream": {
+            "closed": bool(scheduler._stream_closed),
+            "pending": sorted(
+                job_id for _, job_id, _ in scheduler._arrivals
+            ),
+        },
     }
 
 

@@ -380,9 +380,10 @@ class TestPredictedSurvival:
 class TestSchedulerJobHooks:
     def _preemptive_simulation(self):
         simulation = Simulation(
-            config=SimulationConfig(cache_mode="writeback",
-                                    trace_interval=None),
-            eviction_policy="priority",
+            config=SimulationConfig(
+                cache_mode="writeback", trace_interval=None,
+                page_cache=PageCacheConfig(eviction_policy="priority"),
+            ),
         )
         simulation.create_cluster_platform(1, cores_per_node=4,
                                            with_nfs_server=False)
@@ -434,10 +435,11 @@ class TestSchedulerJobHooks:
 class TestPolicyStatsPublishing:
     def test_policy_stats_published_per_host(self):
         simulation = Simulation(
-            config=SimulationConfig(cache_mode="writeback",
-                                    trace_interval=None),
+            config=SimulationConfig(
+                cache_mode="writeback", trace_interval=None,
+                page_cache=PageCacheConfig(eviction_policy="arc"),
+            ),
             observe=True,
-            eviction_policy="arc",
         )
         simulation.create_cluster_platform(1, cores_per_node=4,
                                            with_nfs_server=False)

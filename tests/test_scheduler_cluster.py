@@ -300,6 +300,31 @@ class TestClusterExecution:
         assert first.cache_hit_ratio == second.cache_hit_ratio
         assert first.mean_wait_time == second.mean_wait_time
 
+    def test_batch_run_equals_a_stream_closed_before_run(self):
+        """A batch scheduler is a stream that closes when the run starts."""
+        from repro.experiments.exp6_cluster import build_cluster_workload
+        from repro.service import canonical_result
+
+        results = []
+        for streaming in (False, True):
+            simulation = Simulation(config=SimulationConfig(
+                cache_mode="writeback", chunk_size=100 * MB,
+                trace_interval=None,
+            ))
+            simulation.create_cluster_platform(
+                3, cores_per_node=4, with_nfs_server=False
+            )
+            simulation.create_cluster_scheduler(
+                policy="easy", placement="cache", streaming=streaming
+            )
+            build_cluster_workload(simulation, n_jobs=30, seed=5)
+            if streaming:
+                simulation.scheduler.close_stream()
+            result = simulation.run()
+            assert result.scheduler.n_jobs == 30
+            results.append(canonical_result(result))
+        assert results[0] == results[1]
+
 
 class TestWaitTimeClamp:
     def test_wait_time_never_negative_for_past_arrivals(self):

@@ -75,19 +75,27 @@ class TestStreamingScheduler:
     def build(self):
         return build_service_cluster(**SMALL_PARAMS)
 
-    def test_feed_requires_streaming(self):
-        from repro.scheduler.job import Job
+    def test_batch_rejects_close_stream_and_late_submit(self):
         from repro.simulator.simulation import Simulation, SimulationConfig
-        from repro.simulator.workflow import Workflow
+        from repro.simulator.workflow import Task, Workflow
+
+        def workflow(name):
+            flow = Workflow(name)
+            flow.add_task(Task.from_cpu_time(f"{name}-t", 1.0))
+            return flow
 
         sim = Simulation(config=SimulationConfig(chunk_size=16 * MB))
         sim.create_cluster_platform(2, cores_per_node=2,
                                     with_nfs_server=False)
         scheduler = sim.create_cluster_scheduler()
         with pytest.raises(SchedulingError, match="streaming"):
-            scheduler.feed(Job(Workflow("j0")))
-        with pytest.raises(SchedulingError, match="streaming"):
             scheduler.close_stream()
+        sim.submit_job(workflow("j0"), label="j0")
+        # A batch scheduler's submission stream closes when the run starts.
+        sim.step_until(0.0)
+        with pytest.raises(SchedulingError, match="closed"):
+            sim.submit_job(workflow("j1"), label="j1")
+        assert sim.run().scheduler.n_jobs == 1
 
     def test_submit_delegates_to_feed_and_close_ends_run(self):
         sim = self.build()
@@ -348,6 +356,30 @@ class TestSimulationService:
         # ... and the canonical result was durably written.
         on_disk = (service.data_dir / "result.json").read_text("utf-8")
         assert on_disk == reference
+
+    def test_stream_under_faults_drains_and_replays(self, tmp_path):
+        from repro.faults import FaultPlan, NodeFaultSpec
+
+        plan = FaultPlan(seed=3, node_faults=(
+            NodeFaultSpec(mtbf=8.0, mttr=2.0),
+        ))
+        recipe = SimRecipe("service-cluster",
+                           dict(SMALL_PARAMS, fault_plan=plan))
+        service = small_service(tmp_path, recipe=recipe).start()
+        acks = [
+            service.submit(spec_dict(f"job{i}", dataset=i % 3, runtime=4.0))
+            for i in range(20)
+        ]
+        summary = service.drain(timeout=120.0)
+        assert summary["jobs_completed"] == len(acks) == 20
+        metrics = service.result.scheduler
+        assert ({record.label for record in metrics.records}
+                == {ack["label"] for ack in acks})
+        # Crashes hit the stream's running jobs, not an idle cluster.
+        assert metrics.n_node_failures >= 1 and metrics.n_job_restarts >= 1
+        reference = canonical_result(
+            replay_result(recipe, service.log.entries()))
+        assert service.canonical_result() == reference
 
     def test_idempotent_token(self, tmp_path):
         service = small_service(tmp_path).start()

@@ -13,6 +13,7 @@ with a Retry-After header, never dropping the submission silently.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -221,6 +222,35 @@ class TestHTTPContract:
         assert http_json("GET", f"{base}/jobs/nope")[0] == 404
         assert http_json("GET", f"{base}/bogus")[0] == 404
         assert http_json("POST", f"{base}/bogus")[0] == 404
+
+    def test_malformed_content_length_is_400(self, tmp_path):
+        service = SimulationService(tmp_path / "svc",
+                                    recipe=SMALL_RECIPE).start()
+        server = make_server(service)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            for length in ("abc", "-1"):
+                request = (
+                    "POST /jobs HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                    "Content-Type: application/json\r\n"
+                    f"Content-Length: {length}\r\n\r\n"
+                ).encode("ascii")
+                # A reader trusting the header would wait for EOF on -1;
+                # the socket timeout turns that hang into a failure.
+                with socket.create_connection(server.server_address,
+                                              timeout=5.0) as sock:
+                    sock.sendall(request)
+                    with sock.makefile("rb") as reply:
+                        status_line = reply.readline()
+                assert status_line.split()[1:2] == [b"400"], (
+                    length, status_line)
+            # Nothing was admitted, so nothing reached the log.
+            assert service.log.entries() == []
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.stop(timeout=30.0)
 
     def test_full_lifecycle_over_http(self, tmp_path):
         service = SimulationService(tmp_path / "svc",
