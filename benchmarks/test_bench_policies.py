@@ -8,15 +8,21 @@ Two layers, mirroring the rest of the suite:
   whose bookkeeping cost blows up fails the bench-regression job.
 * **The LRU dispatch-overhead gate**: the policy API routes the default
   eviction path through ``EvictionPolicy.clean_cursor`` instead of calling
-  ``LRUList.clean_cursor`` directly.  The gate drains identical prebuilt
-  caches through both entry points and asserts the policy dispatch costs
-  at most 5% — a self-relative A/B on one machine, immune to the
-  shared-runner noise that makes absolute medians untrustworthy.
+  ``LRUList.clean_cursor`` directly.  A structural check asserts the
+  policy hands back the lists' own cursor type, so no per-fragment
+  wrapper can slip in.  The timed gate drains identical prebuilt caches
+  through both entry points in pairs and asserts the median per-pair
+  cost ratio is at most 1.05 — a self-relative A/B on one machine,
+  immune to the shared-runner noise that makes absolute medians
+  untrustworthy.
 """
 
 from __future__ import annotations
 
+import gc
+import statistics
 import time
+from functools import partial
 
 import pytest
 
@@ -38,7 +44,11 @@ BENCH_ROUNDS = 12
 #: LRU-gate workload: clean fragments drained per pass.
 GATE_FILES = 50
 GATE_FRAGS_PER_FILE = 80
-GATE_REPEATS = 5
+#: Timed pairs; even, so each side drains first equally often.  Single
+#: pair ratios on a shared 2-vCPU VM ranged from 0.3 to 2.2, so the
+#: median needs many pairs: with 21 it ranged from 0.949 to above
+#: 1.05 over 30 runs, with 60 from 0.981 to 1.016 over 20 runs.
+GATE_REPEATS = 60
 GATE_MAX_OVERHEAD = 1.05
 
 
@@ -88,57 +98,77 @@ def _build_clean_lists() -> PageCacheLists:
 
 
 def _drain(lru, make_cursor) -> float:
-    """Time one full drain through ``make_cursor()`` (construction excluded)."""
-    start = time.perf_counter()
-    cursor = make_cursor()
+    """CPU seconds of one full drain through ``make_cursor()``.
+
+    The garbage collector is off while it runs, and the clock is the
+    process's CPU time, so time spent descheduled by other tenants does
+    not count.  The cache itself is built outside the timed part.
+    """
+    gc_enabled = gc.isenabled()
+    gc.disable()
     try:
-        while True:
-            block = cursor.next()
-            if block is None:
-                break
-            lru.remove(block)
+        start = time.process_time()
+        cursor = make_cursor()
+        try:
+            while True:
+                block = cursor.next()
+                if block is None:
+                    break
+                lru.remove(block)
+        finally:
+            cursor.close()
+        return time.process_time() - start
     finally:
-        cursor.close()
-    return time.perf_counter() - start
+        if gc_enabled:
+            gc.enable()
+
+
+def test_lru_policy_clean_cursor_is_the_lists_cursor():
+    """LRUPolicy passes the lists' own cursor through, unwrapped."""
+    lru = _build_clean_lists().inactive
+    excluded = {"f0", "f1"}
+    assert type(LRUPolicy().clean_cursor(lru, excluded)) is type(
+        lru.clean_cursor(excluded)
+    )
 
 
 def test_lru_policy_dispatch_overhead(report):
     """Default-path gate: LRUPolicy dispatch costs <= 5% over the raw cursor.
 
-    Alternates raw and policy drains over identically built caches and
-    compares the best (most noise-free) timing of each; the drained byte
-    totals double as a correctness check that both entry points walk the
-    exact same victim stream.
+    Each repeat drains two identically built caches, one through each
+    entry point, alternating which side drains first; the gate holds the
+    median of the per-pair ratios policy / raw.  The drained byte totals
+    double as a check that both entry points walk the same victim stream.
     """
     policy = LRUPolicy()
-    raw_times, policy_times = [], []
     expected = GATE_FILES * GATE_FRAGS_PER_FILE * MB
-    for _ in range(GATE_REPEATS):
-        lists = _build_clean_lists()
-        assert lists.inactive.size == expected
-        raw_times.append(
-            _drain(lists.inactive, lists.inactive.clean_cursor)
-        )
-        assert lists.inactive.size == 0.0
+    sides = ("raw", "policy")
+    raw_times, policy_times, ratios = [], [], []
+    for repeat in range(GATE_REPEATS):
+        times = {}
+        for side in (sides if repeat % 2 == 0 else sides[::-1]):
+            lru = _build_clean_lists().inactive
+            assert lru.size == expected
+            make_cursor = (lru.clean_cursor if side == "raw"
+                           else partial(policy.clean_cursor, lru))
+            times[side] = _drain(lru, make_cursor)
+            assert lru.size == 0.0
+        raw_times.append(times["raw"])
+        policy_times.append(times["policy"])
+        ratios.append(times["policy"] / times["raw"])
 
-        lists = _build_clean_lists()
-        policy_times.append(
-            _drain(lists.inactive,
-                   lambda: policy.clean_cursor(lists.inactive))
-        )
-        assert lists.inactive.size == 0.0
-
-    raw_best = min(raw_times)
-    policy_best = min(policy_times)
-    ratio = policy_best / raw_best
+    ratio = statistics.median(ratios)
+    raw_median = statistics.median(raw_times)
+    policy_median = statistics.median(policy_times)
     report(
         "policy_lru_dispatch_overhead",
-        f"LRU dispatch overhead: raw {raw_best * 1e3:.3f} ms, "
-        f"via LRUPolicy {policy_best * 1e3:.3f} ms, ratio {ratio:.4f} "
+        f"LRU dispatch overhead: raw {raw_median * 1e3:.3f} ms, "
+        f"via LRUPolicy {policy_median * 1e3:.3f} ms (medians of "
+        f"{GATE_REPEATS} pairs), median pair ratio {ratio:.4f} "
         f"(gate {GATE_MAX_OVERHEAD:.2f})",
     )
     assert ratio <= GATE_MAX_OVERHEAD, (
-        f"LRUPolicy dispatch overhead {ratio:.4f} exceeds the "
-        f"{GATE_MAX_OVERHEAD:.2f} gate (raw {raw_best:.6f}s vs "
-        f"policy {policy_best:.6f}s)"
+        f"LRUPolicy dispatch overhead {ratio:.4f} (median of "
+        f"{GATE_REPEATS} pair ratios) exceeds the "
+        f"{GATE_MAX_OVERHEAD:.2f} gate"
     )

@@ -23,7 +23,7 @@ part of simulated time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.des.environment import Environment
 from repro.errors import CacheConsistencyError, ConfigurationError, FlowAborted
@@ -196,6 +196,12 @@ class MemoryManager:
     def cached_amount(self, filename: str) -> float:
         """Bytes of ``filename`` currently in the page cache."""
         return self.lists.cached_of_file(filename)
+
+    def cached_bytes(self, filenames: Iterable[str]) -> float:
+        """Bytes of ``filenames`` currently in the page cache, summed: the
+        float of ``sum(self.cached_amount(name) for name in filenames)``
+        (placement calls it once per candidate node)."""
+        return self.lists.cached_bytes(filenames)
 
     def cache_content(self) -> Dict[str, float]:
         """Per-file cache content (Figure 4c)."""

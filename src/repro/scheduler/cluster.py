@@ -9,19 +9,19 @@ that node, bounded by the node's core count.  Completed jobs free their
 cores and are summarised into :class:`~repro.scheduler.metrics.SchedulerMetrics`.
 
 :class:`NodeState` tracks the scheduler-visible state of one node: its
-host, its local storage service, its free cores and its running jobs — plus
-the page-cache residency queries the cache-locality placement relies on.
+host, its local storage service, its free cores and its running jobs.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from functools import partial
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.des.environment import Environment
 from repro.des.events import Event
+from repro.des.process import Process
 from repro.errors import SchedulingError
-from repro.filesystem.file import File
 from repro.filesystem.registry import FileRegistry
 from repro.scheduler.job import Job
 from repro.scheduler.metrics import JobRecord, SchedulerMetrics, clamped_wait
@@ -91,24 +91,9 @@ class NodeState:
         return self.host.up and not self.draining and not self.left
 
     @property
-    def used_cores(self) -> int:
-        """Cores currently reserved by running jobs."""
-        return self.total_cores - self.free_cores
-
-    @property
     def n_running(self) -> int:
         """Number of jobs currently running on the node."""
         return len(self.running)
-
-    def cached_bytes_of(self, files: Iterable[File]) -> float:
-        """Bytes of ``files`` resident in this node's page cache.
-
-        Returns 0 when the node has no page cache (cacheless services).
-        """
-        manager = self.host.memory_manager
-        if manager is None:
-            return 0.0
-        return sum(manager.cached_amount(f.name) for f in files)
 
     def earliest_fit_time(self, cores: int, now: float) -> float:
         """Earliest time this node is expected to have ``cores`` free.
@@ -222,6 +207,9 @@ class ClusterScheduler:
             raise SchedulingError("lost_work_penalty must be >= 0")
         self.env = env
         self.nodes = list(nodes)
+        #: Cores of the largest node: the widest job the cluster accepts
+        #: (nodes and their core counts are fixed at construction).
+        self.max_node_cores = max(node.total_cores for node in self.nodes)
         self.registry = registry
         self.tracer = tracer
         self.policy = make_policy(policy)
@@ -238,7 +226,16 @@ class ClusterScheduler:
         self.records: List[JobRecord] = []
         #: Executors created for dispatched jobs (for per-app makespans).
         self.executors: List[WorkflowExecutor] = []
-        self._running_procs: Dict[int, object] = {}
+        #: Process of each running job, keyed by job id.
+        self._running_procs: Dict[int, Process] = {}
+        #: Ids of jobs whose process generator has ended since the main
+        #: loop last reaped (filled by :meth:`_run_job` in its last step).
+        self._finished: List[int] = []
+        #: The event the main loop is waiting on in the current pass (see
+        #: :meth:`run`).
+        self._wait: Optional[Event] = None
+        #: The arrival timeout the current wait listens to, if any.
+        self._arrival_timeout: Optional[Event] = None
         #: Executor of each dispatched job, reused across preemptions so
         #: the checkpoint (completed tasks, compute credit) carries over.
         self._executors_by_job: Dict[int, WorkflowExecutor] = {}
@@ -261,7 +258,8 @@ class ClusterScheduler:
         #: are byte-identical to the pre-fault scheduler.
         self.fault_mode = False
         #: The main loop's wake event (see :meth:`kick`), waited on while
-        #: in fault mode or while the submission stream is open.
+        #: in fault mode or while the submission stream is open; ``None``
+        #: when the current wait does not listen to one.
         self._wake: Optional[Event] = None
         #: Streaming mode (see the class docstring).
         self.streaming = bool(streaming)
@@ -288,11 +286,10 @@ class ClusterScheduler:
             raise SchedulingError(
                 "the submission stream is closed; no further jobs accepted"
             )
-        max_cores = max(node.total_cores for node in self.nodes)
-        if job.cores > max_cores:
+        if job.cores > self.max_node_cores:
             raise SchedulingError(
                 f"job {job.label!r} needs {job.cores} cores but the largest "
-                f"node has only {max_cores}"
+                f"node has only {self.max_node_cores}"
             )
         # Labels key the traces and per-app makespans; duplicates would
         # silently merge two jobs' results.
@@ -343,82 +340,125 @@ class ClusterScheduler:
     def run(self):
         """Scheduler main loop; simulation process.
 
-        Event-driven: the loop wakes up on the next job arrival, on any
-        job completion or on the wake event (:meth:`kick`), moves newly
-        arrived jobs into the queue, and asks the policy/placement pair
-        for dispatch decisions until no further job can start.  A batch
-        scheduler's submission stream closes here; an open stream keeps
-        the loop alive on the wake event even when it has nothing to do.
-        The loop exits once the stream is closed and every accepted job
-        has completed.
+        Event-driven: each pass moves newly arrived jobs into the queue,
+        asks the policy/placement pair for dispatch decisions until no
+        further job can start, then yields one plain event, the *wait*.
+        Three kinds of source trigger the wait, each through one callback
+        registered when the source is created, so a pass costs the same
+        however many jobs are running:
+
+        * a running job's process, when it ends (a failed process fails
+          the wait with its exception);
+        * the timeout to the head of the arrival heap;
+        * the wake event (:meth:`kick`), listened to in fault mode and
+          while the submission stream is open.
+
+        A source triggers the wait only if the current pass listens to it,
+        and only the first trigger counts.  After the wait, the loop reaps
+        the jobs whose process generator has ended.  A batch scheduler's
+        submission stream closes here; an open stream keeps the loop alive
+        on the wake event even when it has nothing to do.  The loop exits
+        once the stream is closed and every accepted job has completed.
         """
         self._started = True
         if not self.streaming:
             self._stream_closed = True
+        env = self.env
         arrivals = self._arrivals
-        # The timeout to the next arrival is reused across wake-ups,
-        # keyed by the head job's id (a submit may change the head): a
-        # job completion must not schedule a duplicate timeout for the
-        # same arrival, and processed conditions ignore late callbacks,
-        # so sharing the event across any_of calls is safe.
-        arrival_timeout = None
+        running = self._running_procs
+        finished = self._finished
+        # The timeout to the next arrival is reused across passes, keyed
+        # by the head job's id (a submit may change the head): a job
+        # completion must not schedule a duplicate timeout for the same
+        # arrival.  Its callback wakes the loop only while it is the
+        # timeout of the current wait, so a timeout orphaned by a new head
+        # fires harmlessly.
         arrival_id = -1
 
-        while (not self._stream_closed or arrivals
-               or self.queue or self._running_procs):
-            now = self.env.now
+        while not self._stream_closed or arrivals or self.queue or running:
+            now = env.now
             while arrivals and arrivals[0][0] <= now + _EPSILON:
                 self.queue.append(heapq.heappop(arrivals)[2])
 
             self._dispatch()
 
-            observer = self.env.observer
+            observer = env.observer
             if observer is not None:
                 observer.counter_sample(
                     "scheduler.jobs", "scheduler", now,
-                    {"queued": len(self.queue),
-                     "running": len(self._running_procs)},
+                    {"queued": len(self.queue), "running": len(running)},
                 )
 
-            waits = list(self._running_procs.values())
+            wait = self._wait = Event(env)
+            timeout = None
             if arrivals:
                 head_time, head_id, _ = arrivals[0]
-                if arrival_id != head_id:
-                    arrival_timeout = self.env.timeout(max(0.0, head_time - now))
+                if arrival_id == head_id:
+                    timeout = self._arrival_timeout
+                else:
+                    timeout = env.timeout(max(0.0, head_time - now))
+                    timeout.callbacks.append(self._wake_wait)
                     arrival_id = head_id
-                waits.append(arrival_timeout)
+            self._arrival_timeout = timeout
+            wake = None
             if self.fault_mode or not self._stream_closed:
                 # Under fault injection the scheduler can be left with
                 # queued jobs and nothing to wait on (every node down or
                 # draining); an open stream waits for its next submission.
                 wake = self._wake
                 if wake is None or wake.triggered:
-                    wake = self._wake = Event(self.env)
-                waits.append(wake)
-            if not waits:
+                    wake = Event(env)
+                    wake.callbacks.append(self._wake_wait)
+            self._wake = wake
+            if not running and timeout is None and wake is None:
                 # Jobs are validated to fit on some node at submission, so
                 # an empty cluster with a non-empty queue is a logic error.
                 raise SchedulingError(
                     f"scheduler stalled with {len(self.queue)} queued job(s)"
                 )
-            yield self.env.any_of(waits)
+            if timeout is not None and timeout.callbacks is None:
+                # Already processed (a reused timeout whose head the
+                # epsilon test did not pop): it wakes the loop at once.
+                # Running jobs have not ended (ended ones were reaped) and
+                # the wake event is untriggered, so nothing else can be.
+                wait.succeed()
+            yield wait
 
-            # Reap completed job processes.  The dict is only mutated
-            # after the scan, so no per-poll ``list(items())`` snapshot is
-            # needed; the (usually tiny) finished list is allocated only
-            # when something actually completed.
-            finished = None
-            for job_id, process in self._running_procs.items():
-                if process.is_alive:
-                    continue
-                if not process.ok:
-                    raise process.value
-                if finished is None:
-                    finished = []
-                finished.append(job_id)
-            if finished is not None:
+            # Reap the jobs whose process generator ended.
+            if finished:
                 for job_id in finished:
-                    del self._running_procs[job_id]
+                    process = running.pop(job_id)
+                    if not process.ok:
+                        raise process.value
+                finished.clear()
+
+    def _wake_wait(self, event: Event) -> None:
+        """Callback of the arrival timeout and the wake event.
+
+        Triggers the current wait if it listens to ``event``.
+        """
+        if event is self._arrival_timeout or event is self._wake:
+            wait = self._wait
+            if not wait.triggered:
+                wait.succeed()
+
+    def _job_ended(self, job_id: int, process: Process) -> None:
+        """Callback of a job's process: trigger the current wait.
+
+        A job reaped in an earlier pass (or whose id already belongs to
+        the process of its resumed run) is not part of the current wait.
+        A failed process fails the wait and counts as handled there.
+        """
+        if self._running_procs.get(job_id) is not process:
+            return
+        wait = self._wait
+        if wait.triggered:
+            return
+        if process.ok:
+            wait.succeed()
+        else:
+            process.defused = True
+            wait.fail(process.value)
 
     def _dispatch(self) -> None:
         """Start every job the policy allows right now."""
@@ -445,6 +485,7 @@ class ClusterScheduler:
             process = self.env.process(
                 self._run_job(job, node), name=f"{self.name}:{job.label}"
             )
+            process.callbacks.append(partial(self._job_ended, job.id))
             self._running_procs[job.id] = process
         self._try_preempt()
 
@@ -491,9 +532,11 @@ class ClusterScheduler:
         Called by :meth:`submit` and :meth:`close_stream`, and after a
         node comes up (repair, elastic join): queued jobs may now fit
         where nothing fit before, and no arrival or completion is
-        guaranteed to wake the loop.  A no-op unless an untriggered wake
-        event is pending: the loop creates one only in fault mode or while
-        the stream is open.
+        guaranteed to wake the loop.  A no-op unless the current wait
+        listens to an untriggered wake event, which the loop creates only
+        in fault mode or while the stream is open.  The wake event is
+        processed first and its callback then triggers the wait, so a kick
+        takes two hops through the event queue.
         """
         wake = self._wake
         if wake is not None and not wake.triggered:
@@ -678,6 +721,9 @@ class ClusterScheduler:
             job.run_seconds += self.env.now - job.last_start_time
             node.release(job)
             self._suspending.pop(job.id, None)
+            # Nothing below yields, so the generator ends in this step:
+            # the main loop reaps exactly the jobs recorded here.
+            self._finished.append(job.id)
             observer = self.env.observer
             if observer is not None:
                 # One "job" span per run segment: a preempted job shows as

@@ -97,11 +97,6 @@ class Job:
         """External input files of the job's workflow (for locality scoring)."""
         return self.workflow.input_files()
 
-    @property
-    def input_bytes(self) -> float:
-        """Total bytes of the job's external input files."""
-        return sum(f.size for f in self.input_files())
-
     def __repr__(self) -> str:
         return (
             f"<Job {self.label!r} cores={self.cores} "

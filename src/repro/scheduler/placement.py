@@ -98,8 +98,12 @@ class CacheLocalityPlacement(PlacementStrategy):
         self._weights: Dict[Tuple[str, str], int] = {}
 
     def score(self, job: Job, node: "NodeState") -> float:
-        """Bytes of the job's input files cached on ``node``."""
-        return node.cached_bytes_of(job.input_files())
+        """Bytes of the job's input files cached on ``node`` (0 without a
+        page cache)."""
+        manager = node.host.memory_manager
+        if manager is None:
+            return 0.0
+        return manager.cached_bytes([f.name for f in job.input_files()])
 
     def _weight(self, dataset_key: str, node_name: str) -> int:
         key = (dataset_key, node_name)
@@ -112,20 +116,18 @@ class CacheLocalityPlacement(PlacementStrategy):
 
     def select_node(self, job: Job, candidates: Sequence["NodeState"],
                     now: float = 0.0) -> "NodeState":
-        # Dispatch hot path: one pass over the candidates, with the job's
-        # input-file list materialised once (``job.input_files()`` builds
-        # a fresh list per call, and the old per-node ``self.score(job,
-        # node)`` rebuilt it for every candidate).  Selection semantics
-        # are unchanged: highest cached-byte score wins, ties broken by
-        # (most free cores, fewest running jobs, name) keeping the
-        # earliest candidate on full ties, exactly as the old
-        # build-then-min implementation did.
-        files = job.input_files()
+        # Dispatch hot path: one pass over the candidates, the job's input
+        # names built once, one ``cached_bytes`` call per candidate (this
+        # is :meth:`score`, inlined).  Highest cached-byte score wins,
+        # ties broken by (most free cores, fewest running jobs, name)
+        # keeping the earliest candidate on full ties.
+        names = [f.name for f in job.input_files()]
         best_node = None
         best_score = 0.0
         best_tie = None
         for node in candidates:
-            score = node.cached_bytes_of(files)
+            manager = node.host.memory_manager
+            score = 0.0 if manager is None else manager.cached_bytes(names)
             if score <= 0.0:
                 continue
             tie = (-node.free_cores, node.n_running, node.name)
@@ -134,7 +136,7 @@ class CacheLocalityPlacement(PlacementStrategy):
                 best_node, best_score, best_tie = node, score, tie
         if best_node is not None:
             return best_node
-        dataset_key = "|".join(sorted(f.name for f in files))
+        dataset_key = "|".join(sorted(names))
         return max(
             candidates,
             key=lambda node: (self._weight(dataset_key, node.name), node.name),
@@ -174,12 +176,13 @@ class FailureAwarePlacement(CacheLocalityPlacement):
 
     def select_node(self, job: Job, candidates: Sequence["NodeState"],
                     now: float = 0.0) -> "NodeState":
-        files = job.input_files()
+        names = [f.name for f in job.input_files()]
         best_node = None
         best_score = 0.0
         best_tie = None
         for node in candidates:
-            score = node.cached_bytes_of(files)
+            manager = node.host.memory_manager
+            score = 0.0 if manager is None else manager.cached_bytes(names)
             score /= 1.0 + self.penalty * node.n_failures
             if score <= 0.0:
                 continue
@@ -191,7 +194,7 @@ class FailureAwarePlacement(CacheLocalityPlacement):
             return best_node
         # Cold path: rendezvous hashing, but crash-prone nodes are only
         # picked when every healthier candidate is unavailable.
-        dataset_key = "|".join(sorted(f.name for f in files))
+        dataset_key = "|".join(sorted(names))
         return max(
             candidates,
             key=lambda node: (-node.n_failures,

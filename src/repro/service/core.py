@@ -140,7 +140,7 @@ def canonical_result(result) -> str:
     encoder, so two runs that simulated identical histories produce
     byte-identical strings.
     """
-    return canonical_json(to_jsonable(result))
+    return canonical_json(result)
 
 
 # -------------------------------------------------------------------- service
@@ -525,7 +525,7 @@ class SimulationService:
             scheduler = self._sim.scheduler
             spec.validate(
                 n_datasets=len(self._sim.service_datasets),
-                max_cores=max(n.total_cores for n in scheduler.nodes),
+                max_cores=scheduler.max_node_cores,
             )
             if spec.label in self._jobs:
                 raise ConfigurationError(

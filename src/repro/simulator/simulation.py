@@ -556,9 +556,7 @@ class Simulation:
                 f"{trace.n_jobs} record(s)",
                 stacklevel=2,
             )
-        max_cores = cores_per_job_cap or max(
-            node.total_cores for node in self._scheduler.nodes
-        )
+        max_cores = cores_per_job_cap or self._scheduler.max_node_cores
         specs = trace.job_specs(
             max_jobs=max_jobs,
             load_factor=load_factor,

@@ -85,7 +85,7 @@ def restore_simulation(path: Union[str, Path], *, verify: bool = True):
     sim = build_from_recipe(SimRecipe.decode(doc))
     sim.step_until(doc["t"])
     if verify:
-        replayed = fingerprint(to_jsonable(capture_state(sim)))
+        replayed = fingerprint(capture_state(sim))
         if replayed != doc["fingerprint"]:
             raise SnapshotIntegrityError(
                 f"restored state does not match snapshot {path}: replay "

@@ -326,6 +326,47 @@ class TestClusterExecution:
         assert results[0] == results[1]
 
 
+class TestSchedulerWait:
+    """The main loop waits on one event that job ends, the arrival
+    timeout and the wake event trigger."""
+
+    def test_a_long_job_holds_a_bounded_number_of_callbacks(self):
+        simulation = make_simulation(2, 4)
+        long_job = simulation.submit_job(
+            compute_workflow("long", 100.0), cores=4, label="long"
+        )
+        for i in range(40):
+            simulation.submit_job(
+                compute_workflow(f"short{i}", 0.5), arrival_time=float(i),
+                label=f"short{i}",
+            )
+        # 40 arrivals and 40 completions pass while the long job runs.
+        simulation.step_until(50.0)
+        process = simulation.scheduler._running_procs[long_job.id]
+        assert len(process.callbacks) <= 2
+        result = simulation.run()
+        assert result.scheduler.n_jobs == 41
+
+    def test_a_failing_job_fails_the_run(self, monkeypatch):
+        from repro.simulator.wms import WorkflowExecutor
+
+        execute_task = WorkflowExecutor._execute_task
+
+        def failing(executor, task):
+            if executor.label == "bad":
+                yield executor.env.timeout(4.0)
+                raise RuntimeError("task failed")
+            return (yield from execute_task(executor, task))
+
+        monkeypatch.setattr(WorkflowExecutor, "_execute_task", failing)
+        simulation = make_simulation()
+        simulation.submit_job(compute_workflow("good", 10.0), label="good")
+        simulation.submit_job(compute_workflow("bad", 10.0), label="bad")
+        with pytest.raises(RuntimeError, match="task failed"):
+            simulation.run()
+        assert simulation.env.now == 4.0
+
+
 class TestWaitTimeClamp:
     def test_wait_time_never_negative_for_past_arrivals(self):
         from repro.scheduler.metrics import JobRecord

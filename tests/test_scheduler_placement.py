@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from repro.des import Environment
 from repro.errors import ConfigurationError
 from repro.filesystem.file import File
+from repro.pagecache.block import Block
 from repro.pagecache.config import PageCacheConfig
 from repro.pagecache.memory_manager import MemoryManager
 from repro.platform.host import Host
@@ -14,6 +17,7 @@ from repro.scheduler.cluster import NodeState
 from repro.scheduler.job import Job
 from repro.scheduler.placement import (
     CacheLocalityPlacement,
+    FailureAwarePlacement,
     LeastLoadedPlacement,
     RoundRobinPlacement,
     make_placement,
@@ -113,6 +117,96 @@ class TestCacheLocality:
         bare = NodeState(Host(env, "bare", cores=4), storage=None)
         job = reading_job("job", File("dataset", 100 * MB))
         assert CacheLocalityPlacement().score(job, bare) == 0.0
+
+
+# A cache state: (file index, size in MB, promoted to the active list).
+cache_states = st.lists(
+    st.tuples(st.integers(0, 5), st.sampled_from([0.1, 1 / 3, 1 / 7, 2000 / 3]),
+              st.booleans()),
+    max_size=12,
+)
+
+
+def fill_cache(node: NodeState, state) -> None:
+    """Put ``state``'s fragments into the node's two LRU lists."""
+    lists = node.host.memory_manager.lists
+    for clock, (index, size, active) in enumerate(state):
+        block = Block(f"f{index}", size * MB, float(clock), dirty=False)
+        lists.add_to_inactive(block)
+        if active:
+            lists.promote(block, now=float(clock))
+
+
+def reference_select(placement, job, candidates, penalty=None):
+    """Placement as scored before ``MemoryManager.cached_bytes``: one
+    ``cached_amount`` call per node and input file."""
+    files = job.input_files()
+    best_node, best_score, best_tie = None, 0.0, None
+    for node in candidates:
+        manager = node.host.memory_manager
+        score = (0.0 if manager is None
+                 else sum(manager.cached_amount(f.name) for f in files))
+        if penalty is not None:
+            score /= 1.0 + penalty * node.n_failures
+        if score <= 0.0:
+            continue
+        tie = (-node.free_cores, node.n_running, node.name)
+        if (best_node is None or score > best_score
+                or (score == best_score and tie < best_tie)):
+            best_node, best_score, best_tie = node, score, tie
+    if best_node is not None:
+        return best_node
+    dataset_key = "|".join(sorted(f.name for f in files))
+    if penalty is None:
+        return max(candidates, key=lambda node: (
+            placement._weight(dataset_key, node.name), node.name))
+    return max(candidates, key=lambda node: (
+        -node.n_failures, placement._weight(dataset_key, node.name), node.name))
+
+
+class TestCachedBytesScoring:
+    @settings(max_examples=80, deadline=None)
+    @given(state=cache_states,
+           names=st.lists(st.integers(0, 7).map(lambda i: f"f{i}"),
+                          max_size=6))
+    # Three terms that each round up: a plain left-to-right loop ends one
+    # ulp above the compensated sum of Python 3.12 and later.
+    @example(state=[(0, 2000 / 3, False), (1, 1 / 7, False)],
+             names=["f0", "f1", "f1"])
+    def test_cached_bytes_equals_the_per_file_sum(self, state, names):
+        node = cached_node(Environment(), "n")
+        fill_cache(node, state)
+        manager = node.host.memory_manager
+        expected = float(sum(manager.cached_amount(name) for name in names))
+        assert manager.cached_bytes(names).hex() == expected.hex()
+
+    @settings(max_examples=80, deadline=None)
+    @given(states=st.lists(cache_states, min_size=1, max_size=4),
+           busy=st.lists(st.integers(0, 3), min_size=4, max_size=4),
+           failures=st.lists(st.integers(0, 2), min_size=4, max_size=4),
+           inputs=st.lists(st.integers(0, 7), min_size=1, max_size=3,
+                           unique=True))
+    def test_placement_picks_the_node_the_old_scoring_picks(
+            self, states, busy, failures, inputs):
+        env = Environment()
+        nodes = []
+        for i, state in enumerate(states):
+            node = cached_node(env, f"n{i}")
+            fill_cache(node, state)
+            node.n_failures = failures[i]
+            if busy[i]:
+                filler = reading_job(f"filler{i}", File("x", MB),
+                                     cores=busy[i], job_id=100 + i)
+                filler.start_time = 0.0
+                node.allocate(filler)
+            nodes.append(node)
+        job = reading_job("job", *(File(f"f{i}", 10 * MB) for i in inputs))
+        cache = CacheLocalityPlacement()
+        assert (cache.select_node(job, nodes)
+                is reference_select(cache, job, nodes))
+        failure_aware = FailureAwarePlacement(penalty=0.5)
+        assert (failure_aware.select_node(job, nodes)
+                is reference_select(failure_aware, job, nodes, penalty=0.5))
 
 
 class TestRegistry:

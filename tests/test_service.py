@@ -97,7 +97,7 @@ class TestStreamingScheduler:
             sim.submit_job(workflow("j1"), label="j1")
         assert sim.run().scheduler.n_jobs == 1
 
-    def test_submit_delegates_to_feed_and_close_ends_run(self):
+    def test_submit_then_close_ends_run(self):
         sim = self.build()
         sim.submit_job(
             JobSpec.from_dict(spec_dict("j0")).build_workflow(
@@ -108,7 +108,7 @@ class TestStreamingScheduler:
         result = sim.run()
         assert result.scheduler.n_jobs == 1
 
-    def test_mid_run_feed_and_past_arrival_clamped(self):
+    def test_mid_run_submit_and_past_arrival_clamped(self):
         sim = self.build()
         sim.step_until(5.0)
         job = sim.submit_job(
@@ -123,7 +123,7 @@ class TestStreamingScheduler:
         record = result.scheduler.records[0]
         assert record.arrival_time >= 5.0
 
-    def test_feed_after_close_raises(self):
+    def test_submit_after_close_raises(self):
         sim = self.build()
         sim.scheduler.close_stream()
         sim.scheduler.close_stream()  # idempotent

@@ -9,10 +9,13 @@ golden workloads.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+from typing import Any
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import (
     ConfigurationError,
@@ -24,6 +27,7 @@ from repro.experiments.exp6_cluster import build_exp6, finish_exp6, run_exp6
 from repro.experiments.exp7_trace_replay import build_exp7, finish_exp7, run_exp7
 from repro.faults.plan import FaultPlan, NodeFaultSpec
 from repro.snapshot import (
+    NONDETERMINISTIC_FIELDS,
     SimRecipe,
     SnapshotPlan,
     build_from_recipe,
@@ -44,7 +48,48 @@ def canon(point) -> str:
 
 
 # ------------------------------------------------------------- canonical
+@dataclasses.dataclass
+class _Record:
+    """A result-like dataclass with an excluded field."""
+
+    label: str
+    wallclock_time: float
+    payload: Any
+
+
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=4),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.sets(st.integers(-3, 3), max_size=3),
+    st.frozensets(st.text(max_size=2), max_size=3),
+)
+_keys = st.one_of(
+    st.text(max_size=3), st.integers(-2, 2), st.floats(allow_nan=False),
+    st.tuples(st.integers(0, 2), st.text(max_size=1)),
+    st.sampled_from(sorted(NONDETERMINISTIC_FIELDS)),
+)
+_values = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_keys, children, max_size=3),
+        st.builds(_Record, label=st.text(max_size=2),
+                  wallclock_time=st.floats(), payload=children),
+    ),
+    max_leaves=12,
+)
+
+
 class TestCanonical:
+    @settings(max_examples=150, deadline=None)
+    @given(value=_values)
+    def test_encoding_is_idempotent(self, value):
+        # Callers pass raw results to canonical_json/fingerprint instead
+        # of normalizing them first; the bytes must not change.
+        assert canonical_json(to_jsonable(value)) == canonical_json(value)
+
     def test_scalars_pass_through(self):
         assert to_jsonable(3) == 3
         assert to_jsonable("x") == "x"
