@@ -1,14 +1,17 @@
 #!/usr/bin/env python
 """CI gate: snapshot/restore parity and snapshot-file determinism.
 
-Runs Exp 6 two ways and demands byte-identical canonical result JSON:
+Runs one small case of every registered batch experiment (every name in
+``repro.snapshot.recipe.EXPERIMENTS`` but the service's base cluster,
+which ``check_service_recovery.py`` gates) two ways and demands
+byte-identical canonical result JSON:
 
 1. **Uninterrupted** — build, run to completion.
 2. **Interrupted** — build, step to ``t = T``, snapshot to disk, then
    restore the snapshot *in a fresh Python process* (so nothing survives
    but the file) and run that restored simulation to completion.
 
-Also writes the snapshot twice from independently built simulations and
+Also writes each snapshot twice from independently built simulations and
 asserts the two files are byte-for-byte identical — the snapshot format
 itself must be deterministic, or resumed sweeps could not be audited.
 
@@ -27,17 +30,27 @@ import sys
 import tempfile
 from pathlib import Path
 
-#: The checked scenario: large enough that the snapshot at T lands
-#: mid-schedule (jobs queued, transfers in flight, cache warm), small
-#: enough to finish in seconds.
-N_JOBS = 40
-SNAPSHOT_T = 8.0
+from repro.units import GB
+
+#: One case per registered batch experiment: its parameters and a snapshot
+#: time T that lands mid-run (jobs queued, transfers in flight, cache
+#: warm), small enough to finish in seconds.
+CASES = {
+    "exp1": (dict(simulator="wrench-cache", file_size=2 * GB,
+                  trace_interval=1.0), 3.0),
+    "exp2": (dict(simulator="wrench-cache", n_apps=8, input_size=3 * GB),
+             20.0),
+    "exp4": (dict(simulator="wrench-cache"), 60.0),
+    "exp6": (dict(placement="cache", n_jobs=40), 8.0),
+    "exp7": (dict(policy="preemptive-priority", load_factor=40.0), 10.0),
+    "exp9": (dict(workload="exp6", mtbf=15.0, mttr=3.0, n_jobs=20,
+                  n_nodes=3, n_datasets=6), 8.0),
+}
 
 
 def finished_point_json(simulation) -> str:
-    """Run ``simulation`` to completion and canonicalize its Exp 6 point."""
-    from repro.snapshot import canonical_json
-    from repro.snapshot.recipe import finish_point
+    """Run ``simulation`` to completion and canonicalize its point."""
+    from repro.snapshot import canonical_json, finish_point
 
     result = simulation.run()
     return canonical_json(finish_point(simulation.recipe, result))
@@ -51,10 +64,49 @@ def child_restore(path: str) -> None:
     sys.stdout.write(finished_point_json(simulation))
 
 
-def build() -> "object":
-    from repro.experiments.exp6_cluster import build_exp6
+def snapshot_at(name: str, params: dict, t: float, path: Path) -> Path:
+    from repro.snapshot import build_experiment, write_snapshot
 
-    return build_exp6("cache", n_jobs=N_JOBS)
+    simulation = build_experiment(name, **params)
+    simulation.step_until(t)
+    if simulation.completed:
+        raise SystemExit(f"FAIL: {name} finished before t={t}")
+    return write_snapshot(simulation, path)
+
+
+def check(name: str, params: dict, t: float, tmp_path: Path) -> bool:
+    """Parity and file determinism of one case; prints what it checks."""
+    from repro.snapshot import build_experiment
+
+    print(f"{name} {params}: uninterrupted run ...")
+    reference = finished_point_json(build_experiment(name, **params))
+
+    print(f"  snapshot at t={t}, restore in a fresh process ...")
+    snapshot = snapshot_at(name, params, t, tmp_path / f"{name}.json")
+    proc = subprocess.run(
+        [sys.executable, __file__, "--restore", str(snapshot)],
+        capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        print(proc.stderr, file=sys.stderr)
+        print(f"FAIL: {name} restore process crashed", file=sys.stderr)
+        return False
+    if proc.stdout != reference:
+        print(f"FAIL: {name} restored run diverged from the uninterrupted "
+              "run", file=sys.stderr)
+        print(f"  reference: {reference[:200]}...", file=sys.stderr)
+        print(f"  restored:  {proc.stdout[:200]}...", file=sys.stderr)
+        return False
+    print(f"  parity OK ({len(reference)} canonical bytes)")
+
+    first = snapshot.read_bytes()
+    again = snapshot_at(name, params, t, tmp_path / f"{name}-again.json")
+    if first != again.read_bytes():
+        print(f"FAIL: {name}: two snapshots of the same run differ "
+              "byte-wise", file=sys.stderr)
+        return False
+    print(f"  determinism OK ({len(first)} snapshot bytes)")
+    return True
 
 
 def main() -> int:
@@ -66,51 +118,19 @@ def main() -> int:
         child_restore(args.restore)
         return 0
 
-    from repro.snapshot import write_snapshot
+    from repro.snapshot import EXPERIMENTS
 
+    registered = set(EXPERIMENTS) - {"service-cluster"}
+    if set(CASES) != registered:
+        print(f"FAIL: cases {sorted(CASES)} do not cover the registered "
+              f"batch experiments {sorted(registered)}", file=sys.stderr)
+        return 1
     with tempfile.TemporaryDirectory() as tmp:
-        tmp_path = Path(tmp)
+        for name, (params, t) in CASES.items():
+            if not check(name, params, t, Path(tmp)):
+                return 1
 
-        print(f"exp6 n_jobs={N_JOBS}: uninterrupted run ...")
-        reference = finished_point_json(build())
-
-        print(f"snapshot at t={SNAPSHOT_T} ...")
-        simulation = build()
-        simulation.step_until(SNAPSHOT_T)
-        snapshot = write_snapshot(simulation, tmp_path / "parity.json")
-        del simulation
-
-        print("restore in a fresh process ...")
-        proc = subprocess.run(
-            [sys.executable, __file__, "--restore", str(snapshot)],
-            capture_output=True, text=True,
-        )
-        if proc.returncode != 0:
-            print(proc.stderr, file=sys.stderr)
-            print("FAIL: restore process crashed", file=sys.stderr)
-            return 1
-        restored = proc.stdout
-        if restored != reference:
-            print("FAIL: restored run diverged from the uninterrupted run",
-                  file=sys.stderr)
-            print(f"  reference: {reference[:200]}...", file=sys.stderr)
-            print(f"  restored:  {restored[:200]}...", file=sys.stderr)
-            return 1
-        print(f"parity OK ({len(reference)} canonical bytes)")
-
-        print("snapshot-file determinism ...")
-        second = build()
-        second.step_until(SNAPSHOT_T)
-        again = write_snapshot(second, tmp_path / "parity-again.json")
-        first_bytes = snapshot.read_bytes()
-        again_bytes = again.read_bytes()
-        if first_bytes != again_bytes:
-            print("FAIL: two snapshots of the same run differ byte-wise",
-                  file=sys.stderr)
-            return 1
-        print(f"determinism OK ({len(first_bytes)} snapshot bytes)")
-
-    print("snapshot parity: all checks passed")
+    print(f"snapshot parity: all checks passed ({len(CASES)} experiments)")
     return 0
 
 

@@ -64,10 +64,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 
 def _exp1():
-    from repro.experiments.exp1_single import run_exp1
+    from repro.snapshot import run_experiment
     from repro.units import GB
 
-    return lambda: run_exp1("wrench-cache", 5 * GB)
+    return lambda: run_experiment("exp1", simulator="wrench-cache",
+                                  file_size=5 * GB)
 
 
 def _exp5():

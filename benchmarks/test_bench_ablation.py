@@ -17,9 +17,9 @@ import time
 
 
 from repro.analysis.tables import format_table
-from repro.experiments.exp1_single import run_exp1
 from repro.experiments.harness import ScenarioConfig, build_simulation
 from repro.apps.synthetic import synthetic_workflow
+from repro.snapshot import run_experiment
 from repro.units import GB, MB
 
 
@@ -47,8 +47,9 @@ def test_ablation_chunk_size(benchmark, report):
         rows, walls = [], []
         for chunk in chunk_sizes:
             start = time.perf_counter()
-            result = run_exp1("wrench-cache", SIZE, chunk_size=chunk,
-                              trace_interval=None)
+            result = run_experiment("exp1", simulator="wrench-cache",
+                                    file_size=SIZE, chunk_size=chunk,
+                                    trace_interval=None)
             walls.append(time.perf_counter() - start)
             rows.append([chunk / MB, result.durations["Read 1"],
                          result.durations["Write 1"]])
@@ -99,8 +100,10 @@ def test_ablation_asymmetric_bandwidths(benchmark, report):
 
     def run():
         return {
-            "symmetric": run_exp1("wrench-cache", SIZE, trace_interval=None),
-            "asymmetric": run_exp1("real", SIZE, trace_interval=None),
+            "symmetric": run_experiment("exp1", simulator="wrench-cache",
+                                        file_size=SIZE, trace_interval=None),
+            "asymmetric": run_experiment("exp1", simulator="real",
+                                         file_size=SIZE, trace_interval=None),
         }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)

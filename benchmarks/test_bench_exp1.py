@@ -23,10 +23,10 @@ from repro.analysis.tables import format_table
 from repro.experiments.exp1_single import (
     exp1_errors,
     exp1_mean_errors,
-    run_exp1,
 )
 from repro.experiments.metrics import error_reduction_factor
 from repro.experiments.report import exp1_cache_report, exp1_error_report
+from repro.snapshot import run_experiment
 from repro.units import GB, MB
 
 SMALL_SIZE = 20 * GB if paper_scale() else 5 * GB
@@ -38,7 +38,8 @@ CHUNK = 100 * MB
                          ids=lambda s: f"{s / GB:.0f}GB")
 def test_fig4a_errors(benchmark, report, file_size):
     """Figure 4a: absolute relative simulation errors."""
-    reference = run_exp1("real", file_size, chunk_size=CHUNK, trace_interval=None)
+    reference = run_experiment("exp1", simulator="real", file_size=file_size,
+                               chunk_size=CHUNK, trace_interval=None)
 
     def run():
         return exp1_errors(file_size, chunk_size=CHUNK, reference=reference)
@@ -66,10 +67,13 @@ def test_fig4b_memory_profiles(benchmark, report):
 
     def run():
         return {
-            "wrench-cache": run_exp1("wrench-cache", LARGE_SIZE, chunk_size=CHUNK,
-                                     trace_interval=5.0),
-            "real": run_exp1("real", LARGE_SIZE, chunk_size=CHUNK,
-                             trace_interval=5.0),
+            "wrench-cache": run_experiment("exp1", simulator="wrench-cache",
+                                           file_size=LARGE_SIZE,
+                                           chunk_size=CHUNK,
+                                           trace_interval=5.0),
+            "real": run_experiment("exp1", simulator="real",
+                                   file_size=LARGE_SIZE, chunk_size=CHUNK,
+                                   trace_interval=5.0),
         }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -98,10 +102,13 @@ def test_fig4c_cache_contents(benchmark, report):
 
     def run():
         return {
-            "wrench-cache": run_exp1("wrench-cache", SMALL_SIZE, chunk_size=CHUNK,
-                                     trace_interval=None),
-            "real": run_exp1("real", SMALL_SIZE, chunk_size=CHUNK,
-                             trace_interval=None),
+            "wrench-cache": run_experiment("exp1", simulator="wrench-cache",
+                                           file_size=SMALL_SIZE,
+                                           chunk_size=CHUNK,
+                                           trace_interval=None),
+            "real": run_experiment("exp1", simulator="real",
+                                   file_size=SMALL_SIZE, chunk_size=CHUNK,
+                                   trace_interval=None),
         }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import paper_scale
-from repro.experiments.exp3_nfs import exp3_series
+from repro.experiments.exp2_concurrent import exp2_series
 from repro.experiments.report import concurrency_report
 from repro.units import GB, MB
 
@@ -24,8 +24,8 @@ def test_fig7_concurrent_nfs(benchmark, report):
     """Figure 7: concurrent read/write times with 3 GB files on NFS."""
 
     def run():
-        return exp3_series(SIMULATORS, counts=COUNTS, input_size=INPUT_SIZE,
-                           chunk_size=CHUNK)
+        return exp2_series(SIMULATORS, counts=COUNTS, input_size=INPUT_SIZE,
+                           chunk_size=CHUNK, nfs=True)
 
     series = benchmark.pedantic(run, rounds=1, iterations=1)
     text = concurrency_report(

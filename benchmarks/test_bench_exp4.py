@@ -10,9 +10,10 @@ from __future__ import annotations
 
 
 from repro.analysis.tables import format_table
-from repro.experiments.exp4_nighres import exp4_errors, exp4_mean_errors, run_exp4
+from repro.experiments.exp4_nighres import exp4_errors, exp4_mean_errors
 from repro.experiments.metrics import error_reduction_factor
 from repro.experiments.report import exp4_error_report
+from repro.snapshot import run_experiment
 from repro.units import MB
 
 CHUNK = 50 * MB
@@ -20,7 +21,7 @@ CHUNK = 50 * MB
 
 def test_fig6_nighres_errors(benchmark, report):
     """Figure 6: real application (Nighres) simulation errors."""
-    reference = run_exp4("real", chunk_size=CHUNK)
+    reference = run_experiment("exp4", simulator="real", chunk_size=CHUNK)
 
     def run():
         return exp4_errors(chunk_size=CHUNK, reference=reference)

@@ -14,8 +14,8 @@ from conftest import paper_scale
 from repro.experiments.exp9_failures import (
     exp9_report,
     exp9_series,
-    run_exp9,
 )
+from repro.snapshot import run_experiment
 
 MTBFS = (None, 120.0, 60.0, 30.0, 15.0)
 SCALE = (
@@ -62,10 +62,12 @@ def test_exp9_stragglers_and_elastic_capacity(benchmark, report):
     """Stragglers slow the run; elastic capacity absorbs part of the hit."""
 
     def run():
-        slow = run_exp9("exp6", mtbf=None, stragglers=True, **SCALE)
-        slow_elastic = run_exp9("exp6", mtbf=None, stragglers=True,
-                                elastic=True, elastic_join=5.0, **SCALE)
-        clean = run_exp9("exp6", mtbf=None, **SCALE)
+        slow = run_experiment("exp9", workload="exp6", mtbf=None,
+                              stragglers=True, **SCALE)
+        slow_elastic = run_experiment("exp9", workload="exp6", mtbf=None,
+                                      stragglers=True, elastic=True,
+                                      elastic_join=5.0, **SCALE)
+        clean = run_experiment("exp9", workload="exp6", mtbf=None, **SCALE)
         return clean, slow, slow_elastic
 
     clean, slow, slow_elastic = benchmark.pedantic(

@@ -23,10 +23,11 @@ import pytest
 from conftest import paper_scale
 from repro.des import Environment
 from repro.experiments.exp5_scaling import run_scaling, scaling_regressions
-from repro.experiments.exp7_trace_replay import default_trace_path, run_exp7
+from repro.experiments.exp7_trace_replay import default_trace_path
 from repro.pagecache.block import Block
 from repro.pagecache.lru import PageCacheLists
 from repro.scheduler.swf import SWFRecord, SWFTrace, load_swf
+from repro.snapshot import run_experiment
 from repro.units import GB, MB
 
 #: The paper's full Figure 8 sweep (reduced suite stops at 16).
@@ -100,10 +101,9 @@ def run_sched_dispatch():
     I/O so the scheduling layers — not the page cache — dominate.  This is
     the workload behind ``profile_hotpaths.py sched``.
     """
-    from repro.experiments.exp6_cluster import run_exp6
-
-    return run_exp6(
-        "cache",
+    return run_experiment(
+        "exp6",
+        placement="cache",
         policy="easy",
         n_jobs=400,
         n_nodes=32,
@@ -126,8 +126,9 @@ def run_exp7_paper():
     exactly the regime where the pre-PR-3 LRU went quadratic — every
     chunk operation scanned every cached block of the node.
     """
-    return run_exp7(
-        "preemptive-priority",
+    return run_experiment(
+        "exp7",
+        policy="preemptive-priority",
         trace=tiled_trace(),
         max_jobs=EXP7_N_JOBS,
         n_nodes=EXP7_N_NODES,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import sys
 
 from repro.analysis.tables import format_table
-from repro.experiments.exp2_concurrent import run_exp2
+from repro.snapshot import run_experiment
 from repro.units import GB
 
 
@@ -27,8 +27,10 @@ def main() -> None:
 
     rows = []
     for n_apps in counts:
-        cacheless = run_exp2("wrench", n_apps, input_size=3 * GB)
-        cached = run_exp2("wrench-cache", n_apps, input_size=3 * GB)
+        cacheless = run_experiment("exp2", simulator="wrench", n_apps=n_apps,
+                                   input_size=3 * GB)
+        cached = run_experiment("exp2", simulator="wrench-cache",
+                                n_apps=n_apps, input_size=3 * GB)
         rows.append([
             n_apps,
             cacheless.read_time, cached.read_time,

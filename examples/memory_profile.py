@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.experiments.exp1_single import run_exp1
+from repro.snapshot import run_experiment
 from repro.units import GB, GiB
 
 
@@ -53,7 +53,8 @@ def main() -> None:
     file_size = (float(sys.argv[1]) if len(sys.argv) > 1 else 100.0) * GB
     print(f"Memory profile of the synthetic pipeline with {file_size / GB:.0f} GB files "
           f"(WRENCH-cache model)\n")
-    result = run_exp1("wrench-cache", file_size, trace_interval=10.0)
+    result = run_experiment("exp1", simulator="wrench-cache",
+                            file_size=file_size, trace_interval=10.0)
     print(ascii_profile(result.memory_trace))
     print("\nPer-operation durations (s):")
     for label, duration in result.operation_series():

@@ -24,10 +24,6 @@ class FileNotFoundInSimulation(StorageError):
     """A simulated file was accessed before being registered or written."""
 
 
-class InsufficientMemoryError(SimulationError):
-    """The simulated host ran out of memory for anonymous allocations."""
-
-
 class CacheConsistencyError(SimulationError):
     """An internal invariant of the page cache model was violated.
 
@@ -49,10 +45,6 @@ class FlowAborted(SimulationError):
     processes killed alongside the device are interrupted separately and
     never observe it.
     """
-
-
-class SimulationDeadlockError(SimulationError):
-    """The event queue drained while processes were still waiting."""
 
 
 class SnapshotError(SimulationError):

@@ -1,8 +1,12 @@
 """Evaluation harness: regenerates every table and figure of the paper.
 
-Each ``expN_*`` module exposes a ``run_*`` function producing the data of
-one figure, plus a ``*_report`` helper that formats the same rows/series
-the paper reports.  The mapping between paper artifacts and modules is:
+Each simulation experiment is a ``build_expN``/``finish_expN`` pair
+registered in :data:`repro.snapshot.recipe.EXPERIMENTS`:
+``run_experiment("exp2", simulator=..., n_apps=...)`` builds, runs and
+finishes one point, and the ``*_series``/``*_errors`` sweeps fan points
+out through :mod:`repro.experiments.runner`.  ``*_report`` helpers format
+the same rows/series the paper reports.  The mapping between paper
+artifacts and modules is:
 
 ===========  ==========================================  =========================
 Artifact     Content                                      Module
@@ -15,7 +19,7 @@ Figure 4b    Exp 1 memory profiles                        ``exp1_single``
 Figure 4c    Exp 1 cache contents                         ``exp1_single``
 Figure 5     Exp 2 concurrent local I/O                   ``exp2_concurrent``
 Figure 6     Exp 4 Nighres errors                         ``exp4_nighres``
-Figure 7     Exp 3 concurrent NFS I/O                     ``exp3_nfs``
+Figure 7     Exp 3 concurrent NFS I/O                     ``exp2_concurrent``
 Figure 8     simulation-time scaling                      ``exp5_scaling``
 (beyond)     Exp 6 cluster batch scheduling               ``exp6_cluster``
 (beyond)     Exp 7 SWF trace replay / preemption          ``exp7_trace_replay``
@@ -43,10 +47,9 @@ from repro.experiments.metrics import (
     absolute_relative_error,
     mean_absolute_relative_error,
 )
-from repro.experiments.exp1_single import run_exp1, exp1_errors, EXP1_OPERATIONS
-from repro.experiments.exp2_concurrent import run_exp2, sweep_exp2
-from repro.experiments.exp3_nfs import run_exp3, sweep_exp3
-from repro.experiments.exp4_nighres import run_exp4, exp4_errors
+from repro.experiments.exp1_single import exp1_errors, EXP1_OPERATIONS
+from repro.experiments.exp2_concurrent import sweep_exp2
+from repro.experiments.exp4_nighres import exp4_errors
 from repro.experiments.exp5_scaling import run_scaling, ScalingPoint
 from repro.experiments.exp6_cluster import (
     ClusterPoint,
@@ -54,7 +57,6 @@ from repro.experiments.exp6_cluster import (
     exp6_policy_series,
     exp6_report,
     exp6_series,
-    run_exp6,
 )
 from repro.experiments.exp10_warmstart import (
     Exp10Result,
@@ -68,7 +70,6 @@ from repro.experiments.runner import (
     SweepPointError,
     derive_point_seed,
     make_spec,
-    register_experiment,
     resolve_workers,
     run_named_sweep,
     run_sweep,
@@ -85,19 +86,13 @@ __all__ = [
     "build_simulation",
     "absolute_relative_error",
     "mean_absolute_relative_error",
-    "run_exp1",
     "exp1_errors",
     "EXP1_OPERATIONS",
-    "run_exp2",
     "sweep_exp2",
-    "run_exp3",
-    "sweep_exp3",
-    "run_exp4",
     "exp4_errors",
     "run_scaling",
     "ScalingPoint",
     "ClusterPoint",
-    "run_exp6",
     "exp6_series",
     "exp6_policy_series",
     "exp6_grid",
@@ -113,7 +108,6 @@ __all__ = [
     "run_sweep",
     "run_named_sweep",
     "sweep_values",
-    "register_experiment",
     "resolve_workers",
     "derive_point_seed",
 ]

@@ -32,9 +32,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.tables import format_table
 from repro.errors import ConfigurationError
-from repro.experiments.exp6_cluster import ClusterPoint, build_exp6, finish_exp6
+from repro.experiments.exp6_cluster import ClusterPoint
 from repro.snapshot import (
     apply_live_overrides,
+    build_experiment,
+    finish_point,
     restore_simulation,
     warm_start_values,
     write_snapshot,
@@ -82,7 +84,7 @@ def snapshot_branch_point(directory: Union[str, Path], *,
         raise ConfigurationError(
             f"t_branch must be positive, got {t_branch}"
         )
-    simulation = build_exp6(n_jobs=n_jobs, **params)
+    simulation = build_experiment("exp6", n_jobs=n_jobs, **params)
     simulation.step_until(t_branch)
     path = Path(directory) / "exp10-branch.json"
     return write_snapshot(simulation, path)
@@ -95,12 +97,6 @@ def _variant_grid(policies: Sequence[str],
         for policy in policies
         for placement in placements
     ]
-
-
-def _finish_variant(recipe, result) -> ClusterPoint:
-    params = {k: v for k, v in recipe.params.items() if k != "placement"}
-    return finish_exp6(result, recipe.params.get("placement", "cache"),
-                       **params)
 
 
 def run_exp10(snapshot_dir: Union[str, Path], *,
@@ -129,11 +125,11 @@ def run_exp10(snapshot_dir: Union[str, Path], *,
         simulation = restore_simulation(path, verify=False)
         apply_live_overrides(simulation, overrides)
         result = simulation.run()
-        cold_points.append(_finish_variant(simulation.recipe, result))
+        cold_points.append(finish_point(simulation.recipe, result))
     cold_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    warm_points = warm_start_values(path, variants, finish=_finish_variant)
+    warm_points = warm_start_values(path, variants, finish=finish_point)
     warm_seconds = time.perf_counter() - start
 
     points: Dict[Tuple[str, str], ClusterPoint] = {}

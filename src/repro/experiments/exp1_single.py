@@ -65,9 +65,9 @@ class Exp1Result:
         return contents
 
 
-def run_exp1(simulator: str, file_size: float, *, chunk_size: float = 100 * MB,
-             trace_interval: Optional[float] = 5.0) -> Exp1Result:
-    """Run one Exp 1 configuration and collect its observables."""
+def build_exp1(simulator: str, file_size: float, *, chunk_size: float = 100 * MB,
+               trace_interval: Optional[float] = 5.0):
+    """Build one Exp 1 configuration (unstarted): one app on a local disk."""
     scenario = ScenarioConfig(
         nfs=False, chunk_size=chunk_size, trace_interval=trace_interval
     )
@@ -75,8 +75,12 @@ def run_exp1(simulator: str, file_size: float, *, chunk_size: float = 100 * MB,
     workflow = synthetic_workflow(file_size)
     simulation.stage_file(workflow.input_files()[0], storage)
     simulation.submit_workflow(workflow, host="node1", storage=storage, label="app1")
-    result = simulation.run()
+    return simulation
 
+
+def finish_exp1(result, simulator: str, file_size: float,
+                **_params) -> Exp1Result:
+    """Collect the observables of a finished Exp 1 run."""
     durations: Dict[str, float] = {}
     for index in range(1, NUM_TASKS + 1):
         durations[f"Read {index}"] = result.duration_of(f"task{index}", "read")
@@ -160,20 +164,3 @@ def exp1_mean_errors(errors: Dict[str, Dict[str, float]]) -> Dict[str, float]:
         values = [value for label, value in per_op.items() if label != "Read 1"]
         means[simulator] = mean_error_percent(values)
     return means
-
-
-def exp1_cache_contents(simulator: str, file_size: float, *,
-                        chunk_size: float = 100 * MB) -> Dict[str, Dict[str, float]]:
-    """Per-file cache contents after each operation (Figure 4c)."""
-    run = run_exp1(simulator, file_size, chunk_size=chunk_size, trace_interval=None)
-    return run.cache_contents_per_operation()
-
-
-def exp1_memory_profile(simulator: str, file_size: float, *,
-                        chunk_size: float = 100 * MB,
-                        trace_interval: float = 5.0) -> List[MemorySnapshot]:
-    """Memory profile samples over time (Figure 4b)."""
-    run = run_exp1(
-        simulator, file_size, chunk_size=chunk_size, trace_interval=trace_interval
-    )
-    return run.memory_trace

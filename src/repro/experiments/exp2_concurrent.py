@@ -1,10 +1,15 @@
-"""Exp 2 — concurrent applications on a local disk (Figure 5).
+"""Exps 2 and 3 — concurrent applications on local disk and NFS (Figs 5, 7).
 
 1 to 32 concurrent instances of the synthetic application run on a single
 32-core node, each instance operating on its own 3 GB files stored on the
 same local SSD.  The paper plots, as a function of the number of concurrent
 applications, the mean per-application cumulative read time and write time
 for the real execution, WRENCH and WRENCH-cache.
+
+Exp 3 (``nfs=True``) runs the same workload against an NFS-mounted
+partition of a remote disk served over the 25 Gbps network: no client
+write cache and a writethrough server cache, so writes happen at disk
+bandwidth while reads can hit the server's cache.
 """
 
 from __future__ import annotations
@@ -51,11 +56,10 @@ def build_exp2(simulator: str, n_apps: int, *,
                chunk_size: float = 100 * MB,
                nfs: bool = False,
                eviction_policy: object = "lru"):
-    """Build one concurrency-level simulation (unstarted), recipe bound.
+    """Build one concurrency-level simulation (unstarted).
 
-    The builder/finisher split exists for checkpoint/restore: a snapshot
-    records this function's parameters, and a restore rebuilds through it
-    before replaying.  :func:`run_exp2` composes the two.
+    ``nfs=True`` runs the same workload against the NFS-mounted remote
+    disk (Exp 3); ``eviction_policy`` is swept by the exp8 ablation.
     """
     scenario = ScenarioConfig(nfs=nfs, chunk_size=chunk_size, trace_interval=None,
                               eviction_policy=eviction_policy)
@@ -64,12 +68,6 @@ def build_exp2(simulator: str, n_apps: int, *,
     stage_and_submit_instances(
         simulation, instances, host="node1", storage=storage, chunk_size=chunk_size
     )
-    from repro.snapshot.recipe import SimRecipe
-
-    simulation.bind_recipe(SimRecipe("exp2", dict(
-        simulator=simulator, n_apps=n_apps, input_size=input_size,
-        chunk_size=chunk_size, nfs=nfs, eviction_policy=eviction_policy,
-    )))
     return simulation
 
 
@@ -85,20 +83,6 @@ def finish_exp2(result, simulator: str, n_apps: int,
         wallclock_time=result.wallclock_time,
         hit_ratio=result.read_cache_hit_ratio(),
     )
-
-
-def run_exp2(simulator: str, n_apps: int, **params) -> ConcurrencyPoint:
-    """Run one concurrency level for one simulator.
-
-    ``nfs=False`` gives Exp 2 (local disk); ``nfs=True`` gives Exp 3 (the
-    same workload against the NFS-mounted remote disk).
-    ``eviction_policy`` selects the page caches' victim-selection policy
-    (the policy ablation of exp8 sweeps it); the default LRU reproduces
-    the paper runs bit-identically.
-    """
-    simulation = build_exp2(simulator, n_apps, **params)
-    result = simulation.run()
-    return finish_exp2(result, simulator, n_apps, **params)
 
 
 def _exp2_specs(simulator: str, counts: Sequence[int], input_size: float,

@@ -43,9 +43,9 @@ class Exp4Result:
         return [(label, self.durations[label]) for label in EXP4_OPERATIONS]
 
 
-def run_exp4(simulator: str, *, chunk_size: float = 50 * MB,
-             trace_interval: Optional[float] = None) -> Exp4Result:
-    """Run the Nighres workflow with one simulator."""
+def build_exp4(simulator: str, *, chunk_size: float = 50 * MB,
+               trace_interval: Optional[float] = None):
+    """Build the Nighres workflow run (unstarted) for one simulator."""
     scenario = ScenarioConfig(
         nfs=False, chunk_size=chunk_size, trace_interval=trace_interval
     )
@@ -56,8 +56,11 @@ def run_exp4(simulator: str, *, chunk_size: float = 50 * MB,
     simulation.submit_workflow(
         workflow, host="node1", storage=storage, label="nighres"
     )
-    result = simulation.run()
+    return simulation
 
+
+def finish_exp4(result, simulator: str, **_params) -> Exp4Result:
+    """Collect the per-operation durations of a finished Exp 4 run."""
     durations: Dict[str, float] = {}
     for index, step in enumerate(NIGHRES_STEPS, start=1):
         durations[f"Read {index}"] = result.duration_of(step.name, "read")

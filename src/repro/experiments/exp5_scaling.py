@@ -10,12 +10,11 @@ writethrough server cache bypasses the flushing machinery.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.regression import LinearFit, linear_fit
-from repro.experiments.exp2_concurrent import DEFAULT_INPUT_SIZE, run_exp2
+from repro.experiments.exp2_concurrent import DEFAULT_INPUT_SIZE
 from repro.experiments.runner import PointResult, make_spec, sweep_values
 from repro.units import MB
 
@@ -45,24 +44,6 @@ class ScalingPoint:
         return f"{pretty} ({'NFS' if self.nfs else 'local'})"
 
 
-def measure_point(simulator: str, n_apps: int, *, nfs: bool,
-                  input_size: float = DEFAULT_INPUT_SIZE,
-                  chunk_size: float = 100 * MB) -> ScalingPoint:
-    """Measure the wall-clock time of one simulation run."""
-    start = time.perf_counter()
-    result = run_exp2(
-        simulator, n_apps, input_size=input_size, chunk_size=chunk_size, nfs=nfs
-    )
-    elapsed = time.perf_counter() - start
-    return ScalingPoint(
-        simulator=simulator,
-        nfs=nfs,
-        n_apps=n_apps,
-        wallclock_time=elapsed,
-        simulated_makespan=result.makespan,
-    )
-
-
 def run_scaling(counts: Sequence[int] = (1, 4, 8, 16, 24, 32), *,
                 configs: Sequence[Tuple[str, bool]] = SCALING_CONFIGS,
                 input_size: float = DEFAULT_INPUT_SIZE,
@@ -74,19 +55,20 @@ def run_scaling(counts: Sequence[int] = (1, 4, 8, 16, 24, 32), *,
 
     Returns ``{curve label: [ScalingPoint, ...]}``.
 
-    The whole (config × count) grid runs as one flat sweep through
-    :mod:`repro.experiments.runner`; the *simulated* outputs are identical
-    for any ``workers`` value.  Note that each point's ``wallclock_time``
-    is measured inside its worker, so with more workers than cores the
-    per-point wall-clock readings contend — keep the default serial mode
-    when the measurement itself is the result (Figure 8), use workers
-    when only the simulated outputs matter.
+    The whole (config × count) grid runs as one flat sweep of Exp 2
+    points through :mod:`repro.experiments.runner`; the *simulated*
+    outputs are identical for any ``workers`` value.  Each point's
+    ``wallclock_time`` is its simulation's own run time (the build is not
+    counted), measured inside its worker, so with more workers than cores
+    the readings contend — keep the default serial mode when the
+    measurement itself is the result (Figure 8), use workers when only the
+    simulated outputs matter.
     """
     counts = list(counts)
     configs = list(configs)
     specs = [
         make_spec(
-            "exp5-point",
+            "exp2",
             label=f"exp5[{simulator},{'nfs' if nfs else 'local'},{n_apps}]",
             simulator=simulator,
             n_apps=n_apps,
@@ -100,8 +82,13 @@ def run_scaling(counts: Sequence[int] = (1, 4, 8, 16, 24, 32), *,
     values = sweep_values(specs, workers=workers, progress=progress)
     per_curve = len(counts)
     curves: Dict[str, List[ScalingPoint]] = {}
-    for i in range(len(configs)):
-        points = values[i * per_curve:(i + 1) * per_curve]
+    for i, (simulator, nfs) in enumerate(configs):
+        points = [
+            ScalingPoint(simulator=simulator, nfs=nfs, n_apps=point.n_apps,
+                         wallclock_time=point.wallclock_time,
+                         simulated_makespan=point.makespan)
+            for point in values[i * per_curve:(i + 1) * per_curve]
+        ]
         curves[points[0].label] = points
     return curves
 

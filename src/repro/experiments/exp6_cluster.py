@@ -144,13 +144,12 @@ def build_exp6(placement: str = "cache", *, policy: str = "fifo",
                seed: int = DEFAULT_SEED,
                eviction_policy: object = "lru",
                fault_plan=None) -> Simulation:
-    """Build the Exp 6 simulation (unstarted), with its recipe bound.
+    """Build the Exp 6 simulation (unstarted).
 
-    The builder/finisher split exists for checkpoint/restore: a snapshot
-    records the recipe (this function's parameters) and a restore calls
-    this builder again before replaying.  :func:`run_exp6` composes the
-    two, so a direct run and a snapshot/resume run share every line of
-    construction code.
+    ``eviction_policy`` selects every node cache's victim-selection policy
+    (swept by the exp8 ablation); ``fault_plan`` injects seeded node
+    crashes, stragglers and elasticity (exp9).  The defaults (LRU, no
+    plan) leave the run bit-identical to the paper-faithful simulator.
     """
     simulation = Simulation(
         config=SimulationConfig(
@@ -174,15 +173,6 @@ def build_exp6(placement: str = "cache", *, policy: str = "fifo",
         arrival_rate=arrival_rate,
         seed=seed,
     )
-    from repro.snapshot.recipe import SimRecipe
-
-    simulation.bind_recipe(SimRecipe("exp6", dict(
-        placement=placement, policy=policy, n_jobs=n_jobs, n_nodes=n_nodes,
-        n_datasets=n_datasets, cores_per_node=cores_per_node,
-        input_size=input_size, output_size=output_size,
-        arrival_rate=arrival_rate, chunk_size=chunk_size, seed=seed,
-        eviction_policy=eviction_policy, fault_plan=fault_plan,
-    )))
     return simulation
 
 
@@ -206,20 +196,6 @@ def finish_exp6(result, placement: str = "cache", *, policy: str = "fifo",
         n_job_restarts=metrics.n_job_restarts,
         lost_work_seconds=metrics.lost_work_seconds,
     )
-
-
-def run_exp6(placement: str = "cache", **params) -> ClusterPoint:
-    """Run one cluster scheduling simulation and return its metrics.
-
-    ``eviction_policy`` selects every node cache's victim-selection policy
-    (swept by the exp8 policy ablation); the default LRU keeps the run
-    bit-identical to the pre-policy simulator.  ``fault_plan`` injects
-    seeded node crashes / stragglers / elasticity (exp9); ``None`` and the
-    zero plan leave the run untouched.
-    """
-    simulation = build_exp6(placement, **params)
-    result = simulation.run()
-    return finish_exp6(result, placement, **params)
 
 
 def exp6_series(placements: Sequence[str] = EXP6_PLACEMENTS, *,

@@ -86,11 +86,6 @@ class TracePoint:
         """Summary of the highest priority class."""
         return self.classes[max(self.classes)]
 
-    @property
-    def low_priority(self) -> PriorityClassMetrics:
-        """Summary of the lowest priority class."""
-        return self.classes[min(self.classes)]
-
     def as_row(self) -> Tuple[object, ...]:
         """Row of the Exp 7 report table."""
         high = self.high_priority
@@ -120,16 +115,13 @@ def build_exp7(policy: str = "preemptive-priority", *,
                lost_work_penalty: float = DEFAULT_LOST_WORK_PENALTY,
                eviction_policy: object = "lru",
                fault_plan=None) -> Simulation:
-    """Build the Exp 7 replay simulation (unstarted), recipe bound.
+    """Build the Exp 7 replay simulation (unstarted).
 
-    The builder/finisher split exists for checkpoint/restore; see
-    :mod:`repro.snapshot.recipe`.  A recipe is bound only when ``trace``
-    is ``None`` or a path — an in-memory :class:`SWFTrace` object is not
-    JSON-serializable, so such simulations cannot be snapshotted.
+    ``trace`` is a path (default: the bundled sample) or an in-memory
+    :class:`SWFTrace`; only a path can be snapshotted.
+    ``eviction_policy`` and ``fault_plan`` work as in
+    :func:`~repro.experiments.exp6_cluster.build_exp6`.
     """
-    trace_param = None if trace is None else (
-        trace if isinstance(trace, SWFTrace) else str(trace)
-    )
     if trace is None:
         trace = default_trace_path()
     if not isinstance(trace, SWFTrace):
@@ -165,18 +157,6 @@ def build_exp7(policy: str = "preemptive-priority", *,
         dataset_size=dataset_size,
         output_size=output_size,
     )
-    if not isinstance(trace_param, SWFTrace):
-        from repro.snapshot.recipe import SimRecipe
-
-        simulation.bind_recipe(SimRecipe("exp7", dict(
-            policy=policy, placement=placement, trace=trace_param,
-            n_nodes=n_nodes, cores_per_node=cores_per_node,
-            max_jobs=max_jobs, load_factor=load_factor,
-            runtime_scale=runtime_scale, dataset_size=dataset_size,
-            output_size=output_size, chunk_size=chunk_size,
-            lost_work_penalty=lost_work_penalty,
-            eviction_policy=eviction_policy, fault_plan=fault_plan,
-        )))
     return simulation
 
 
@@ -202,20 +182,6 @@ def finish_exp7(result, policy: str = "preemptive-priority", *,
         n_job_restarts=metrics.n_job_restarts,
         lost_work_seconds=metrics.lost_work_seconds,
     )
-
-
-def run_exp7(policy: str = "preemptive-priority", **params) -> TracePoint:
-    """Replay the trace under one policy and return its metrics.
-
-    ``eviction_policy`` selects every node cache's victim-selection policy
-    (swept by the exp8 policy ablation); the default LRU keeps the replay
-    bit-identical to the pre-policy simulator.  ``fault_plan`` injects
-    seeded node crashes / stragglers / elasticity (exp9); ``None`` and the
-    zero plan leave the replay untouched.
-    """
-    simulation = build_exp7(policy, **params)
-    result = simulation.run()
-    return finish_exp7(result, policy, **params)
 
 
 def exp7_series(policies: Sequence[str] = EXP7_POLICIES, *,

@@ -58,6 +58,7 @@ from repro.experiments.runner import run_named_sweep
 from repro.pagecache import IOController, MemoryManager, PageCacheConfig
 from repro.platform.memory import MemoryDevice
 from repro.platform.storage import Disk
+from repro.snapshot.recipe import run_experiment
 from repro.units import GB, MB, MBps
 
 #: Policies compared in the ablation (registry names, see
@@ -164,11 +165,10 @@ def run_skewed(policy: object = "lru", *,
 
 
 def _run_exp5(policy: object, **kwargs) -> PolicyPoint:
-    from repro.experiments.exp2_concurrent import run_exp2
-
     params = dict(n_apps=4, input_size=512 * MB, chunk_size=64 * MB)
     params.update(kwargs)
-    point = run_exp2("wrench-cache", eviction_policy=policy, **params)
+    point = run_experiment("exp2", simulator="wrench-cache",
+                           eviction_policy=policy, **params)
     return PolicyPoint(
         policy=str(policy),
         workload="exp5",
@@ -180,11 +180,9 @@ def _run_exp5(policy: object, **kwargs) -> PolicyPoint:
 
 
 def _run_exp6(policy: object, **kwargs) -> PolicyPoint:
-    from repro.experiments.exp6_cluster import run_exp6
-
     params = dict(n_jobs=40, n_nodes=4, n_datasets=8)
     params.update(kwargs)
-    point = run_exp6(eviction_policy=policy, **params)
+    point = run_experiment("exp6", eviction_policy=policy, **params)
     return PolicyPoint(
         policy=str(policy),
         workload="exp6",
@@ -196,11 +194,9 @@ def _run_exp6(policy: object, **kwargs) -> PolicyPoint:
 
 
 def _run_exp7(policy: object, **kwargs) -> PolicyPoint:
-    from repro.experiments.exp7_trace_replay import run_exp7
-
     params = dict(max_jobs=60, n_nodes=4)
     params.update(kwargs)
-    point = run_exp7(eviction_policy=policy, **params)
+    point = run_experiment("exp7", eviction_policy=policy, **params)
     return PolicyPoint(
         policy=str(policy),
         workload="exp7",
@@ -362,7 +358,7 @@ def exp8_series(policies: Sequence[str] = EXP8_POLICIES, *,
     across ``workers`` processes with a worker-count-independent result.
     """
     return run_named_sweep(
-        "exp8",
+        "repro.experiments.exp8_policy_ablation:run_exp8",
         {
             (workload, policy): dict(policy=policy, workload=workload,
                                      **kwargs)

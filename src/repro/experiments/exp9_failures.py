@@ -23,6 +23,9 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.analysis.tables import format_table
 from repro.errors import ConfigurationError
+from repro.experiments.exp6_cluster import build_exp6
+from repro.experiments.exp7_trace_replay import DEFAULT_N_NODES as EXP7_N_NODES
+from repro.experiments.exp7_trace_replay import build_exp7
 from repro.experiments.runner import run_named_sweep
 from repro.faults import ElasticNodeSpec, FaultPlan, NodeFaultSpec, StragglerSpec
 
@@ -134,90 +137,64 @@ def build_fault_plan(mtbf: Optional[float], *,
     )
 
 
-def run_exp9(workload: str = "exp6", mtbf: Optional[float] = 60.0, *,
-             mttr: float = DEFAULT_MTTR,
-             fault_seed: int = DEFAULT_FAULT_SEED,
-             stragglers: bool = False,
-             elastic: bool = False,
-             elastic_join: float = 10.0,
-             elastic_leave: Optional[float] = None,
-             **kwargs) -> FailurePoint:
-    """Run one fault-injected cell of the exp6 or exp7 workload.
+def build_exp9(workload: str = "exp6", mtbf: Optional[float] = 60.0, *,
+               mttr: float = DEFAULT_MTTR,
+               fault_seed: int = DEFAULT_FAULT_SEED,
+               stragglers: bool = False,
+               elastic: bool = False,
+               elastic_join: float = 10.0,
+               elastic_leave: Optional[float] = None,
+               **kwargs):
+    """Build one fault-injected cell of the exp6 or exp7 workload.
 
-    ``mtbf=None`` runs the fault-free baseline of the same seeded
+    ``mtbf=None`` builds the fault-free baseline of the same seeded
     workload.  ``elastic=True`` withholds the last node until
     ``elastic_join`` (and drains it from ``elastic_leave`` on, when set).
-    Remaining keyword arguments go to the underlying workload runner
-    (:func:`~repro.experiments.exp6_cluster.run_exp6` or
-    :func:`~repro.experiments.exp7_trace_replay.run_exp7`).
+    Remaining keyword arguments go to the workload's builder
+    (:func:`~repro.experiments.exp6_cluster.build_exp6`, at this
+    experiment's smaller default scale, or
+    :func:`~repro.experiments.exp7_trace_replay.build_exp7`).
     """
-    if workload not in EXP9_WORKLOADS:
+    if workload == "exp6":
+        build = build_exp6
+        kwargs = {"n_jobs": DEFAULT_N_JOBS, "n_nodes": DEFAULT_N_NODES,
+                  "n_datasets": DEFAULT_N_DATASETS, **kwargs}
+    elif workload == "exp7":
+        build = build_exp7
+        kwargs = {"n_nodes": EXP7_N_NODES, **kwargs}
+    else:
         raise ConfigurationError(
             f"unknown exp9 workload {workload!r}; choose from {EXP9_WORKLOADS}"
         )
-    if workload == "exp6":
-        from repro.experiments.exp6_cluster import run_exp6
-
-        params = dict(
-            n_jobs=DEFAULT_N_JOBS,
-            n_nodes=DEFAULT_N_NODES,
-            n_datasets=DEFAULT_N_DATASETS,
-        )
-        params.update(kwargs)
-        n_nodes = params["n_nodes"]
-        n_submitted = params["n_jobs"]
-        elastic_nodes = (f"node{n_nodes}",) if elastic else ()
-        plan = build_fault_plan(
-            mtbf, mttr=mttr, fault_seed=fault_seed, stragglers=stragglers,
-            elastic_nodes=elastic_nodes, elastic_join=elastic_join,
-            elastic_leave=elastic_leave,
-        )
-        point = run_exp6(fault_plan=plan, **params)
-        return FailurePoint(
-            workload=workload,
-            mtbf=mtbf,
-            mttr=mttr,
-            fault_seed=fault_seed,
-            n_jobs=point.n_jobs,
-            n_submitted=n_submitted,
-            makespan=point.makespan,
-            mean_bounded_slowdown=point.mean_bounded_slowdown,
-            cache_hit_ratio=point.cache_hit_ratio,
-            utilization=point.utilization,
-            n_node_failures=point.n_node_failures,
-            n_job_restarts=point.n_job_restarts,
-            lost_work_seconds=point.lost_work_seconds,
-            wallclock_time=point.wallclock_time,
-            stragglers=stragglers,
-            elastic=elastic,
-        )
-
-    from repro.experiments.exp7_trace_replay import run_exp7
-
-    params = dict(kwargs)
-    n_nodes = params.get("n_nodes", 8)
-    elastic_nodes = (f"node{n_nodes}",) if elastic else ()
+    elastic_nodes = (f"node{kwargs['n_nodes']}",) if elastic else ()
     plan = build_fault_plan(
         mtbf, mttr=mttr, fault_seed=fault_seed, stragglers=stragglers,
         elastic_nodes=elastic_nodes, elastic_join=elastic_join,
         elastic_leave=elastic_leave,
     )
-    point = run_exp7(fault_plan=plan, **params)
+    return build(fault_plan=plan, **kwargs)
+
+
+def finish_exp9(result, workload: str, mtbf: Optional[float], *,
+                mttr: float, fault_seed: int, stragglers: bool,
+                elastic: bool, **_params) -> FailurePoint:
+    """Reduce a finished Exp 9 cell to its :class:`FailurePoint`."""
+    metrics = result.scheduler
     return FailurePoint(
         workload=workload,
         mtbf=mtbf,
         mttr=mttr,
         fault_seed=fault_seed,
-        n_jobs=point.n_jobs,
-        n_submitted=point.n_jobs,
-        makespan=point.makespan,
-        mean_bounded_slowdown=point.mean_bounded_slowdown,
-        cache_hit_ratio=point.cache_hit_ratio,
-        utilization=point.utilization,
-        n_node_failures=point.n_node_failures,
-        n_job_restarts=point.n_job_restarts,
-        lost_work_seconds=point.lost_work_seconds,
-        wallclock_time=point.wallclock_time,
+        n_jobs=metrics.n_jobs,
+        n_submitted=metrics.n_submitted,
+        makespan=metrics.makespan,
+        mean_bounded_slowdown=metrics.mean_bounded_slowdown(),
+        cache_hit_ratio=result.read_cache_hit_ratio(),
+        utilization=metrics.utilization,
+        n_node_failures=metrics.n_node_failures,
+        n_job_restarts=metrics.n_job_restarts,
+        lost_work_seconds=metrics.lost_work_seconds,
+        wallclock_time=result.wallclock_time,
         stragglers=stragglers,
         elastic=elastic,
     )

@@ -83,45 +83,3 @@ def error_reduction_factor(baseline_errors: Iterable[float],
     if improved == 0:
         return float("inf")
     return baseline / improved
-
-
-def summarize_errors(errors: Iterable[float]) -> Dict[str, float]:
-    """Summary of a collection of per-operation errors (percent).
-
-    Infinite errors (zero-reference operations) are excluded from the
-    mean/min/max but reported separately in ``n_infinite``, so reports
-    can state both "the mean error over comparable operations" and "how
-    many operations had no usable reference".
-    """
-    values = list(errors)
-    finite = [value for value in values if value != float("inf")]
-    return {
-        "n": len(values),
-        "n_infinite": len(values) - len(finite),
-        "mean": sum(finite) / len(finite) if finite else 0.0,
-        "min": min(finite) if finite else 0.0,
-        "max": max(finite) if finite else 0.0,
-    }
-
-
-def publish_errors(registry, errors: Mapping[str, float],
-                   prefix: str = "experiment.error", **labels) -> Dict[str, float]:
-    """Publish per-operation errors into a telemetry metrics registry.
-
-    ``registry`` is a :class:`repro.obs.MetricsRegistry`.  Each
-    operation's error becomes a labelled gauge ``<prefix>.percent`` and
-    the finite errors feed a ``<prefix>.histogram`` distribution, so a
-    sweep can ``merge()`` shard registries and still recover the error
-    profile.  Returns the :func:`summarize_errors` summary, which is
-    also published under ``<prefix>.mean`` / ``<prefix>.max``.
-    """
-    summary = summarize_errors(errors.values())
-    histogram = registry.histogram(f"{prefix}.histogram", **labels)
-    for operation, value in sorted(errors.items()):
-        registry.gauge(f"{prefix}.percent", operation=operation,
-                       **labels).set(value)
-        if value != float("inf"):
-            histogram.observe(value)
-    registry.gauge(f"{prefix}.mean", **labels).set(summary["mean"])
-    registry.gauge(f"{prefix}.max", **labels).set(summary["max"])
-    return summary

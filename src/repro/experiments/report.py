@@ -12,7 +12,7 @@ from typing import Dict, List, Sequence
 
 from repro.analysis.tables import format_table
 from repro.experiments.calibration import table1_rows, table2_rows, TABLE3_BANDWIDTHS
-from repro.experiments.exp1_single import EXP1_OPERATIONS, Exp1Result
+from repro.experiments.exp1_single import EXP1_OPERATIONS
 from repro.experiments.exp2_concurrent import ConcurrencyPoint
 from repro.experiments.exp4_nighres import EXP4_OPERATIONS
 from repro.experiments.exp5_scaling import ScalingPoint
@@ -61,19 +61,6 @@ def exp1_error_report(file_size: float, errors: Dict[str, Dict[str, float]]) -> 
         rows,
         precision=1,
         title=f"Figure 4a: absolute relative simulation errors ({file_size / GB:.0f} GB)",
-    )
-
-
-def exp1_durations_report(results: Sequence[Exp1Result]) -> str:
-    """Per-operation durations for a set of Exp 1 runs (supporting Fig 4a)."""
-    rows: List[List[object]] = []
-    for label in EXP1_OPERATIONS:
-        rows.append([label] + [result.durations[label] for result in results])
-    return format_table(
-        ["Operation"] + [result.simulator for result in results],
-        rows,
-        precision=1,
-        title="Exp 1 operation durations (s)",
     )
 
 

@@ -15,11 +15,11 @@ therefore byte-identical for *any* worker count, including the inline
 
 **Nothing unpicklable crosses the process boundary.**  A point travels as
 a small :class:`PointSpec` (an experiment name registered in
-:data:`EXPERIMENTS` plus picklable keyword arguments); the simulation
-itself is built *inside* the worker, spec-driven, through the experiment
-functions (which construct via
-:func:`repro.experiments.harness.build_simulation`).  What comes back is a
-:class:`PointResult` wrapping the experiment's plain-dataclass value.
+:data:`repro.snapshot.recipe.EXPERIMENTS`, or a ``"module:attr"``
+function, plus picklable keyword arguments); the simulation itself is
+built *inside* the worker, spec-driven, by the experiment's recipe.  What
+comes back is a :class:`PointResult` wrapping the experiment's
+plain-dataclass value.
 
 **Failures carry their spec.**  A point that raises in a worker surfaces
 in the parent as a :class:`SweepPointError` with the failing
@@ -39,7 +39,6 @@ for.
 
 from __future__ import annotations
 
-import importlib
 import os
 import pickle
 import time
@@ -47,63 +46,32 @@ import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.rng import derive_seed
+from repro.snapshot.recipe import EXPERIMENTS, load_target, run_experiment
 
 #: Environment variable consulted when ``workers`` is not passed explicitly.
 WORKERS_ENV = "REPRO_WORKERS"
 
-#: Registered experiment kinds.  Values are either callables or lazy
-#: ``"module:attribute"`` strings (resolved at execution time, in the
-#: worker, so the registry itself stays import-cycle-free and picklable
-#: specs never carry function objects).
-EXPERIMENTS: Dict[str, Union[str, Callable[..., Any]]] = {
-    "exp1": "repro.experiments.exp1_single:run_exp1",
-    "exp2": "repro.experiments.exp2_concurrent:run_exp2",
-    "exp3": "repro.experiments.exp3_nfs:run_exp3",
-    "exp4": "repro.experiments.exp4_nighres:run_exp4",
-    "exp5-point": "repro.experiments.exp5_scaling:measure_point",
-    "exp6": "repro.experiments.exp6_cluster:run_exp6",
-    "exp7": "repro.experiments.exp7_trace_replay:run_exp7",
-    "exp8": "repro.experiments.exp8_policy_ablation:run_exp8",
-    "exp9": "repro.experiments.exp9_failures:run_exp9",
-    "exp10": "repro.experiments.exp10_warmstart:run_exp10",
-}
-
-
-def register_experiment(name: str,
-                        target: Union[str, Callable[..., Any]]) -> None:
-    """Register an experiment kind for spec-driven execution.
-
-    ``target`` is a callable or a ``"module:attribute"`` string.  String
-    targets work with every pool start method; bare callables require a
-    fork-based pool (the default on Linux) or inline execution, because
-    spawn-started workers re-import modules and only see registrations
-    made at import time.
-    """
-    if not callable(target) and ":" not in str(target):
-        raise ConfigurationError(
-            f"experiment target must be a callable or 'module:attr' string, "
-            f"got {target!r}"
-        )
-    EXPERIMENTS[name] = target
-
-
 def experiment_fn(name: str) -> Callable[..., Any]:
-    """Resolve a registered experiment name to its callable."""
-    try:
-        target = EXPERIMENTS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown experiment {name!r}; registered: {sorted(EXPERIMENTS)}"
-        ) from None
-    if callable(target):
-        return target
-    module_name, _, attr = target.partition(":")
-    return getattr(importlib.import_module(module_name), attr)
+    """Resolve a point's experiment name to the callable that runs it.
+
+    A name registered in :data:`repro.snapshot.recipe.EXPERIMENTS` runs
+    through :func:`~repro.snapshot.recipe.run_experiment`; a
+    ``"module:attr"`` name imports a function for points that are not one
+    simulation (exp8's ablation grid).
+    """
+    if name in EXPERIMENTS:
+        return partial(run_experiment, name)
+    if ":" in name:
+        return load_target(name)
+    raise ConfigurationError(
+        f"unknown experiment {name!r}; registered: {sorted(EXPERIMENTS)}"
+    )
 
 
 def derive_point_seed(base_seed: int, key: str) -> int:
@@ -123,7 +91,8 @@ class PointSpec:
     Attributes
     ----------
     experiment:
-        Name of a registered experiment kind (see :data:`EXPERIMENTS`).
+        A registered experiment name or a ``"module:attr"`` function (see
+        :func:`experiment_fn`).
     params:
         Keyword arguments for the experiment function, as a sorted tuple
         of ``(name, value)`` pairs; every value must be picklable.
@@ -363,9 +332,9 @@ def _run_inline(payloads, progress) -> List[PointResult]:
 def _mp_context():
     """The multiprocessing context used for pools.
 
-    ``fork`` (where available) inherits the parent's experiment registry,
-    so test-registered callables work; elsewhere the default context is
-    used and string-registered experiments resolve by import.
+    ``fork`` (where available) inherits the parent's imported modules;
+    elsewhere the default context is used and experiments resolve by
+    import.
     """
     import multiprocessing
 

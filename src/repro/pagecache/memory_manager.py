@@ -154,11 +154,6 @@ class MemoryManager:
         return self._anonymous
 
     @property
-    def extent_merges(self) -> int:
-        """Fragments absorbed into existing extent runs by the LRU lists."""
-        return self.lists.merge_count
-
-    @property
     def extent_runs(self) -> int:
         """Extent runs (LRU-list nodes) currently held by the cache."""
         return self.lists.run_count

@@ -56,11 +56,6 @@ class CPU:
         """Number of cores currently executing work."""
         return self._core_pool.count
 
-    @property
-    def queued_tasks(self) -> int:
-        """Number of compute requests waiting for a core."""
-        return len(self._core_pool.queue)
-
     def execute(self, flops: float, label: Optional[str] = None) -> Event:
         """Execute ``flops`` on one core; returns a completion event.
 

@@ -803,6 +803,7 @@ class ClusterScheduler:
             lost_work_seconds=sum(
                 executor.lost_compute_seconds for executor in self.executors
             ),
+            n_submitted=len(self.jobs),
         )
 
     def __repr__(self) -> str:

@@ -99,6 +99,9 @@ class SchedulerMetrics:
     #: Compute seconds destroyed by crashes: work a job had done past its
     #: last checkpoint when its node failed, which it must redo.
     lost_work_seconds: float = 0.0
+    #: Jobs submitted to the scheduler, completed or not (left out of
+    #: :meth:`as_dict`).
+    n_submitted: int = 0
 
     # ------------------------------------------------------------------- api
     @property

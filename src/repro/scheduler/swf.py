@@ -39,7 +39,7 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 from urllib.parse import urlsplit
 
 from repro.errors import ConfigurationError
@@ -501,22 +501,3 @@ def load_trace(name_or_url: Union[str, Path], *,
     return load_swf(fetch_trace(name_or_url, cache_dir=cache_dir,
                                 refresh=refresh, timeout=timeout,
                                 retries=retries, backoff=backoff))
-
-
-def records_from_specs(specs: Iterable[TraceJobSpec]) -> List[SWFRecord]:
-    """Back-convert job specs to minimal SWF records (for writing tools)."""
-    return [
-        SWFRecord(
-            job_id=spec.job_id,
-            submit_time=spec.arrival_time,
-            run_time=spec.runtime,
-            used_procs=spec.cores,
-            requested_procs=spec.cores,
-            requested_time=spec.estimated_runtime,
-            status=1,
-            user_id=spec.user,
-            executable=spec.app,
-            queue=spec.priority,
-        )
-        for spec in specs
-    ]

@@ -1,10 +1,11 @@
 """The service's base simulation: an empty streaming cluster.
 
-``build_service_cluster`` is a registered snapshot builder (experiment
-name ``"service-cluster"``), so service snapshots restore through the
-exact same recipe machinery as every batch experiment.  Unlike the batch
-builders it submits **no** workload — jobs stream in over the service's
-lifetime and are reconstructed from the submission log on replay.
+``build_service_cluster``/``finish_service_cluster`` are a registered
+experiment (name ``"service-cluster"``), so service snapshots restore
+through the exact same recipe machinery as every batch experiment.  Unlike
+the batch builders it submits **no** workload — jobs stream in over the
+service's lifetime and are reconstructed from the submission log on
+replay.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def build_service_cluster(*, n_nodes: int = DEFAULT_N_NODES,
                           placement: str = "cache",
                           eviction_policy: object = "lru",
                           fault_plan=None) -> Simulation:
-    """Build the empty streaming cluster the service feeds (recipe-bound).
+    """Build the empty streaming cluster the service feeds (unstarted).
 
     Stages ``n_datasets`` shared input datasets replicated on every
     node's local disk (clients reference them by index) and attaches the
@@ -71,15 +72,6 @@ def build_service_cluster(*, n_nodes: int = DEFAULT_N_NODES,
     for dataset in datasets:
         simulation.stage_file_replicated(dataset)
     simulation.service_datasets = datasets
-
-    from repro.snapshot.recipe import SimRecipe
-
-    simulation.bind_recipe(SimRecipe("service-cluster", dict(
-        n_nodes=n_nodes, cores_per_node=cores_per_node,
-        n_datasets=n_datasets, input_size=input_size,
-        chunk_size=chunk_size, policy=policy, placement=placement,
-        eviction_policy=eviction_policy, fault_plan=fault_plan,
-    )))
     return simulation
 
 

@@ -151,14 +151,16 @@ class SimulationResult:
 
     def mean_app_read_time(self) -> float:
         """Mean per-application cumulative read time (Figures 5 and 7)."""
-        apps = {record.app for record in self.operations}
+        # Apps in order of first appearance: the float sum must not
+        # depend on the hash seed, as a set's iteration order does.
+        apps = dict.fromkeys(record.app for record in self.operations)
         if not apps:
             return 0.0
         return sum(self.total_read_time(app) for app in apps) / len(apps)
 
     def mean_app_write_time(self) -> float:
         """Mean per-application cumulative write time (Figures 5 and 7)."""
-        apps = {record.app for record in self.operations}
+        apps = dict.fromkeys(record.app for record in self.operations)
         if not apps:
             return 0.0
         return sum(self.total_write_time(app) for app in apps) / len(apps)
@@ -231,7 +233,7 @@ class Simulation:
         self._completion = None
         self._sampler = None
         self._wallclock = 0.0
-        #: Build recipe bound by the experiment builders
+        #: Build recipe bound by ``build_experiment``
         #: (:mod:`repro.snapshot.recipe`); snapshots embed it so a restore
         #: can rebuild the simulation from scratch and replay to time T.
         self._recipe = None
@@ -356,11 +358,6 @@ class Simulation:
         """Create ``file`` on ``service`` before the simulation starts."""
         service.stage_file(file)
         self.registry.add_entry(file, service)
-
-    def stage_files(self, files: List[File], service: StorageService) -> None:
-        """Stage several files on the same service."""
-        for file in files:
-            self.stage_file(file, service)
 
     def stage_file_replicated(self, file: File) -> None:
         """Stage ``file`` on the local storage of every scheduler node.
@@ -600,7 +597,7 @@ class Simulation:
     def bind_recipe(self, recipe) -> None:
         """Attach the build recipe this simulation was constructed from.
 
-        Called by the experiment builders (``build_exp6`` & co).  A bound
+        Called by :func:`repro.snapshot.recipe.build_experiment`.  A bound
         recipe is what makes :meth:`snapshot` possible: the snapshot file
         records the recipe, and :meth:`restore` rebuilds the simulation
         from it before replaying to the snapshot time.
@@ -767,11 +764,11 @@ class Simulation:
     def snapshot(self, path) -> "Path":
         """Write a crash-recoverable snapshot of the paused simulation.
 
-        Requires a bound build recipe (simulations built through
-        ``build_exp2`` / ``build_exp6`` / ``build_exp7`` or any registered
-        recipe builder).  The file is written atomically
-        (write-temp-then-rename) with a versioned header and a SHA-256
-        state fingerprint; see :mod:`repro.snapshot`.
+        Requires a bound build recipe: build the simulation with
+        ``build_experiment(name, **params)`` for an experiment registered
+        in :data:`repro.snapshot.recipe.EXPERIMENTS`.  The file is written
+        atomically (write-temp-then-rename) with a versioned header and a
+        SHA-256 state fingerprint; see :mod:`repro.snapshot`.
         """
         from repro.snapshot import write_snapshot
 

@@ -18,11 +18,12 @@ from repro.snapshot.canonical import (
 from repro.snapshot.capture import capture_state
 from repro.snapshot.plan import SnapshotPlan
 from repro.snapshot.recipe import (
-    BUILDERS,
-    FINISHERS,
+    EXPERIMENTS,
     SimRecipe,
+    build_experiment,
     build_from_recipe,
     finish_point,
+    run_experiment,
 )
 from repro.snapshot.run import (
     LIVE_OVERRIDES,
@@ -39,8 +40,7 @@ from repro.snapshot.store import (
 )
 
 __all__ = [
-    "BUILDERS",
-    "FINISHERS",
+    "EXPERIMENTS",
     "FORMAT",
     "LIVE_OVERRIDES",
     "NONDETERMINISTIC_FIELDS",
@@ -48,6 +48,7 @@ __all__ = [
     "SnapshotPlan",
     "VERSION",
     "apply_live_overrides",
+    "build_experiment",
     "build_from_recipe",
     "canonical_json",
     "capture_state",
@@ -55,6 +56,7 @@ __all__ = [
     "finish_point",
     "read_snapshot_doc",
     "restore_simulation",
+    "run_experiment",
     "to_jsonable",
     "warm_start_values",
     "write_snapshot",

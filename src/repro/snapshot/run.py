@@ -39,17 +39,17 @@ from repro.snapshot.store import (
 def write_snapshot(sim, path: Union[str, Path]) -> Path:
     """Snapshot ``sim`` (paused at a :meth:`step_until` boundary) to ``path``.
 
-    Requires a recipe-bound (see :meth:`Simulation.bind_recipe`), started
-    simulation: the snapshot records *how to rebuild* the simulation plus
-    a fingerprint of its current state, so an unbuildable or unstarted
-    simulation cannot be meaningfully snapshotted.
+    Requires a started simulation whose recipe is bound (built with
+    :func:`~repro.snapshot.recipe.build_experiment`): the snapshot records
+    *how to rebuild* the simulation plus a fingerprint of its current
+    state, so an unbuildable or unstarted simulation cannot be
+    meaningfully snapshotted.
     """
     recipe = sim.recipe
     if recipe is None:
         raise SnapshotError(
-            "this simulation has no build recipe bound; construct it via an "
-            "experiment builder (build_exp2/build_exp6/build_exp7) or call "
-            "bind_recipe() before snapshotting"
+            "this simulation has no build recipe bound; build it with "
+            "build_experiment(name, **params) before snapshotting"
         )
     if not sim._started:
         raise SnapshotError(

@@ -13,24 +13,22 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.experiments.exp2_concurrent import run_exp2
-from repro.experiments.exp6_cluster import run_exp6
-from repro.experiments.exp7_trace_replay import run_exp7
+from repro.snapshot import run_experiment
 from repro.units import GB, MB
 
 
 def collect() -> dict:
     golden: dict = {}
 
-    exp2 = run_exp2("wrench-cache", 8, input_size=3 * GB, chunk_size=100 * MB,
-                    nfs=False)
+    exp2 = run_experiment("exp2", simulator="wrench-cache", n_apps=8,
+                          input_size=3 * GB, chunk_size=100 * MB, nfs=False)
     golden["exp2_cache_local_8"] = {
         "makespan": exp2.makespan,
         "read_time": exp2.read_time,
         "write_time": exp2.write_time,
     }
-    exp2_nfs = run_exp2("wrench-cache", 4, input_size=3 * GB,
-                        chunk_size=100 * MB, nfs=True)
+    exp2_nfs = run_experiment("exp2", simulator="wrench-cache", n_apps=4,
+                              input_size=3 * GB, chunk_size=100 * MB, nfs=True)
     golden["exp2_cache_nfs_4"] = {
         "makespan": exp2_nfs.makespan,
         "read_time": exp2_nfs.read_time,
@@ -38,7 +36,7 @@ def collect() -> dict:
     }
 
     for placement in ("round-robin", "cache"):
-        point = run_exp6(placement)
+        point = run_experiment("exp6", placement=placement)
         golden[f"exp6_{placement}"] = {
             "makespan": point.makespan,
             "cache_hit_ratio": point.cache_hit_ratio,
@@ -48,7 +46,7 @@ def collect() -> dict:
         }
 
     for policy in ("fifo", "preemptive-priority"):
-        point = run_exp7(policy, load_factor=40.0)
+        point = run_experiment("exp7", policy=policy, load_factor=40.0)
         golden[f"exp7_{policy}"] = {
             "makespan": point.makespan,
             "cache_hit_ratio": point.cache_hit_ratio,

@@ -5,7 +5,6 @@ from __future__ import annotations
 import tempfile
 
 from repro.experiments import exp10_report, run_exp10
-from repro.experiments.runner import EXPERIMENTS
 
 #: Small enough to run in well under a second; at this scale the warm
 #: path has no wall-clock advantage, so the tests assert correctness
@@ -15,9 +14,6 @@ SMALL = dict(n_jobs=16, t_branch=4.0,
 
 
 class TestRunExp10:
-    def test_registered_in_runner(self):
-        assert "exp10" in EXPERIMENTS
-
     def test_small_cell_checks_and_reports(self):
         with tempfile.TemporaryDirectory() as snapshot_dir:
             result = run_exp10(snapshot_dir, **SMALL)

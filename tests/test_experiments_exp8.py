@@ -13,7 +13,6 @@ from repro.experiments.exp8_policy_ablation import (
     run_exp8,
     run_skewed,
 )
-from repro.experiments.runner import EXPERIMENTS
 
 
 class TestSkewedWorkload:
@@ -46,9 +45,6 @@ class TestRunExp8:
     def test_unknown_workload_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown exp8 workload"):
             run_exp8("lru", "exp99")
-
-    def test_registered_in_runner(self):
-        assert "exp8" in EXPERIMENTS
 
     def test_workload_names_cover_dispatch(self):
         assert set(EXP8_WORKLOADS) == {

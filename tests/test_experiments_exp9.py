@@ -19,9 +19,17 @@ from repro.experiments.exp9_failures import (
     build_fault_plan,
     exp9_report,
     exp9_series,
-    run_exp9,
 )
-from repro.experiments.runner import EXPERIMENTS
+from repro.snapshot import (
+    EXPERIMENTS,
+    build_experiment,
+    finish_point,
+    run_experiment,
+)
+
+
+def exp9_cell(workload="exp6", **params):
+    return run_experiment("exp9", workload=workload, **params)
 
 #: Small exp6 cell reused by most tests (seconds, not minutes).
 SMALL = dict(n_jobs=20, n_nodes=3, n_datasets=6)
@@ -60,44 +68,55 @@ class TestRunExp9:
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown exp9 workload"):
-            run_exp9("exp99")
+            exp9_cell("exp99")
         assert set(EXP9_WORKLOADS) == {"exp6", "exp7"}
 
     def test_all_jobs_complete_under_crashes(self):
-        point = run_exp9("exp6", mtbf=15.0, mttr=3.0, **SMALL)
+        point = exp9_cell("exp6", mtbf=15.0, mttr=3.0, **SMALL)
         assert point.all_jobs_completed
         assert point.n_node_failures > 0
         assert point.n_job_restarts > 0
         assert point.lost_work_seconds > 0.0
 
     def test_faulty_run_is_deterministic(self):
-        first = run_exp9("exp6", mtbf=15.0, mttr=3.0, **SMALL)
-        second = run_exp9("exp6", mtbf=15.0, mttr=3.0, **SMALL)
+        first = exp9_cell("exp6", mtbf=15.0, mttr=3.0, **SMALL)
+        second = exp9_cell("exp6", mtbf=15.0, mttr=3.0, **SMALL)
         assert _sim_fields(first) == _sim_fields(second)
 
     def test_zero_fault_baseline_matches_plain_exp6(self):
-        from repro.experiments.exp6_cluster import run_exp6
-
-        baseline = run_exp9("exp6", mtbf=None, **SMALL)
-        plain = run_exp6("cache", **SMALL)
+        baseline = exp9_cell("exp6", mtbf=None, **SMALL)
+        plain = run_experiment("exp6", placement="cache", **SMALL)
         assert baseline.makespan == plain.makespan
         assert baseline.cache_hit_ratio == plain.cache_hit_ratio
         assert baseline.n_node_failures == 0
         assert baseline.n_job_restarts == 0
 
     def test_crashes_degrade_makespan(self):
-        baseline = run_exp9("exp6", mtbf=None, **SMALL)
-        faulty = run_exp9("exp6", mtbf=10.0, mttr=5.0, **SMALL)
+        baseline = exp9_cell("exp6", mtbf=None, **SMALL)
+        faulty = exp9_cell("exp6", mtbf=10.0, mttr=5.0, **SMALL)
         assert faulty.n_node_failures > 0
         assert faulty.makespan > baseline.makespan
 
     def test_exp7_workload_completes_under_crashes(self):
-        point = run_exp9("exp7", mtbf=60.0, max_jobs=30, n_nodes=4)
+        point = exp9_cell("exp7", mtbf=60.0, max_jobs=30, n_nodes=4)
         assert point.workload == "exp7"
         assert point.all_jobs_completed
 
+    @pytest.mark.parametrize("workload, params, submitted", [
+        ("exp6", SMALL, 20),
+        ("exp7", dict(max_jobs=30, n_nodes=4), 30),
+    ])
+    def test_unfinished_run_reports_lost_jobs(self, workload, params,
+                                              submitted):
+        sim = build_experiment("exp9", workload=workload, mtbf=60.0,
+                               **params)
+        point = finish_point(sim.recipe, sim.run(until=5.0))
+        assert point.n_submitted == submitted
+        assert point.n_jobs < submitted
+        assert not point.all_jobs_completed
+
     def test_straggler_and_elastic_flags(self):
-        point = run_exp9("exp6", mtbf=30.0, stragglers=True, elastic=True,
+        point = exp9_cell("exp6", mtbf=30.0, stragglers=True, elastic=True,
                          elastic_join=2.0, elastic_leave=30.0, **SMALL)
         assert point.stragglers and point.elastic
         assert point.all_jobs_completed

@@ -12,11 +12,10 @@ from repro.experiments.exp1_single import (
     EXP1_OPERATIONS,
     exp1_errors,
     exp1_mean_errors,
-    run_exp1,
 )
-from repro.experiments.exp2_concurrent import run_exp2, sweep_exp2
-from repro.experiments.exp4_nighres import EXP4_OPERATIONS, exp4_errors, run_exp4
-from repro.experiments.exp5_scaling import measure_point, run_scaling, scaling_regressions
+from repro.experiments.exp2_concurrent import sweep_exp2
+from repro.experiments.exp4_nighres import EXP4_OPERATIONS, exp4_errors
+from repro.experiments.exp5_scaling import run_scaling, scaling_regressions
 from repro.experiments.harness import SIMULATORS, ScenarioConfig, build_simulation
 from repro.experiments.report import (
     concurrency_report,
@@ -28,6 +27,7 @@ from repro.experiments.report import (
     table3_report,
 )
 from repro.experiments.exp2_concurrent import exp2_series
+from repro.snapshot import run_experiment
 from repro.units import GB, MB
 
 
@@ -65,8 +65,9 @@ class TestExp1SmallScale:
     CHUNK = 100 * MB
 
     def test_run_exp1_produces_all_operations(self):
-        result = run_exp1("wrench-cache", self.SIZE, chunk_size=self.CHUNK,
-                          trace_interval=1.0)
+        result = run_experiment("exp1", simulator="wrench-cache",
+                                file_size=self.SIZE, chunk_size=self.CHUNK,
+                                trace_interval=1.0)
         assert set(result.durations) == set(EXP1_OPERATIONS)
         assert all(duration > 0 for duration in result.durations.values())
         assert result.makespan > 0
@@ -75,18 +76,21 @@ class TestExp1SmallScale:
         assert [label for label, _ in series] == list(EXP1_OPERATIONS)
 
     def test_cache_contents_tracked_per_operation(self):
-        result = run_exp1("wrench-cache", self.SIZE, chunk_size=self.CHUNK,
-                          trace_interval=None)
+        result = run_experiment("exp1", simulator="wrench-cache",
+                                file_size=self.SIZE, chunk_size=self.CHUNK,
+                                trace_interval=None)
         contents = result.cache_contents_per_operation()
         assert set(contents) == set(EXP1_OPERATIONS)
         # After Write 1, file2 must be at least partially cached.
         assert contents["Write 1"].get("file2", 0.0) > 0
 
     def test_cacheless_is_slower_than_cached(self):
-        cached = run_exp1("wrench-cache", self.SIZE, chunk_size=self.CHUNK,
-                          trace_interval=None)
-        cacheless = run_exp1("wrench", self.SIZE, chunk_size=self.CHUNK,
-                             trace_interval=None)
+        cached = run_experiment("exp1", simulator="wrench-cache",
+                                file_size=self.SIZE, chunk_size=self.CHUNK,
+                                trace_interval=None)
+        cacheless = run_experiment("exp1", simulator="wrench",
+                                   file_size=self.SIZE, chunk_size=self.CHUNK,
+                                   trace_interval=None)
         assert cacheless.durations["Read 2"] > cached.durations["Read 2"]
         assert cacheless.durations["Write 1"] > cached.durations["Write 1"]
 
@@ -108,7 +112,8 @@ class TestExp1SmallScale:
 
 class TestExp2SmallScale:
     def test_run_exp2_point(self):
-        point = run_exp2("wrench-cache", 2, input_size=0.5 * GB, chunk_size=50 * MB)
+        point = run_experiment("exp2", simulator="wrench-cache", n_apps=2,
+                               input_size=0.5 * GB, chunk_size=50 * MB)
         assert point.n_apps == 2
         assert point.read_time > 0
         assert point.write_time > 0
@@ -128,7 +133,7 @@ class TestExp2SmallScale:
 
 class TestExp4SmallScale:
     def test_run_exp4_operations(self):
-        result = run_exp4("wrench-cache")
+        result = run_experiment("exp4", simulator="wrench-cache")
         assert set(result.durations) == set(EXP4_OPERATIONS)
         assert all(duration > 0 for duration in result.durations.values())
 
@@ -145,10 +150,14 @@ class TestExp4SmallScale:
 
 class TestScalingSmallScale:
     def test_measure_point_and_regression(self):
-        point = measure_point("wrench-cache", 1, nfs=False, input_size=0.2 * GB,
-                              chunk_size=50 * MB)
+        (point,) = run_scaling(counts=(1,), configs=(("wrench-cache", False),),
+                               input_size=0.2 * GB,
+                               chunk_size=50 * MB)["WRENCH-cache (local)"]
         assert point.wallclock_time > 0
         assert point.label == "WRENCH-cache (local)"
+        assert (point.simulator, point.nfs, point.n_apps) == (
+            "wrench-cache", False, 1)
+        assert point.simulated_makespan > 0
         curves = run_scaling(counts=(1, 2, 3), configs=(("wrench", False),),
                              input_size=0.2 * GB, chunk_size=50 * MB)
         fits = scaling_regressions(curves)

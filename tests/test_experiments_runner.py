@@ -11,9 +11,9 @@ The engine's contract (see :mod:`repro.experiments.runner`):
 * ``KeyboardInterrupt`` cancels the queue and shuts the pool down
   cleanly (no worker processes left behind).
 
-The synthetic experiments below are registered at import time with plain
-callables; the pool uses a fork context on Linux, so workers inherit the
-registrations.
+The synthetic experiments below are module-level functions named
+``"<this module>:<function>"``; the pool uses a fork context on Linux, so
+workers find this module already imported under the same name.
 """
 
 from __future__ import annotations
@@ -25,17 +25,15 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.runner import (
-    EXPERIMENTS,
-    PointSpec,
     SweepPointError,
     derive_point_seed,
     make_spec,
-    register_experiment,
     resolve_workers,
     run_sweep,
     sweep_values,
 )
 from repro.rng import derive_seed
+from repro.snapshot.recipe import EXPERIMENTS
 
 
 # --------------------------------------------------------- test experiments
@@ -84,13 +82,16 @@ def _return_unpicklable(x):
     return lambda: x  # the *value* fails to pickle on the way back
 
 
-register_experiment("test-square", _square)
-register_experiment("test-echo-seed", _echo_seed)
-register_experiment("test-boom", _boom)
-register_experiment("test-nap", _nap)
-register_experiment("test-hostile", _raise_hostile)
-register_experiment("test-unpicklable-exc", _raise_unpicklable)
-register_experiment("test-unpicklable-value", _return_unpicklable)
+# Point names resolve by import.  ``__name__`` is the name pytest imported
+# this module under, so a worker finds the same module object (and never
+# loads a second copy).
+SQUARE = f"{__name__}:_square"
+ECHO_SEED = f"{__name__}:_echo_seed"
+BOOM = f"{__name__}:_boom"
+NAP = f"{__name__}:_nap"
+HOSTILE = f"{__name__}:_raise_hostile"
+UNPICKLABLE_EXC = f"{__name__}:_raise_unpicklable"
+UNPICKLABLE_VALUE = f"{__name__}:_return_unpicklable"
 
 
 def _no_children(timeout=10.0):
@@ -132,8 +133,8 @@ class TestSpecs:
     def test_params_are_sorted_and_picklable(self):
         import pickle
 
-        spec = make_spec("test-square", x=3)
-        other = make_spec("test-square", x=3)
+        spec = make_spec(SQUARE, x=3)
+        other = make_spec(SQUARE, x=3)
         assert spec == other
         assert pickle.loads(pickle.dumps(spec)) == spec
         multi = make_spec("exp2", simulator="real", n_apps=4, nfs=False)
@@ -145,24 +146,23 @@ class TestSpecs:
         with pytest.raises(SweepPointError) as err:
             run_sweep([make_spec("no-such-experiment")])
         assert err.value.spec.experiment == "no-such-experiment"
+        for name in EXPERIMENTS:
+            assert repr(name) in str(err.value), name
 
     def test_builtin_registry_targets_resolve(self):
         from repro.experiments.runner import experiment_fn
 
-        for name in ("exp1", "exp2", "exp3", "exp4", "exp5-point", "exp6",
-                     "exp7"):
+        for name in EXPERIMENTS:
             assert callable(experiment_fn(name)), name
-        assert set(EXPERIMENTS) >= {"exp2", "exp5-point", "exp6", "exp7"}
-
-    def test_register_rejects_bad_target(self):
-        with pytest.raises(ConfigurationError):
-            register_experiment("broken", "not-a-module-path")
+        assert set(EXPERIMENTS) >= {"exp1", "exp2", "exp4", "exp6", "exp7",
+                                    "exp9"}
+        assert experiment_fn(SQUARE)(x=3) == 9
 
 
 # -------------------------------------------------------------- determinism
 class TestDeterminism:
     def test_results_in_spec_order_any_worker_count(self):
-        specs = [make_spec("test-square", x=x) for x in range(12)]
+        specs = [make_spec(SQUARE, x=x) for x in range(12)]
         inline = sweep_values(specs, workers=1)
         pooled = sweep_values(specs, workers=4)
         assert inline == [x * x for x in range(12)]
@@ -171,7 +171,7 @@ class TestDeterminism:
     def test_progress_reports_every_point(self):
         seen = []
         results = run_sweep(
-            [make_spec("test-square", x=x) for x in range(5)],
+            [make_spec(SQUARE, x=x) for x in range(5)],
             workers=1,
             progress=lambda result, done, total: seen.append(
                 (result.index, done, total)
@@ -183,7 +183,7 @@ class TestDeterminism:
 
     def test_seed_derivation_is_order_and_worker_independent(self):
         specs = [
-            make_spec("test-echo-seed", tag=tag, seed_key=f"point:{tag}")
+            make_spec(ECHO_SEED, tag=tag, seed_key=f"point:{tag}")
             for tag in ("a", "b", "c", "d")
         ]
         inline = sweep_values(specs, workers=1, base_seed=42)
@@ -204,13 +204,13 @@ class TestDeterminism:
         from repro.experiments.runner import run_named_sweep
 
         variants = {("sq", x): dict(x=x) for x in (3, 1, 2)}
-        results = run_named_sweep("test-square", variants, workers=2)
+        results = run_named_sweep(SQUARE, variants, workers=2)
         assert list(results) == [("sq", 3), ("sq", 1), ("sq", 2)]
         assert results == {("sq", 3): 9, ("sq", 1): 1, ("sq", 2): 4}
 
     def test_seed_key_without_base_seed_is_an_error(self):
         with pytest.raises(ConfigurationError):
-            run_sweep([make_spec("test-echo-seed", tag="a", seed_key="k")])
+            run_sweep([make_spec(ECHO_SEED, tag="a", seed_key="k")])
 
     def test_exp5_sweep_outputs_byte_identical_across_worker_counts(self):
         from repro.experiments.exp5_scaling import run_scaling
@@ -249,9 +249,9 @@ class TestFailurePaths:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_worker_exception_surfaces_failing_spec(self, workers):
         specs = [
-            make_spec("test-square", x=1, label="ok-point"),
-            make_spec("test-boom", x=99, label="bad-point"),
-            make_spec("test-square", x=2),
+            make_spec(SQUARE, x=1, label="ok-point"),
+            make_spec(BOOM, x=99, label="bad-point"),
+            make_spec(SQUARE, x=2),
         ]
         with pytest.raises(SweepPointError) as err:
             run_sweep(specs, workers=workers)
@@ -267,7 +267,7 @@ class TestFailurePaths:
         # The exception itself cannot cross the process boundary; the
         # engine ships (type, message, traceback) strings instead, so the
         # parent still learns which point died and why.
-        specs = [make_spec("test-unpicklable-exc", x=1, label="poison")]
+        specs = [make_spec(UNPICKLABLE_EXC, x=1, label="poison")]
         with pytest.raises(SweepPointError) as err:
             run_sweep(specs, workers=workers)
         assert err.value.spec.label == "poison"
@@ -280,7 +280,7 @@ class TestFailurePaths:
     def test_hostile_exception_repr_does_not_mask_the_failure(self, workers):
         # str(exc) and repr(exc) both raise; the report degrades to the
         # type name instead of replacing the failure with a new one.
-        specs = [make_spec("test-hostile", x=1, label="hostile")]
+        specs = [make_spec(HOSTILE, x=1, label="hostile")]
         with pytest.raises(SweepPointError) as err:
             run_sweep(specs, workers=workers)
         assert err.value.spec.label == "hostile"
@@ -292,8 +292,8 @@ class TestFailurePaths:
         # than surfacing a bare pool internals failure.  (Inline runs
         # never pickle, so this is pool-only behaviour.)
         specs = [
-            make_spec("test-square", x=2, label="fine"),
-            make_spec("test-unpicklable-value", x=1, label="lambda-point"),
+            make_spec(SQUARE, x=2, label="fine"),
+            make_spec(UNPICKLABLE_VALUE, x=1, label="lambda-point"),
         ]
         with pytest.raises(SweepPointError) as err:
             run_sweep(specs, workers=2)
@@ -301,7 +301,7 @@ class TestFailurePaths:
         assert _no_children()
 
     def test_keyboard_interrupt_shuts_the_pool_down_cleanly(self):
-        specs = [make_spec("test-nap", duration=0.2) for _ in range(8)]
+        specs = [make_spec(NAP, duration=0.2) for _ in range(8)]
 
         def interrupt_after_first(result, done, total):
             raise KeyboardInterrupt

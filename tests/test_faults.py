@@ -30,6 +30,7 @@ from repro.scheduler.placement import (
 )
 from repro.simulator.simulation import Simulation, SimulationConfig
 from repro.simulator.workflow import Task, Workflow
+from repro.snapshot import run_experiment
 from repro.units import MB
 
 
@@ -273,12 +274,10 @@ class TestCrashRestart:
 
 class TestFaultPlanRuns:
     def _run(self, plan, n_jobs: int = 12):
-        from repro.experiments.exp6_cluster import run_exp6
-
-        return run_exp6(
-            "cache", policy="preemptive-priority", n_jobs=n_jobs, n_nodes=3,
-            n_datasets=4, input_size=200 * MB, output_size=50 * MB,
-            fault_plan=plan,
+        return run_experiment(
+            "exp6", placement="cache", policy="preemptive-priority",
+            n_jobs=n_jobs, n_nodes=3, n_datasets=4, input_size=200 * MB,
+            output_size=50 * MB, fault_plan=plan,
         )
 
     def test_seeded_crashes_are_deterministic(self):

@@ -19,6 +19,7 @@ import pytest
 
 from parity_workload import WORKLOAD_VERSION, run_parity_workload
 from record_parity_golden import SCENARIOS
+from repro.snapshot import run_experiment
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -93,22 +94,22 @@ class TestExperimentParity:
         return _load("experiment_golden.json")
 
     def test_exp2_local(self, experiment_golden):
-        from repro.experiments.exp2_concurrent import run_exp2
         from repro.units import GB, MB
 
-        point = run_exp2("wrench-cache", 8, input_size=3 * GB,
-                         chunk_size=100 * MB, nfs=False)
+        point = run_experiment("exp2", simulator="wrench-cache", n_apps=8,
+                               input_size=3 * GB, chunk_size=100 * MB,
+                               nfs=False)
         want = experiment_golden["exp2_cache_local_8"]
         assert point.makespan == pytest.approx(want["makespan"], rel=REL)
         assert point.read_time == pytest.approx(want["read_time"], rel=REL)
         assert point.write_time == pytest.approx(want["write_time"], rel=REL)
 
     def test_exp2_nfs(self, experiment_golden):
-        from repro.experiments.exp2_concurrent import run_exp2
         from repro.units import GB, MB
 
-        point = run_exp2("wrench-cache", 4, input_size=3 * GB,
-                         chunk_size=100 * MB, nfs=True)
+        point = run_experiment("exp2", simulator="wrench-cache", n_apps=4,
+                               input_size=3 * GB, chunk_size=100 * MB,
+                               nfs=True)
         want = experiment_golden["exp2_cache_nfs_4"]
         assert point.makespan == pytest.approx(want["makespan"], rel=REL)
         assert point.read_time == pytest.approx(want["read_time"], rel=REL)
@@ -116,9 +117,7 @@ class TestExperimentParity:
 
     @pytest.mark.parametrize("placement", ["round-robin", "cache"])
     def test_exp6(self, experiment_golden, placement):
-        from repro.experiments.exp6_cluster import run_exp6
-
-        point = run_exp6(placement)
+        point = run_experiment("exp6", placement=placement)
         want = experiment_golden[f"exp6_{placement}"]
         assert point.makespan == pytest.approx(want["makespan"], rel=REL)
         assert point.cache_hit_ratio == pytest.approx(
@@ -134,9 +133,7 @@ class TestExperimentParity:
 
     @pytest.mark.parametrize("policy", ["fifo", "preemptive-priority"])
     def test_exp7(self, experiment_golden, policy):
-        from repro.experiments.exp7_trace_replay import run_exp7
-
-        point = run_exp7(policy, load_factor=40.0)
+        point = run_experiment("exp7", policy=policy, load_factor=40.0)
         want = experiment_golden[f"exp7_{policy}"]
         assert point.makespan == pytest.approx(want["makespan"], rel=REL)
         assert point.cache_hit_ratio == pytest.approx(
@@ -157,10 +154,10 @@ class TestExperimentParity:
         # The fault-injection layer's parity contract: a zero FaultPlan
         # enables no fault machinery, so the run replays the golden
         # numbers exactly as if no plan had been passed at all.
-        from repro.experiments.exp6_cluster import run_exp6
         from repro.faults import FaultPlan
 
-        point = run_exp6("cache", fault_plan=FaultPlan())
+        point = run_experiment("exp6", placement="cache",
+                               fault_plan=FaultPlan())
         want = experiment_golden["exp6_cache"]
         assert point.makespan == pytest.approx(want["makespan"], rel=REL)
         assert point.cache_hit_ratio == pytest.approx(
@@ -177,11 +174,10 @@ class TestExperimentParity:
         assert point.n_job_restarts == 0
 
     def test_exp7_zero_fault_plan_replays_golden(self, experiment_golden):
-        from repro.experiments.exp7_trace_replay import run_exp7
         from repro.faults import FaultPlan
 
-        point = run_exp7("preemptive-priority", load_factor=40.0,
-                         fault_plan=FaultPlan())
+        point = run_experiment("exp7", policy="preemptive-priority",
+                               load_factor=40.0, fault_plan=FaultPlan())
         want = experiment_golden["exp7_preemptive-priority"]
         assert point.makespan == pytest.approx(want["makespan"], rel=REL)
         assert point.cache_hit_ratio == pytest.approx(

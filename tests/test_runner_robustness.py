@@ -19,26 +19,41 @@ from repro.experiments.runner import (
     SweepPointError,
     make_spec,
     point_cache_key,
-    register_experiment,
     run_sweep,
 )
 
 
-def _fail_and_count(counter: str = "", **kwargs):
-    """Point that records each call in ``counter`` and then fails."""
+def _count(counter: str = "", x: int = 0, **kwargs):
+    """Point that records each call in the file ``counter``; returns ``x``."""
     with open(counter, "a") as handle:
         handle.write("x")
+    return x
+
+
+def _fail_and_count(counter: str = "", **kwargs):
+    """Point that records each call in ``counter`` and then fails."""
+    _count(counter)
     raise RuntimeError("boom")
+
+
+def _ok(**kwargs):
+    return "ok"
 
 
 def _die(**kwargs):
     os._exit(1)
 
 
-register_experiment("rt-fail-count",
-                    "tests.test_runner_robustness:_fail_and_count")
-register_experiment("rt-ok", lambda **kw: "ok")
-register_experiment("rt-die", "tests.test_runner_robustness:_die")
+# Point names resolve by import; ``__name__`` is the name pytest imported
+# this module under, so the points run this very module's functions.
+COUNT = f"{__name__}:_count"
+FAIL_COUNT = f"{__name__}:_fail_and_count"
+OK = f"{__name__}:_ok"
+DIE = f"{__name__}:_die"
+
+
+def calls(counter) -> int:
+    return len(counter.read_text()) if counter.exists() else 0
 
 
 # ------------------------------------------------------------- failures
@@ -47,13 +62,13 @@ class TestFailures:
     def test_failing_point_runs_exactly_once(self, tmp_path, workers):
         counter = tmp_path / "calls"
         with pytest.raises(SweepPointError) as excinfo:
-            run_sweep([make_spec("rt-fail-count", counter=str(counter)),
-                       make_spec("rt-ok")], workers=workers)
+            run_sweep([make_spec(FAIL_COUNT, counter=str(counter)),
+                       make_spec(OK)], workers=workers)
         assert excinfo.value.index == 0
         assert counter.read_text() == "x"
 
     def test_dead_workers_fail_the_sweep_and_leave_no_children(self):
-        specs = [make_spec("rt-die", label=f"die-{tag}") for tag in range(2)]
+        specs = [make_spec(DIE, label=f"die-{tag}") for tag in range(2)]
         with pytest.raises(SweepPointError) as excinfo:
             run_sweep(specs, workers=2)
         assert excinfo.value.spec is specs[excinfo.value.index]
@@ -67,33 +82,23 @@ class TestFailures:
 # ------------------------------------------------------------ the cache
 class TestPointCache:
     def test_cached_points_are_not_recomputed(self, tmp_path):
-        calls = {"n": 0}
-
-        def counting(x=0, **kwargs):
-            calls["n"] += 1
-            return x * 10
-
-        register_experiment("rt-counting", counting)
-        specs = [make_spec("rt-counting", x=x) for x in range(3)]
+        counter = tmp_path / "calls"
+        specs = [make_spec(COUNT, counter=str(counter), x=x)
+                 for x in range(3)]
         first = run_sweep(specs, checkpoint_dir=tmp_path)
-        assert calls["n"] == 3
+        assert calls(counter) == 3
         second = run_sweep(specs, checkpoint_dir=tmp_path)
-        assert calls["n"] == 3, "cached values must short-circuit"
+        assert calls(counter) == 3, "cached values must short-circuit"
         assert [r.value for r in first] == [r.value for r in second]
 
     def test_partial_cache_runs_only_the_missing_points(self, tmp_path):
-        calls = {"n": 0}
-
-        def counting(x=0, **kwargs):
-            calls["n"] += 1
-            return x
-
-        register_experiment("rt-counting2", counting)
-        specs = [make_spec("rt-counting2", x=x) for x in range(4)]
+        counter = tmp_path / "calls"
+        specs = [make_spec(COUNT, counter=str(counter), x=x)
+                 for x in range(4)]
         run_sweep(specs[:2], checkpoint_dir=tmp_path)
-        assert calls["n"] == 2
+        assert calls(counter) == 2
         results = run_sweep(specs, checkpoint_dir=tmp_path)
-        assert calls["n"] == 4, "only the two missing points may run"
+        assert calls(counter) == 4, "only the two missing points may run"
         assert [r.value for r in results] == [0, 1, 2, 3]
 
     def test_cache_key_distinguishes_params_and_seed(self):
@@ -104,20 +109,20 @@ class TestPointCache:
         assert point_cache_key(a, 1) == point_cache_key(a, 1)
 
     def test_corrupt_cache_entry_is_recomputed(self, tmp_path):
-        register_experiment("rt-const", lambda **kw: "fresh")
-        spec = make_spec("rt-const")
+        spec = make_spec(OK)
         key = point_cache_key(spec, None)
         bad = tmp_path / f"point-{key}.pkl"
         bad.write_bytes(b"this is not a pickle")
         results = run_sweep([spec], checkpoint_dir=tmp_path)
-        assert results[0].value == "fresh"
+        assert results[0].value == "ok"
         # And the recomputed value replaced the corrupt entry.
         with open(bad, "rb") as handle:
-            assert pickle.load(handle) == "fresh"
+            assert pickle.load(handle) == "ok"
 
     def test_progress_counts_cached_points(self, tmp_path):
-        register_experiment("rt-progress", lambda x=0, **kw: x)
-        specs = [make_spec("rt-progress", x=x) for x in range(3)]
+        counter = tmp_path / "calls"
+        specs = [make_spec(COUNT, counter=str(counter), x=x)
+                 for x in range(3)]
         run_sweep(specs[:2], checkpoint_dir=tmp_path)
         seen = []
         run_sweep(specs, checkpoint_dir=tmp_path,

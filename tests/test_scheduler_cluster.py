@@ -14,6 +14,7 @@ from repro.errors import ConfigurationError, SchedulingError
 from repro.filesystem.file import File
 from repro.simulator.simulation import Simulation, SimulationConfig
 from repro.simulator.workflow import Task, Workflow
+from repro.snapshot import run_experiment
 from repro.units import MB
 
 
@@ -291,11 +292,9 @@ class TestClusterExecution:
         assert result.read_cache_hit_ratio() == pytest.approx(0.0, abs=0.01)
 
     def test_seeded_runs_are_reproducible(self):
-        from repro.experiments.exp6_cluster import run_exp6
-
         kwargs = dict(n_jobs=20, n_nodes=2, n_datasets=4, seed=7)
-        first = run_exp6("cache", **kwargs)
-        second = run_exp6("cache", **kwargs)
+        first = run_experiment("exp6", placement="cache", **kwargs)
+        second = run_experiment("exp6", placement="cache", **kwargs)
         assert first.makespan == second.makespan
         assert first.cache_hit_ratio == second.cache_hit_ratio
         assert first.mean_wait_time == second.mean_wait_time

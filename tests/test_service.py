@@ -43,6 +43,7 @@ from repro.snapshot import (
     SimRecipe,
     SnapshotPlan,
     apply_live_overrides,
+    build_experiment,
     capture_state,
     fingerprint,
     read_snapshot_doc,
@@ -580,7 +581,7 @@ class TestServiceRecovery:
         entries = SubmissionLog(crashed_dir / "submissions.log").entries()
         reference = canonical_result(replay_result(SMALL_RECIPE, entries))
         # A snapshot of some other history, plus one torn file.
-        other = build_service_cluster(**SMALL_PARAMS)
+        other = build_experiment("service-cluster", **SMALL_PARAMS)
         other.step_until(2.0)
         snap_dir = crashed_dir / "snapshots"
         stale = write_snapshot(other, snap_dir / "svc-00000003.json")
@@ -629,9 +630,7 @@ class TestWarmStart:
     EXP6 = dict(n_jobs=12, n_nodes=2, n_datasets=3, cores_per_node=8)
 
     def snapshot(self, tmp_path):
-        from repro.experiments.exp6_cluster import build_exp6
-
-        sim = build_exp6(**self.EXP6)
+        sim = build_experiment("exp6", **self.EXP6)
         sim.step_until(3.0)
         return write_snapshot(sim, tmp_path / "branch.json")
 

@@ -1,7 +1,13 @@
 """Integration-style tests for the Simulation facade, WMS and tracing."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro import File, Simulation, SimulationConfig
 from repro.errors import ConfigurationError, SchedulingError
 from repro.pagecache.config import PageCacheConfig
@@ -132,6 +138,28 @@ class TestEndToEndExecution:
         result = self._run("none")
         assert result.mean_app_read_time() == pytest.approx(20.0)
         assert result.mean_app_write_time() == pytest.approx(20.0)
+
+    def test_mean_app_time_does_not_depend_on_the_hash_seed(self):
+        # Three apps whose per-app totals sum differently in different
+        # orders; a set of app names iterates in a hash-seed order.
+        code = (
+            "from repro.simulator.simulation import SimulationResult\n"
+            "from repro.simulator.tracing import OperationRecord\n"
+            "ops = [OperationRecord(f'app{i}', 't', 'read', None, 1.0, 0.0, d)\n"
+            "       for i, d in enumerate((0.1, 0.2, 0.3))]\n"
+            "result = SimulationResult(0.0, 0.0, ops, [], [], {}, {})\n"
+            "print(repr(result.mean_app_read_time()))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        means = set()
+        for seed in range(10):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            out = subprocess.run([sys.executable, "-c", code], env=env,
+                                 capture_output=True, text=True, check=True)
+            means.add(out.stdout.strip())
+        assert len(means) == 1, means
 
 
 class TestConcurrentWorkflows:

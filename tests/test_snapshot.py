@@ -3,8 +3,8 @@
 Unit tests pin the canonical encoder, snapshot plans and the snapshot
 file format; integration tests exercise the invariant — a run
 snapshotted at ``t=T`` and restored in a fresh simulation produces
-results byte-identical to the uninterrupted run — on the exp2/exp6/exp7
-golden workloads.
+results byte-identical to the uninterrupted run — on every registered
+batch experiment.
 """
 
 from __future__ import annotations
@@ -22,24 +22,25 @@ from repro.errors import (
     SnapshotError,
     SnapshotIntegrityError,
 )
-from repro.experiments.exp2_concurrent import build_exp2, finish_exp2, run_exp2
-from repro.experiments.exp6_cluster import build_exp6, finish_exp6, run_exp6
-from repro.experiments.exp7_trace_replay import build_exp7, finish_exp7, run_exp7
 from repro.faults.plan import FaultPlan, NodeFaultSpec
 from repro.snapshot import (
+    EXPERIMENTS,
     NONDETERMINISTIC_FIELDS,
     SimRecipe,
     SnapshotPlan,
+    build_experiment,
     build_from_recipe,
     canonical_json,
     capture_state,
+    finish_point,
     fingerprint,
     read_snapshot_doc,
     restore_simulation,
+    run_experiment,
     to_jsonable,
     write_snapshot,
 )
-from repro.units import GB
+from repro.units import GB, MB
 
 
 def canon(point) -> str:
@@ -139,29 +140,29 @@ class TestSnapshotPlan:
 class TestStepUntil:
     def test_stepping_matches_plain_run(self):
         """A run advanced in segments finishes with identical results."""
-        plain = run_exp6("cache", n_jobs=30)
-        sim = build_exp6("cache", n_jobs=30)
+        plain = run_experiment("exp6", n_jobs=30)
+        sim = build_experiment("exp6", n_jobs=30)
         t = 0.0
         while not sim.completed:
             t += 3.0
             sim.step_until(t)
             if t > 10_000:  # pragma: no cover - runaway guard
                 pytest.fail("simulation did not complete")
-        stepped = finish_exp6(sim.run(), "cache", n_jobs=30)
+        stepped = finish_point(sim.recipe, sim.run())
         assert canon(stepped) == canon(plain)
 
     def test_stepped_capture_matches_plain_capture(self):
         """Same events processed => byte-identical capture at time T."""
-        a = build_exp6("cache", n_jobs=30)
+        a = build_experiment("exp6", n_jobs=30)
         a.step_until(4.0)
         a.step_until(8.0)
-        b = build_exp6("cache", n_jobs=30)
+        b = build_experiment("exp6", n_jobs=30)
         b.step_until(8.0)
         assert fingerprint(capture_state(a)) == fingerprint(capture_state(b))
 
     def test_clock_ends_at_t_until_completion(self):
         """A pause leaves the clock at ``t``, not at the last event."""
-        sim = build_exp6("cache", n_jobs=30)
+        sim = build_experiment("exp6", n_jobs=30)
         assert sim.step_until(4.3) == sim.env.now == 4.3
         assert not sim.completed
         sim.step_until(math.inf)
@@ -173,9 +174,9 @@ class TestStepUntil:
         """Pausing at ``t`` counts DES events and tombstones like run()."""
         monkeypatch.setenv("REPRO_OBS", "1")
         params = dict(policy="easy", n_jobs=60, n_nodes=4, seed=3)
-        plain = build_exp6("cache", **params)
+        plain = build_experiment("exp6", **params)
         plain.run()
-        stepped = build_exp6("cache", **params)
+        stepped = build_experiment("exp6", **params)
         t = 0.0
         while not stepped.completed:
             t += 0.5
@@ -188,7 +189,7 @@ class TestStepUntil:
                 == plain.observer.des_event_counts)
 
     def test_step_into_the_past_rejected(self):
-        sim = build_exp6("cache", n_jobs=30)
+        sim = build_experiment("exp6", n_jobs=30)
         sim.step_until(5.0)
         with pytest.raises(ConfigurationError):
             sim.step_until(1.0)
@@ -197,14 +198,14 @@ class TestStepUntil:
 # ---------------------------------------------------------- file format
 class TestSnapshotFile:
     def test_write_is_byte_deterministic(self, tmp_path):
-        sim = build_exp6("cache", n_jobs=30)
+        sim = build_experiment("exp6", n_jobs=30)
         sim.step_until(6.0)
         p1 = write_snapshot(sim, tmp_path / "a.json")
         p2 = write_snapshot(sim, tmp_path / "b.json")
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_header_fields(self, tmp_path):
-        sim = build_exp6("cache", n_jobs=30)
+        sim = build_experiment("exp6", n_jobs=30)
         sim.step_until(6.0)
         doc = read_snapshot_doc(write_snapshot(sim, tmp_path / "s.json"))
         assert doc["format"] == "repro-snapshot"
@@ -214,7 +215,7 @@ class TestSnapshotFile:
         assert doc["fingerprint"] == fingerprint(doc["state"])
 
     def test_unstarted_simulation_rejected(self, tmp_path):
-        sim = build_exp6("cache", n_jobs=30)
+        sim = build_experiment("exp6", n_jobs=30)
         with pytest.raises(SnapshotError):
             write_snapshot(sim, tmp_path / "s.json")
 
@@ -235,7 +236,7 @@ class TestSnapshotFile:
             read_snapshot_doc(bad)
 
     def test_wrong_version_rejected(self, tmp_path):
-        sim = build_exp6("cache", n_jobs=30)
+        sim = build_experiment("exp6", n_jobs=30)
         sim.step_until(6.0)
         path = write_snapshot(sim, tmp_path / "s.json")
         doc = json.loads(path.read_text())
@@ -245,7 +246,7 @@ class TestSnapshotFile:
             read_snapshot_doc(path)
 
     def test_tampered_state_fails_integrity_check(self, tmp_path):
-        sim = build_exp6("cache", n_jobs=30)
+        sim = build_experiment("exp6", n_jobs=30)
         sim.step_until(6.0)
         path = write_snapshot(sim, tmp_path / "s.json")
         doc = json.loads(path.read_text())
@@ -255,7 +256,7 @@ class TestSnapshotFile:
             restore_simulation(path)
 
     def test_verify_false_skips_integrity_check(self, tmp_path):
-        sim = build_exp6("cache", n_jobs=30)
+        sim = build_experiment("exp6", n_jobs=30)
         sim.step_until(6.0)
         path = write_snapshot(sim, tmp_path / "s.json")
         doc = json.loads(path.read_text())
@@ -267,39 +268,37 @@ class TestSnapshotFile:
 
 
 # ------------------------------------------------------- restore parity
+#: One small case per registered batch experiment: its parameters and a
+#: snapshot time that lands mid-run.
+PARITY_CASES = {
+    "exp1": (dict(simulator="wrench-cache", file_size=2 * GB,
+                  trace_interval=1.0), 3.0),
+    "exp2": (dict(simulator="wrench-cache", n_apps=4, input_size=3 * GB), 20.0),
+    "exp4": (dict(simulator="wrench-cache"), 60.0),
+    "exp6": (dict(placement="cache", n_jobs=40), 8.0),
+    "exp7": (dict(policy="preemptive-priority", load_factor=40.0), 10.0),
+    "exp9": (dict(workload="exp6", mtbf=15.0, mttr=3.0, n_jobs=20,
+                  n_nodes=3, n_datasets=6), 8.0),
+}
+
+
 class TestRestoreParity:
-    """The tentpole invariant, on the parity suite's golden workloads."""
+    """The tentpole invariant, on every registered batch experiment."""
 
-    def test_exp6_resume_parity(self, tmp_path):
-        plain = run_exp6("cache", n_jobs=40)
-        sim = build_exp6("cache", n_jobs=40)
-        sim.step_until(8.0)
+    @pytest.mark.parametrize(
+        "name", sorted(set(EXPERIMENTS) - {"service-cluster"}))
+    def test_resume_parity(self, name, tmp_path):
+        params, t = PARITY_CASES[name]
+        plain = run_experiment(name, **params)
+        sim = build_experiment(name, **params)
+        sim.step_until(t)
+        assert not sim.completed
         path = write_snapshot(sim, tmp_path / "s.json")
-        restored = restore_simulation(path)
-        resumed = finish_exp6(restored.run(), "cache", n_jobs=40)
-        assert canon(resumed) == canon(plain)
-
-    def test_exp2_resume_parity(self, tmp_path):
-        plain = run_exp2("wrench-cache", 4, input_size=3 * GB)
-        sim = build_exp2("wrench-cache", 4, input_size=3 * GB)
-        sim.step_until(20.0)
-        path = write_snapshot(sim, tmp_path / "s.json")
-        resumed = finish_exp2(restore_simulation(path).run(),
-                              "wrench-cache", 4, input_size=3 * GB)
-        assert canon(resumed) == canon(plain)
-
-    def test_exp7_resume_parity(self, tmp_path):
-        kwargs = dict(placement="cache", load_factor=40.0)
-        plain = run_exp7("preemptive-priority", **kwargs)
-        sim = build_exp7("preemptive-priority", **kwargs)
-        sim.step_until(10.0)
-        path = write_snapshot(sim, tmp_path / "s.json")
-        resumed = finish_exp7(restore_simulation(path).run(),
-                              "preemptive-priority", **kwargs)
+        resumed = finish_point(sim.recipe, restore_simulation(path).run())
         assert canon(resumed) == canon(plain)
 
     def test_restore_is_paused_at_snapshot_time(self, tmp_path):
-        sim = build_exp6("cache", n_jobs=30)
+        sim = build_experiment("exp6", n_jobs=30)
         sim.step_until(7.0)
         t = sim.env.now
         path = write_snapshot(sim, tmp_path / "s.json")
@@ -331,10 +330,29 @@ class TestRecipes:
         assert back.params["fault_plan"].seed == 3
         assert back.params["fault_plan"].node_faults[0].mtbf == 60.0
 
-    def test_in_memory_trace_gets_no_recipe(self):
+    def test_recipe_keeps_every_builder_parameter(self):
+        recipe = build_experiment("exp6", n_jobs=30).recipe
+        assert recipe == SimRecipe("exp6", dict(
+            placement="cache", policy="fifo", n_jobs=30, n_nodes=8,
+            n_datasets=16, cores_per_node=8, input_size=1 * GB,
+            output_size=256 * MB, arrival_rate=3.0, chunk_size=100 * MB,
+            seed=42, eviction_policy="lru", fault_plan=None,
+        ))
+
+    def test_unencodable_parameter_named_on_write(self, tmp_path):
         from repro.experiments.exp7_trace_replay import default_trace_path
         from repro.scheduler.swf import load_swf
 
         trace = load_swf(default_trace_path())
-        sim = build_exp7("fifo", trace=trace)
-        assert sim.recipe is None
+        sim = build_experiment("exp7", policy="fifo", trace=trace,
+                               max_jobs=20)
+        sim.step_until(1.0)
+        with pytest.raises(SnapshotError, match="'trace'"):
+            write_snapshot(sim, tmp_path / "s.json")
+
+    def test_path_parameter_stored_as_string(self):
+        from repro.experiments.exp7_trace_replay import default_trace_path
+
+        recipe = build_experiment("exp7", trace=default_trace_path(),
+                                  max_jobs=20).recipe
+        assert recipe.encoded()["params"]["trace"] == str(default_trace_path())

@@ -13,9 +13,6 @@ resurrecting the departed node.
 
 from __future__ import annotations
 
-from repro.experiments.exp2_concurrent import build_exp2, finish_exp2, run_exp2
-from repro.experiments.exp6_cluster import build_exp6, finish_exp6, run_exp6
-from repro.experiments.exp7_trace_replay import build_exp7, finish_exp7, run_exp7
 from repro.faults.plan import (
     ElasticNodeSpec,
     FaultPlan,
@@ -25,9 +22,12 @@ from repro.filesystem.file import File
 from repro.simulator.simulation import Simulation, SimulationConfig
 from repro.simulator.workflow import Task, Workflow
 from repro.snapshot import (
+    build_experiment,
     canonical_json,
     capture_state,
+    finish_point,
     restore_simulation,
+    run_experiment,
     write_snapshot,
 )
 from repro.units import MB
@@ -54,10 +54,11 @@ def step_into_state(sim, predicate, *, dt=0.25, limit=500.0) -> bool:
 class TestSnapshotMidFaults:
     def test_snapshot_mid_preemption(self, tmp_path):
         """Snapshot while a preemption is suspending a running job."""
-        kwargs = dict(placement="cache", load_factor=40.0)
-        reference = run_exp7("preemptive-priority", **kwargs)
+        kwargs = dict(policy="preemptive-priority", placement="cache",
+                      load_factor=40.0)
+        reference = run_experiment("exp7", **kwargs)
 
-        sim = build_exp7("preemptive-priority", **kwargs)
+        sim = build_experiment("exp7", **kwargs)
         hit = step_into_state(
             sim,
             lambda s: bool(s.scheduler._suspending) or any(
@@ -67,15 +68,15 @@ class TestSnapshotMidFaults:
         )
         assert hit, "replay never entered a preemption window"
         path = write_snapshot(sim, tmp_path / "mid-preempt.json")
-        resumed = finish_exp7(restore_simulation(path).run(),
-                              "preemptive-priority", **kwargs)
+        resumed = finish_point(sim.recipe, restore_simulation(path).run())
         assert canon(resumed) == canon(reference)
 
     def test_snapshot_mid_flow_transfer(self, tmp_path):
         """Snapshot while bytes are mid-flight on a shared channel."""
-        reference = run_exp2("wrench-cache", 4)
+        kwargs = dict(simulator="wrench-cache", n_apps=4)
+        reference = run_experiment("exp2", **kwargs)
 
-        sim = build_exp2("wrench-cache", 4)
+        sim = build_experiment("exp2", **kwargs)
 
         def flows_in_flight(s):
             return any(
@@ -94,8 +95,7 @@ class TestSnapshotMidFaults:
             for channel in host["channels"]
         )
         path = write_snapshot(sim, tmp_path / "mid-flow.json")
-        resumed = finish_exp2(restore_simulation(path).run(),
-                              "wrench-cache", 4)
+        resumed = finish_point(sim.recipe, restore_simulation(path).run())
         assert canon(resumed) == canon(reference)
 
     def test_snapshot_with_node_down(self, tmp_path):
@@ -104,11 +104,11 @@ class TestSnapshotMidFaults:
             seed=11,
             node_faults=[NodeFaultSpec(node="*", mtbf=30.0, mttr=5.0)],
         )
-        kwargs = dict(n_jobs=60, fault_plan=plan)
-        reference = run_exp6("cache", **kwargs)
+        kwargs = dict(placement="cache", n_jobs=60, fault_plan=plan)
+        reference = run_experiment("exp6", **kwargs)
         assert reference.n_node_failures > 0
 
-        sim = build_exp6("cache", **kwargs)
+        sim = build_experiment("exp6", **kwargs)
         hit = step_into_state(
             sim,
             lambda s: any(not node.up for node in s.scheduler.nodes),
@@ -122,8 +122,7 @@ class TestSnapshotMidFaults:
         assert all(len(entry) == 4 for entry in state["faults"]["rngs"])
 
         path = write_snapshot(sim, tmp_path / "node-down.json")
-        resumed = finish_exp6(restore_simulation(path).run(),
-                              "cache", **kwargs)
+        resumed = finish_point(sim.recipe, restore_simulation(path).run())
         assert canon(resumed) == canon(reference)
         assert resumed.n_node_failures == reference.n_node_failures
         assert resumed.n_job_restarts == reference.n_job_restarts
