@@ -19,10 +19,11 @@ The package is organised in layers:
     The paper's primary contribution: data blocks, two-list LRU, the
     Memory Manager and the I/O Controller (Algorithms 1-3).
 ``repro.filesystem``
-    Files, mount points, local file systems and an NFS client/server model.
+    Files and the registry of their locations.
 ``repro.simulator``
-    A WRENCH-like workflow simulation facade: storage services, compute
-    services, workflows, a workflow management system and execution tracing.
+    A WRENCH-like workflow simulation facade: storage services (local,
+    cacheless and NFS), compute services, workflows, a workflow management
+    system and execution tracing.
 ``repro.scheduler``
     A cluster batch-scheduler subsystem: job queues with seeded arrival
     generators, pluggable scheduling policies (FIFO, SJF, EASY

@@ -19,7 +19,7 @@ keeps it alive.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.des.environment import Environment
 from repro.errors import ConfigurationError

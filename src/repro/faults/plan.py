@@ -16,7 +16,7 @@ perturbs the crash times of another.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional, Tuple
 
 from repro.errors import ConfigurationError

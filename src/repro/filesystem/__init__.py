@@ -2,15 +2,11 @@
 
 Files in the simulator are metadata only (a name and a size); their
 location is tracked by a :class:`~repro.filesystem.registry.FileRegistry`
-mapping files to the storage services that hold a copy.  The
-:class:`~repro.filesystem.nfs.NFSConfig` dataclass captures the NFS mount
-options that matter to the model (client/server caching behaviour), which
-in the paper's Exp 3 are "no client write cache, server writethrough,
-client and server read caches enabled".
+mapping files to the storage services that hold a copy.  The NFS model is
+a storage service, :class:`~repro.simulator.storage_service.NFSStorageService`.
 """
 
 from repro.filesystem.file import File
 from repro.filesystem.registry import FileRegistry
-from repro.filesystem.nfs import NFSConfig
 
-__all__ = ["File", "FileRegistry", "NFSConfig"]
+__all__ = ["File", "FileRegistry"]

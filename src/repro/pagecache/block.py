@@ -73,14 +73,6 @@ class Block:
         """Record an access at simulated time ``now``."""
         self.last_access = float(now)
 
-    def is_expired(self, now: float, expiration: float) -> bool:
-        """True if the block is dirty and older than ``expiration`` seconds.
-
-        Only dirty blocks can expire; expiration drives the periodical
-        flushing of Algorithm 1.
-        """
-        return self.dirty and (now - self.entry_time) >= expiration
-
     def split(self, first_size: float) -> Tuple["Block", "Block"]:
         """Split the block into two blocks of sizes ``first_size`` and the rest.
 
@@ -97,11 +89,6 @@ class Block:
         second = Block(self.filename, self.size - first_size, self.entry_time,
                        self.last_access, self.dirty, self.storage)
         return first, second
-
-    def clone(self) -> "Block":
-        """Return a copy of the block (new id, same metadata)."""
-        return Block(self.filename, self.size, self.entry_time,
-                     self.last_access, self.dirty, self.storage)
 
     def __repr__(self) -> str:
         flag = "dirty" if self.dirty else "clean"

@@ -53,11 +53,6 @@ class PageCacheConfig:
         reference model and disabled in the paper-faithful simulators.
     periodic_flushing:
         Whether to run the background periodical-flush process.
-    active_to_inactive_ratio:
-        Maximum allowed ratio between the active and inactive list sizes
-        (the kernel keeps the active list at most twice the inactive list).
-    balance_lists:
-        Whether to enforce ``active_to_inactive_ratio`` after cache updates.
     eviction_policy:
         Victim-selection policy of the cache: a registered name (``"lru"``,
         ``"arc"``, ``"2q"``, ``"clock-pro"``, ``"priority"``), an
@@ -76,8 +71,6 @@ class PageCacheConfig:
     evict_from_active: bool = False
     protect_written_files: bool = False
     periodic_flushing: bool = True
-    active_to_inactive_ratio: float = 2.0
-    balance_lists: bool = True
     #: Eviction-policy spec: a registered name, an ``EvictionPolicy``
     #: instance, a subclass, or a zero-argument factory.
     eviction_policy: object = "lru"
@@ -102,22 +95,15 @@ class PageCacheConfig:
                 "dirty_threshold_base must be 'total' or 'available', got "
                 f"{self.dirty_threshold_base!r}"
             )
-        if self.active_to_inactive_ratio <= 0:
-            raise ConfigurationError("active_to_inactive_ratio must be positive")
         # Imported lazily: policy.py pulls in the LRU machinery, which the
         # configuration module must not load at import time.
-        from repro.pagecache.policy import validate_policy_spec
+        from repro.pagecache.policy import _policy_factory
 
-        validate_policy_spec(self.eviction_policy)
+        _policy_factory(self.eviction_policy)
 
     def with_updates(self, **kwargs) -> "PageCacheConfig":
         """Return a copy of the configuration with some fields replaced."""
         return replace(self, **kwargs)
-
-    @classmethod
-    def linux_default(cls) -> "PageCacheConfig":
-        """Configuration of a stock Linux kernel (paper's cluster)."""
-        return cls()
 
     @classmethod
     def reference(cls) -> "PageCacheConfig":
@@ -127,8 +113,3 @@ class PageCacheConfig:
             evict_from_active=True,
             protect_written_files=True,
         )
-
-    @classmethod
-    def no_periodic_flush(cls) -> "PageCacheConfig":
-        """Configuration with the background flusher disabled (for tests)."""
-        return cls(periodic_flushing=False)

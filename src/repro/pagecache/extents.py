@@ -74,18 +74,6 @@ class ExtentRun:
         self._epoch = 0
 
     # ------------------------------------------------------------------ views
-    def front(self) -> Block:
-        """The least recently used live fragment."""
-        return self.frags[self.head]
-
-    def back(self) -> Block:
-        """The most recently used live fragment."""
-        return self.frags[-1]
-
-    def fragment_count(self) -> int:
-        """Number of live fragments in the run."""
-        return len(self.frags) - self.head
-
     def fragments(self) -> List[Block]:
         """Snapshot of the live fragments, oldest first."""
         return self.frags[self.head:]
@@ -112,7 +100,7 @@ class ExtentRun:
         state = "dirty" if self.dirty else "clean"
         return (
             f"<ExtentRun {self.filename!r} {state} "
-            f"frags={self.fragment_count()}>"
+            f"frags={len(self.frags) - self.head}>"
         )
 
 
@@ -124,18 +112,6 @@ class RunIndex:
     def __init__(self):
         self.clean: Optional[ExtentRun] = None
         self.dirty: Optional[ExtentRun] = None
-
-    def get(self, dirty: bool) -> Optional[ExtentRun]:
-        return self.dirty if dirty else self.clean
-
-    def set(self, dirty: bool, run: Optional[ExtentRun]) -> None:
-        if dirty:
-            self.dirty = run
-        else:
-            self.clean = run
-
-    def __bool__(self) -> bool:
-        return self.clean is not None or self.dirty is not None
 
 
 class StateHeap:

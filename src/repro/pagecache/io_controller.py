@@ -17,9 +17,10 @@ storage service loops over the same per-chunk methods.
 
 All public methods are simulation processes: ``yield`` them from a process
 (or wrap them with ``env.process``).  The per-chunk methods call the
-Memory Manager's synchronous halves (``select_flush``, ``take_from_cache``,
-``put_to_cache``) and yield the transfers themselves, so a chunk costs one
-generator frame.
+Memory Manager's synchronous halves (``take_from_cache``, ``put_to_cache``)
+and yield the memory transfers themselves; they flush in the foreground
+through :meth:`MemoryManager.flush
+<repro.pagecache.memory_manager.MemoryManager.flush>`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from typing import Optional
 
 from repro.des.environment import Environment
 from repro.errors import ConfigurationError
-from repro.pagecache.config import PageCacheConfig
 from repro.pagecache.memory_manager import MemoryManager
 from repro.pagecache.tolerances import BYTE_EPSILON as _EPSILON
 from repro.platform.storage import StorageDevice
@@ -73,18 +73,16 @@ class IOController:
     memory_manager:
         The Memory Manager of the host performing the I/O.  ``None`` raises
         :class:`~repro.errors.ConfigurationError` (the cacheless baseline
-        bypasses the controller entirely).
-    config:
-        Page cache configuration; defaults to the memory manager's.
+        bypasses the controller entirely).  Its configuration supplies
+        the default chunk size.
     """
 
-    def __init__(self, env: Environment, memory_manager: MemoryManager,
-                 config: Optional[PageCacheConfig] = None):
+    def __init__(self, env: Environment, memory_manager: MemoryManager):
         if memory_manager is None:
             raise ConfigurationError("IOController requires a MemoryManager")
         self.env = env
         self.mm = memory_manager
-        self.config = config or memory_manager.config
+        self.config = memory_manager.config
 
     # -------------------------------------------------------------- chunk read
     def read_chunk(self, filename: str, file_size: float, chunk_size: float,
@@ -109,13 +107,7 @@ class IOController:
         required_mem = (chunk_size if use_anonymous_memory else 0.0) + disk_read
         flush_amount = required_mem - mm._free - mm.evictable
         if flush_amount > 0:
-            per_device, flushed = mm.select_flush(flush_amount,
-                                                  exclude_file=filename)
-            if flushed > 0:
-                for device, device_amount in per_device.items():
-                    yield device.write(device_amount, label=mm._label_flush)
-                stats.flushed_bytes += flushed
-                stats.flush_ops += 1
+            yield from mm.flush(flush_amount, exclude_file=filename)
         evict_amount = required_mem - mm._free
         if evict_amount > 0:
             mm.evict(evict_amount, exclude_file=filename)
@@ -169,14 +161,7 @@ class IOController:
         remaining = chunk_size - mem_amt
         while remaining > _EPSILON:
             # Dirty threshold reached: flush, evict, then write the rest.
-            per_device, flushed = mm.select_flush(chunk_size - mem_amt,
-                                                  exclude_file=None)
-            if flushed > 0:
-                for device, device_amount in per_device.items():
-                    yield device.write(device_amount, label=mm._label_flush)
-                stats.flushed_bytes += flushed
-                stats.flush_ops += 1
-            total_flushed += flushed
+            total_flushed += yield from mm.flush(chunk_size - mem_amt)
             evict_amount = chunk_size - mem_amt - mm._free
             if evict_amount > 0:
                 mm.evict(evict_amount, exclude_file=filename)

@@ -42,7 +42,7 @@ promotion, demotion and balancing.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.errors import CacheConsistencyError
 from repro.pagecache.block import Block
@@ -59,6 +59,9 @@ from repro.pagecache.tolerances import (
     DRIFT_TOLERANCE,
     NEGATIVE_TOLERANCE,
 )
+
+#: The kernel keeps the active list at most twice the inactive list.
+ACTIVE_TO_INACTIVE_RATIO = 2.0
 
 
 def _order_key(block: Block):
@@ -131,9 +134,6 @@ class LRUList:
 
     def __len__(self) -> int:
         return self._length
-
-    def __iter__(self) -> Iterator[Block]:
-        return iter(self.blocks)
 
     def __contains__(self, block: object) -> bool:
         run = getattr(block, "_run", None)
@@ -226,8 +226,8 @@ class LRUList:
 
         With ``full_key=False`` the block carries a fresher stamp than
         every fragment in the list, so ties on ``last_access`` resolve to
-        "after" and the search compares access times only (the historical
-        ``insert_ordered`` contract).  With ``full_key=True`` the block
+        "after" and the search compares access times only (the
+        :meth:`append` contract).  With ``full_key=True`` the block
         keeps an old stamp (a state change moving it between runs) and
         the search compares the complete ``(last_access, stamp)`` key.
         """
@@ -302,11 +302,6 @@ class LRUList:
         per_file = self._per_file
         per_file[filename] = per_file.get(filename, 0.0) + size
 
-    #: ``insert_ordered`` is the historical name of the ordered insert;
-    #: :meth:`append` implements both the tail fast path and the ordered
-    #: fallback.
-    insert_ordered = append
-
     # --------------------------------------------------------------- removal
     def _carve_out(self, block: Block) -> None:
         """Structurally remove ``block`` from its run (no accounting).
@@ -336,7 +331,8 @@ class LRUList:
             del frags[idx]
         block._run = None
 
-    def _detach(self, block: Block) -> None:
+    def remove(self, block: Block) -> None:
+        """Remove ``block`` from the list (O(1) at a run boundary)."""
         run = block._run
         if run is None or run._list is not self:
             raise CacheConsistencyError(
@@ -364,10 +360,6 @@ class LRUList:
         self._size = max(0.0, self._size)
         self._dirty = max(0.0, self._dirty)
 
-    def remove(self, block: Block) -> None:
-        """Remove ``block`` from the list (O(1) at a run boundary)."""
-        self._detach(block)
-
     def _front_entry(self):
         """The live global-minimum heap entry, or ``None`` when empty."""
         self._flush_pending()
@@ -388,7 +380,7 @@ class LRUList:
             raise CacheConsistencyError(f"LRU list {self.name!r} is empty")
         run = entry[3]
         block = run.frags[run.head]
-        self._detach(block)
+        self.remove(block)
         return block
 
     def peek_lru(self) -> Block:
@@ -436,23 +428,6 @@ class LRUList:
             # A state change, not a coalescing event: `merges` unchanged.
             self._join_run(clean, block, block.last_access, True)
 
-    def clear(self) -> List[Block]:
-        """Remove all fragments and return them (LRU order)."""
-        blocks = self.blocks
-        for block in blocks:
-            block._run = None
-        self._length = 0
-        self._run_count = 0
-        self._size = 0.0
-        self._dirty = 0.0
-        self._per_file = {}
-        self._file_runs = {}
-        self._dirty_heap = StateHeap(self, True)
-        self._clean_heap = StateHeap(self, False)
-        self._pending_repush = {}
-        self._run_pool = []
-        return blocks
-
     # --------------------------------------------------------------- queries
     def cached_of_file(self, filename: str) -> float:
         """Bytes of ``filename`` held by the list (O(1))."""
@@ -477,29 +452,14 @@ class LRUList:
         merged.sort(key=_order_key)
         return merged
 
-    def _state_blocks(self, dirty: bool,
-                      excluded: Iterable[str] = ()) -> List[Block]:
-        blocks: List[Block] = []
-        for filename, index in self._file_runs.items():
-            if filename in excluded:
-                continue
-            run = index.dirty if dirty else index.clean
-            if run is not None:
-                blocks.extend(run.frags[run.head:])
-        blocks.sort(key=_order_key)
-        return blocks
-
-    def dirty_blocks(self, exclude_file: Optional[str] = None) -> List[Block]:
-        """Dirty fragments in LRU order, optionally excluding one file."""
-        excluded = () if exclude_file is None else (exclude_file,)
-        return self._state_blocks(True, excluded)
-
-    def clean_blocks(self, exclude_files: Iterable[str] = ()) -> List[Block]:
-        """Clean fragments in LRU order, optionally excluding some files."""
-        return self._state_blocks(False, set(exclude_files))
-
     def expired_blocks(self, now: float, expiration: float) -> List[Block]:
-        """Dirty fragments older than ``expiration``, in LRU order."""
+        """Dirty fragments at least ``expiration`` seconds old, in LRU order.
+
+        A full scan of the dirty runs: entry time is not monotone in LRU
+        order (re-reading a dirty fragment moves it to the recent end but
+        keeps its entry time), so no prefix of the dirty order holds all
+        the expired fragments.
+        """
         blocks: List[Block] = []
         for index in self._file_runs.values():
             run = index.dirty
@@ -663,14 +623,11 @@ class LRUList:
 class PageCacheLists:
     """The paired inactive/active LRU lists with kernel-style balancing."""
 
-    __slots__ = ("inactive", "active", "active_to_inactive_ratio",
-                 "balance_enabled")
+    __slots__ = ("inactive", "active", "balance_enabled")
 
-    def __init__(self, active_to_inactive_ratio: float = 2.0,
-                 balance: bool = True):
+    def __init__(self, balance: bool = True):
         self.inactive = LRUList("inactive")
         self.active = LRUList("active")
-        self.active_to_inactive_ratio = active_to_inactive_ratio
         self.balance_enabled = balance
 
     # ----------------------------------------------------------------- sizes
@@ -732,10 +689,6 @@ class PageCacheLists:
             merged[filename] = merged.get(filename, 0.0) + size
         return merged
 
-    def all_blocks(self) -> List[Block]:
-        """All fragments, inactive list first (the order data is read back)."""
-        return self.inactive.blocks + self.active.blocks
-
     # ------------------------------------------------------------- mutations
     def add_to_inactive(self, block: Block) -> None:
         """Insert a newly cached block (first access) and rebalance."""
@@ -761,15 +714,16 @@ class PageCacheLists:
     def balance(self) -> float:
         """Demote LRU active data until active <= ratio x inactive.
 
-        Exactly the excess is demoted (the last demoted block is split if
-        needed), so the structural invariant ``active <= ratio x inactive``
+        The ratio is :data:`ACTIVE_TO_INACTIVE_RATIO`.  Exactly the excess
+        is demoted (the last demoted block is split if needed), so the
+        structural invariant ``active <= ratio x inactive``
         holds after every cache update, matching the kernel's steady state
         where the active list is kept at most twice the inactive list.
         Returns the number of bytes demoted.
         """
         if not self.balance_enabled:
             return 0.0
-        ratio = self.active_to_inactive_ratio
+        ratio = ACTIVE_TO_INACTIVE_RATIO
         excess = self.active._size - ratio * self.inactive._size
         if excess <= BYTE_EPSILON:
             return 0.0
@@ -781,13 +735,13 @@ class PageCacheLists:
             needed = to_demote - demoted
             if block.size <= needed + BYTE_EPSILON:
                 self.active.remove(block)
-                self.inactive.insert_ordered(block)
+                self.inactive.append(block)
                 demoted += block.size
             else:
                 self.active.remove(block)
                 demoted_part, kept_part = block.split(needed)
-                self.inactive.insert_ordered(demoted_part)
-                self.active.insert_ordered(kept_part)
+                self.inactive.append(demoted_part)
+                self.active.append(kept_part)
                 demoted += needed
         return demoted
 

@@ -8,16 +8,17 @@ of one host.  It implements:
   dirty blocks until a requested amount is persisted (foreground writeback);
 * :meth:`MemoryManager.evict` — removal of least recently used clean blocks
   from the inactive list (and, optionally, the active list);
-* :meth:`MemoryManager.read_from_cache` / :meth:`MemoryManager.add_to_cache`
-  / :meth:`MemoryManager.write_to_cache` — the cache-side halves of
-  Algorithms 2 and 3;
+* :meth:`MemoryManager.take_from_cache` / :meth:`MemoryManager.add_to_cache`
+  / :meth:`MemoryManager.put_to_cache` — the cache-side halves of
+  Algorithms 2 and 3 (accounting only: the I/O controller charges the
+  memory transfers);
 * the periodical-flush background process of Algorithm 1.
 
-Methods that consume simulated time (flushes, cached reads and writes) are
-generator-based processes and must be ``yield``-ed from a simulation
-process; accounting-only methods (eviction, anonymous memory) return
-immediately, matching the paper's statement that eviction overhead is not
-part of simulated time.
+Methods that consume simulated time (flushes) are generator-based
+processes and must be ``yield``-ed from a simulation process;
+accounting-only methods (eviction, cache insertion and consumption,
+anonymous memory) return immediately, matching the paper's statement that
+eviction overhead is not part of simulated time.
 """
 
 from __future__ import annotations
@@ -100,10 +101,7 @@ class MemoryManager:
             )
         else:
             self._dirty_capacity_const = None
-        self.lists = PageCacheLists(
-            active_to_inactive_ratio=self.config.active_to_inactive_ratio,
-            balance=self.config.balance_lists,
-        )
+        self.lists = PageCacheLists()
         self.stats = CacheStatistics()
         #: Victim-selection policy.  The default LRU policy delegates to
         #: the lists' own cursor and requests no event hooks, so the hot
@@ -152,16 +150,6 @@ class MemoryManager:
     def anonymous(self) -> float:
         """Bytes of anonymous (application) memory in use."""
         return self._anonymous
-
-    @property
-    def extent_runs(self) -> int:
-        """Extent runs (LRU-list nodes) currently held by the cache."""
-        return self.lists.run_count
-
-    @property
-    def extent_fragments(self) -> int:
-        """Fragments currently held across the cache's extent runs."""
-        return self.lists.fragment_count
 
     @property
     def used_memory(self) -> float:
@@ -266,10 +254,6 @@ class MemoryManager:
                 self._anonymous_by_owner[owner] = remaining
         return amount
 
-    def anonymous_of(self, owner: str) -> float:
-        """Anonymous memory currently attributed to ``owner``."""
-        return self._anonymous_by_owner.get(owner, 0.0)
-
     # ------------------------------------------------------- policy plumbing
     @property
     def wants_job_events(self) -> bool:
@@ -358,7 +342,7 @@ class MemoryManager:
                         kept_size = block.size - needed
                         lru.remove(block)
                         kept, _gone = block.split(kept_size)
-                        lru.insert_ordered(kept)
+                        lru.append(kept)
                         evicted += needed
                         self._free += needed
                         if notify:
@@ -378,20 +362,20 @@ class MemoryManager:
         return evicted
 
     # ---------------------------------------------------------------- flush
-    def _select_dirty_blocks(self, amount: float,
-                             exclude_file: Optional[str] = None,
-                             ) -> Tuple[List[Tuple[object, float]], float]:
-        """Pick LRU dirty blocks totalling ``amount`` bytes and mark them clean.
+    def select_flush(self, amount: float, exclude_file: Optional[str] = None,
+                     ) -> Tuple[Dict[object, float], float]:
+        """Selection half of :meth:`flush` (no simulated time).
 
-        Returns ``(storage, size)`` pairs for the selected data (already
-        marked clean in the lists, splitting the last block if necessary)
-        and the total amount selected.  ``mark_clean`` moves each fragment
-        from its dirty run into the bordering clean run (or a clean run of
-        its own) without touching its size, so cleaning a run front to
-        back grows one clean extent.  The selection is synchronous so that
-        a concurrent flusher never picks the same blocks twice.
+        Picks LRU dirty blocks totalling ``amount`` bytes, inactive list
+        first, and marks them clean (splitting the last block if needed).
+        Returns the per-device write amounts (in selection order) plus the
+        total selected.  ``mark_clean`` moves each fragment from its dirty
+        run into the bordering clean run (or a clean run of its own)
+        without touching its size, so cleaning a run front to back grows
+        one clean extent.  The selection is synchronous so that a
+        concurrent flusher never picks the same blocks twice.
         """
-        selected: List[Tuple[object, float]] = []
+        per_device: Dict[object, float] = {}
         total = 0.0
         for lru in (self.lists.inactive, self.lists.active):
             if total >= amount - _EPSILON:
@@ -406,40 +390,24 @@ class MemoryManager:
                     if block.size <= needed + _EPSILON:
                         size = block.size
                         lru.mark_clean(block)
-                        selected.append((block.storage, size))
-                        total += size
                     else:
                         # Split into a flushed part and a part that stays
                         # dirty.
                         lru.remove(block)
-                        flushed_part, dirty_part = block.split(needed)
-                        flushed_part.dirty = False
-                        size = flushed_part.size
-                        lru.insert_ordered(flushed_part)
-                        lru.insert_ordered(dirty_part)
-                        selected.append((flushed_part.storage, size))
-                        total += size
+                        block, dirty_part = block.split(needed)
+                        block.dirty = False
+                        size = block.size
+                        lru.append(block)
+                        lru.append(dirty_part)
+                    total += size
+                    storage = block.storage
+                    if storage is not None:
+                        if storage in per_device:
+                            per_device[storage] += size
+                        else:
+                            per_device[storage] = size
             finally:
                 cursor.close()
-        return selected, total
-
-    def select_flush(self, amount: float, exclude_file: Optional[str] = None,
-                     ) -> Tuple[Dict[object, float], float]:
-        """Selection half of :meth:`flush` (no simulated time).
-
-        Marks the selected LRU dirty blocks clean and returns the
-        per-device write amounts (in selection order) plus the total; the
-        caller is responsible for charging one storage write per device.
-        """
-        selected, total = self._select_dirty_blocks(amount, exclude_file)
-        per_device: Dict[object, float] = {}
-        for storage, size in selected:
-            if storage is None:
-                continue
-            if storage in per_device:
-                per_device[storage] += size
-            else:
-                per_device[storage] = size
         return per_device, total
 
     def flush(self, amount: float, exclude_file: Optional[str] = None):
@@ -493,34 +461,25 @@ class MemoryManager:
         return block
 
     def put_to_cache(self, filename: str, amount: float, storage) -> None:
-        """Accounting half of :meth:`write_to_cache` (no simulated time).
+        """Write ``amount`` bytes of ``filename`` into the cache (dirty).
 
-        Creates the dirty block and counts the written bytes; the caller
-        is responsible for charging the memory-write transfer.
+        Accounting only: creates a dirty block in the inactive list (writes
+        are assumed to target uncached data, as in the paper) and counts
+        the written bytes; the caller charges the memory-write transfer.
         """
         self.add_to_cache(filename, amount, storage, dirty=True)
         self.stats.cache_write_bytes += amount
 
-    def write_to_cache(self, filename: str, amount: float, storage):
-        """Write ``amount`` bytes of ``filename`` into the cache (dirty).
-
-        Simulation process: charges a memory write at memory bandwidth and
-        creates a dirty block in the inactive list (writes are assumed to
-        target uncached data, as in the paper).
-        """
-        if amount <= 0:
-            return 0.0
-        self.put_to_cache(filename, amount, storage)
-        yield self.memory.write(amount, label=self._label_cache_write)
-        return amount
-
     def take_from_cache(self, filename: str, amount: float) -> float:
-        """Consumption half of :meth:`read_from_cache` (no simulated time).
+        """Serve up to ``amount`` bytes of ``filename`` from the cache.
 
-        Moves the served bytes to the active list (merging clean data,
-        promoting dirty blocks individually) and records the hit; the
-        caller is responsible for charging the memory-read transfer for
-        the returned number of bytes.
+        The cache-hit path of Algorithm 2, accounting only: data is taken
+        from the inactive list first, then from the active list; clean
+        blocks are merged into a single re-accessed block appended to the
+        active list, dirty blocks are promoted individually so they keep
+        their entry time.  Records the hit and returns the number of bytes
+        served (bounded by the amount of the file actually cached); the
+        caller charges the memory-read transfer for them.
         """
         now = self.env.now
         remaining = amount
@@ -537,7 +496,7 @@ class MemoryManager:
             # every cached block of the file.
             cursor = lru.file_cursor(filename)
             cursor_next = cursor.next
-            detach = lru._detach
+            remove = lru.remove
             active = self.lists.active
             while remaining > _EPSILON:
                 block = cursor_next()
@@ -546,12 +505,12 @@ class MemoryManager:
                 if block.size > remaining + _EPSILON:
                     # Only part of the block is accessed: split and re-access
                     # the first part only.
-                    detach(block)
+                    remove(block)
                     accessed, rest = block.split(remaining)
-                    lru.insert_ordered(rest)
+                    lru.append(rest)
                     block = accessed
                 else:
-                    detach(block)
+                    remove(block)
                 taken = block.size
                 if block.dirty:
                     # Dirty blocks are moved independently to preserve their
@@ -583,24 +542,6 @@ class MemoryManager:
             self.stats.record_hit(filename, served)
             if self._policy_events:
                 self.policy.on_access(filename, served, now)
-        return served
-
-    def read_from_cache(self, filename: str, amount: float):
-        """Read ``amount`` bytes of ``filename`` from the cache.
-
-        Simulation process implementing the cache-hit path of Algorithm 2:
-        data is taken from the inactive list first, then from the active
-        list; clean blocks are merged into a single re-accessed block
-        appended to the active list, dirty blocks are promoted individually
-        so they keep their entry time.  Charges a memory read at memory
-        bandwidth.  Returns the number of bytes served (bounded by the
-        amount of the file actually cached).
-        """
-        if amount <= 0:
-            return 0.0
-        served = self.take_from_cache(filename, amount)
-        if served > 0:
-            yield self.memory.read(served, label=self._label_cache_read)
         return served
 
     def invalidate_file(self, filename: str) -> float:

@@ -44,7 +44,7 @@ residency queries (ROADMAP item 3).
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.pagecache.block import Block
@@ -141,27 +141,6 @@ class EvictionPolicy:
         """Consuming cursor over ``lru``'s clean fragments in victim order."""
         frozen = frozenset(excluded)
         return ScoredCursor(lru, self.victim_order(lru, frozen))
-
-    def peek_victim(self, lru: LRUList,
-                    excluded: Iterable[str] = ()) -> Optional[Block]:
-        """The next fragment this policy would evict, without evicting it."""
-        cursor = self.clean_cursor(lru, excluded)
-        try:
-            return cursor.next()
-        finally:
-            cursor.close()
-
-    def pop_victim(self, lru: LRUList,
-                   excluded: Iterable[str] = ()) -> Optional[Block]:
-        """Remove and return the next victim fragment (``None`` when empty)."""
-        cursor = self.clean_cursor(lru, excluded)
-        try:
-            block = cursor.next()
-        finally:
-            cursor.close()
-        if block is not None:
-            lru.remove(block)
-        return block
 
     # ------------------------------------------------------------ cache hooks
     # Only called when ``wants_events`` is True.  ``amount`` is in bytes,
@@ -750,6 +729,34 @@ POLICIES: Dict[str, type] = {
 }
 
 
+def _policy_factory(spec) -> Callable[[], object]:
+    """Resolve an eviction-policy spec to a zero-argument constructor.
+
+    Raises :class:`ConfigurationError` for an unknown name or a spec that
+    is neither a name, an :class:`EvictionPolicy` instance nor callable.
+    :meth:`PageCacheConfig.validate` calls it so a bad spec fails at
+    configuration time, not at the first eviction.
+    """
+    if spec is None:
+        return LRUPolicy
+    if isinstance(spec, EvictionPolicy):
+        return lambda: spec
+    if isinstance(spec, str):
+        cls = POLICIES.get(spec)
+        if cls is None:
+            raise ConfigurationError(
+                f"unknown eviction policy {spec!r}; "
+                f"registered: {', '.join(sorted(POLICIES))}"
+            )
+        return cls
+    if callable(spec):
+        return spec
+    raise ConfigurationError(
+        f"eviction_policy must be a name, EvictionPolicy, subclass or "
+        f"factory, got {spec!r}"
+    )
+
+
 def make_eviction_policy(spec=None) -> EvictionPolicy:
     """Build an :class:`EvictionPolicy` from a configuration value.
 
@@ -759,54 +766,10 @@ def make_eviction_policy(spec=None) -> EvictionPolicy:
     :class:`EvictionPolicy` subclass, or a zero-argument factory returning
     an instance.  ``None`` selects the default LRU policy.
     """
-    if spec is None:
-        return LRUPolicy()
-    if isinstance(spec, EvictionPolicy):
-        return spec
-    if isinstance(spec, str):
-        cls = POLICIES.get(spec)
-        if cls is None:
-            raise ConfigurationError(
-                f"unknown eviction policy {spec!r}; "
-                f"registered: {', '.join(sorted(POLICIES))}"
-            )
-        return cls()
-    if isinstance(spec, type) and issubclass(spec, EvictionPolicy):
-        return spec()
-    if callable(spec):
-        policy = spec()
-        if not isinstance(policy, EvictionPolicy):
-            raise ConfigurationError(
-                f"eviction-policy factory returned {policy!r}, "
-                "not an EvictionPolicy"
-            )
-        return policy
-    raise ConfigurationError(
-        f"eviction_policy must be a name, EvictionPolicy, subclass or "
-        f"factory, got {spec!r}"
-    )
-
-
-def validate_policy_spec(spec) -> None:
-    """Raise :class:`ConfigurationError` for an invalid policy spec.
-
-    Used by :meth:`PageCacheConfig.validate` so a bad policy name fails at
-    configuration time, not at the first eviction.
-    """
-    if spec is None or isinstance(spec, EvictionPolicy):
-        return
-    if isinstance(spec, str):
-        if spec not in POLICIES:
-            raise ConfigurationError(
-                f"unknown eviction policy {spec!r}; "
-                f"registered: {', '.join(sorted(POLICIES))}"
-            )
-        return
-    if isinstance(spec, type) and issubclass(spec, EvictionPolicy):
-        return
-    if callable(spec):
-        return
-    raise ConfigurationError(
-        f"eviction_policy must be a name, EvictionPolicy, subclass or "
-        f"factory, got {spec!r}"
-    )
+    policy = _policy_factory(spec)()
+    if not isinstance(policy, EvictionPolicy):
+        raise ConfigurationError(
+            f"eviction-policy factory returned {policy!r}, "
+            "not an EvictionPolicy"
+        )
+    return policy

@@ -38,7 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - the scheduler imports simulator
 from repro.des.environment import Environment
 from repro.errors import ConfigurationError
 from repro.filesystem.file import File
-from repro.filesystem.nfs import NFSConfig
 from repro.filesystem.registry import FileRegistry
 from repro.obs import DESSampler, Observer, env_observability_enabled, publish
 from repro.pagecache.config import PageCacheConfig
@@ -314,16 +313,17 @@ class Simulation:
         return service
 
     def create_nfs_storage_service(self, server_host: str, mount_point: str, *,
-                                   nfs_config: Optional[NFSConfig] = None,
                                    cache_mode: Optional[str] = None,
                                    name: Optional[str] = None) -> StorageService:
         """Create an NFS storage service served by ``server_host``.
 
         With ``cache_mode="none"`` the server does not cache anything
-        (cacheless baseline); otherwise the server maintains a page cache
-        according to ``nfs_config`` (writethrough by default, as in Exp 3).
+        (cacheless baseline); otherwise the server's page cache runs in
+        that mode (writethrough in the paper's Exp 3).
         """
         mode = cache_mode or self.config.cache_mode
+        if mode not in CACHE_MODES:
+            raise ConfigurationError(f"unknown cache mode {mode!r}")
         host = self.host(server_host)
         disk = host.disk(mount_point)
         if mode == "none":
@@ -331,25 +331,16 @@ class Simulation:
                 self.env, host, disk, network=self.platform.network, name=name
             )
         else:
-            config = nfs_config or NFSConfig.hpc_default()
-            if mode == "writeback":
-                config = NFSConfig(
-                    server_cache_mode="writeback",
-                    server_read_cache=config.server_read_cache,
-                    client_read_cache=config.client_read_cache,
-                    client_write_cache=config.client_write_cache,
-                )
             service = NFSStorageService(
                 self.env,
                 host,
                 disk,
                 network=self.platform.network,
-                nfs_config=config,
                 cache_config=self.config.page_cache,
+                writethrough=(mode == "writethrough"),
                 name=name,
             )
-            if service.memory_manager is not None:
-                self.tracer.attach_memory_manager(service.memory_manager)
+            self.tracer.attach_memory_manager(service.memory_manager)
         self.storage_services.append(service)
         return service
 

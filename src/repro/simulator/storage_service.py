@@ -8,10 +8,10 @@ host.  Three flavours are provided:
   cache (defined in its own module to keep the baseline isolated);
 * :class:`PageCachedStorageService` — WRENCH-cache: local I/O goes through
   the host's Memory Manager and I/O Controller (writeback or writethrough);
-* :class:`NFSStorageService` — a remote storage service reached over the
-  network; the *server* maintains its own page cache (read cache enabled,
-  writethrough by default as in the paper's Exp 3), the client does not
-  cache.
+* :class:`NFSStorageService` — a :class:`PageCachedStorageService` on a
+  remote server, reached over the network: the *server*'s page cache
+  serves every chunk (writethrough by default, as in the paper's Exp 3)
+  and each chunk adds one network transfer; the client does not cache.
 
 All read/write methods are simulation processes returning an
 :class:`~repro.pagecache.io_controller.IOResult`.
@@ -24,7 +24,6 @@ from typing import Optional
 from repro.des.environment import Environment
 from repro.errors import ConfigurationError
 from repro.filesystem.file import File
-from repro.filesystem.nfs import NFSConfig
 from repro.pagecache.config import PageCacheConfig
 from repro.pagecache.io_controller import IOController, IOResult
 from repro.pagecache.memory_manager import MemoryManager
@@ -158,55 +157,31 @@ class PageCachedStorageService(StorageService):
         self.memory_manager.invalidate_file(file.name)
 
 
-class NFSStorageService(StorageService):
-    """A storage service on a remote host, accessed over the network.
+class NFSStorageService(PageCachedStorageService):
+    """A page-cached storage service on a remote host, over the network.
 
-    Reads are served by the *server*: each chunk is read on the server
-    (hitting the server's page cache when possible) and then transferred
-    over the network to the client.  Writes are transferred to the server
-    and then written according to the server cache mode (writethrough in
-    the paper's Exp 3: the write is synchronous to the server disk and the
-    written data populates the server's read cache).
+    The server's memory manager and I/O controller do the I/O, exactly as
+    for a local service; every chunk adds one network transfer between
+    client and server.  Reads run Algorithm 2 on the server (without
+    server-side anonymous memory) and then send the chunk to the client.
+    Writes send the chunk to the server and then write it according to the
+    server cache mode: writethrough by default (the paper's Exp 3: the
+    write is synchronous to the server disk and the written data populates
+    the server's read cache) or writeback.
 
-    The client does not cache data (``NFSConfig.client_read_cache`` /
-    ``client_write_cache`` are ignored by the model beyond validation, as
-    in the paper), but the client's anonymous memory is still accounted on
-    the client host when it has a memory manager.
+    The client does not cache data, as in the paper, but the client's
+    anonymous memory is still accounted on the client host when it has a
+    memory manager.
     """
 
     def __init__(self, env: Environment, server_host: Host, disk: Disk,
-                 network: Network, nfs_config: Optional[NFSConfig] = None,
+                 network: Network,
                  cache_config: Optional[PageCacheConfig] = None,
-                 name: Optional[str] = None):
-        super().__init__(env, server_host, disk,
+                 writethrough: bool = True, name: Optional[str] = None):
+        super().__init__(env, server_host, disk, cache_config=cache_config,
+                         writethrough=writethrough,
                          name=name or f"nfs:{server_host.name}:{disk.name}")
         self.network = network
-        self.nfs_config = nfs_config or NFSConfig.hpc_default()
-        self._server_has_cache = (
-            self.nfs_config.server_cache_mode != "none"
-            or self.nfs_config.server_read_cache
-        )
-        if self._server_has_cache:
-            if server_host.memory is None:
-                raise ConfigurationError(
-                    f"NFS server {server_host.name!r} has no memory device"
-                )
-            if server_host.memory_manager is None:
-                server_host.memory_manager = MemoryManager(
-                    env, server_host.memory, cache_config or PageCacheConfig(),
-                    name=f"{server_host.name}.mm",
-                )
-            self.memory_manager: Optional[MemoryManager] = server_host.memory_manager
-            self.io_controller: Optional[IOController] = IOController(
-                env, self.memory_manager
-            )
-        else:
-            self.memory_manager = None
-            self.io_controller = None
-
-    @property
-    def cache_mode(self) -> str:  # type: ignore[override]
-        return self.nfs_config.server_cache_mode
 
     # ------------------------------------------------------------------ reads
     def read_file(self, file: File, *, reader_host: Optional[Host] = None,
@@ -214,30 +189,22 @@ class NFSStorageService(StorageService):
                   use_anonymous_memory: bool = True):
         if reader_host is None:
             raise ConfigurationError("NFS reads require the reading host")
-        chunk = chunk_size or (
-            self.memory_manager.config.chunk_size
-            if self.memory_manager is not None
-            else PageCacheConfig().chunk_size
-        )
+        chunk = chunk_size or self.memory_manager.config.chunk_size
         start = self.env.now
         result = IOResult(file.name, file.size, start, start)
         remaining = file.size
         client_mm = reader_host.memory_manager
         while remaining > _EPSILON:
             this_chunk = min(chunk, remaining)
-            if self.nfs_config.server_read_cache and self.io_controller is not None:
-                disk_read, cache_read = yield from self.io_controller.read_chunk(
-                    file.name,
-                    file.size,
-                    this_chunk,
-                    self.disk,
-                    use_anonymous_memory=False,
-                )
-                result.storage_bytes += disk_read
-                result.cache_bytes += cache_read
-            else:
-                yield self.disk.read(this_chunk, label=f"nfs-read:{file.name}")
-                result.storage_bytes += this_chunk
+            disk_read, cache_read = yield from self.io_controller.read_chunk(
+                file.name,
+                file.size,
+                this_chunk,
+                self.disk,
+                use_anonymous_memory=False,
+            )
+            result.storage_bytes += disk_read
+            result.cache_bytes += cache_read
             yield self.network.transfer(
                 self.host.name, reader_host.name, this_chunk,
                 label=f"nfs:{file.name}",
@@ -255,42 +222,29 @@ class NFSStorageService(StorageService):
         if writer_host is None:
             raise ConfigurationError("NFS writes require the writing host")
         self.disk.allocate(file.size)
-        chunk = chunk_size or (
-            self.memory_manager.config.chunk_size
-            if self.memory_manager is not None
-            else PageCacheConfig().chunk_size
-        )
+        chunk = chunk_size or self.memory_manager.config.chunk_size
         start = self.env.now
         result = IOResult(file.name, file.size, start, start)
         remaining = file.size
-        mode = self.nfs_config.server_cache_mode
         while remaining > _EPSILON:
             this_chunk = min(chunk, remaining)
             yield self.network.transfer(
                 writer_host.name, self.host.name, this_chunk,
                 label=f"nfs:{file.name}",
             )
-            if mode == "writethrough" and self.io_controller is not None:
+            if self.writethrough:
                 cached = yield from self.io_controller.write_chunk_through(
                     file.name, this_chunk, self.disk
                 )
                 result.storage_bytes += this_chunk
                 result.cache_bytes += cached
-            elif mode == "writeback" and self.io_controller is not None:
+            else:
                 cache_written, flushed = yield from self.io_controller.write_chunk(
                     file.name, this_chunk, self.disk
                 )
                 result.cache_bytes += cache_written
                 result.storage_bytes += flushed
-            else:
-                yield self.disk.write(this_chunk, label=f"nfs-write:{file.name}")
-                result.storage_bytes += this_chunk
             result.chunks += 1
             remaining -= this_chunk
         result.end_time = self.env.now
         return result
-
-    def delete_file(self, file: File) -> None:
-        super().delete_file(file)
-        if self.memory_manager is not None:
-            self.memory_manager.invalidate_file(file.name)

@@ -1,9 +1,9 @@
-"""Unit tests for files, the file registry and the NFS configuration."""
+"""Unit tests for files and the file registry."""
 
 import pytest
 
 from repro.errors import FileNotFoundInSimulation
-from repro.filesystem import File, FileRegistry, NFSConfig
+from repro.filesystem import File, FileRegistry
 from repro.units import GB
 
 
@@ -87,18 +87,3 @@ class TestFileRegistry:
         registry.add_entry(b, "svc")
         assert set(f.name for f in registry.known_files()) == {"a", "b"}
 
-
-class TestNFSConfig:
-    def test_hpc_default_matches_paper(self):
-        config = NFSConfig.hpc_default()
-        assert config.server_cache_mode == "writethrough"
-        assert config.server_read_cache is True
-        assert config.client_write_cache is False
-        assert config.client_read_cache is False
-
-    def test_invalid_cache_mode_rejected(self):
-        with pytest.raises(ValueError):
-            NFSConfig(server_cache_mode="bogus")
-
-    def test_writeback_server_allowed(self):
-        assert NFSConfig(server_cache_mode="writeback").server_cache_mode == "writeback"

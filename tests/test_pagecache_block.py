@@ -42,17 +42,6 @@ class TestBlockBehaviour:
         assert block.last_access == 9.0
         assert block.entry_time == 1.0
 
-    def test_expiration_requires_dirty(self):
-        clean = Block("f", 10.0, entry_time=0.0, dirty=False)
-        dirty = Block("f", 10.0, entry_time=0.0, dirty=True)
-        assert not clean.is_expired(now=100.0, expiration=30.0)
-        assert dirty.is_expired(now=100.0, expiration=30.0)
-        assert not dirty.is_expired(now=10.0, expiration=30.0)
-
-    def test_expiration_boundary(self):
-        block = Block("f", 10.0, entry_time=0.0, dirty=True)
-        assert block.is_expired(now=30.0, expiration=30.0)
-
     def test_split_sizes_and_metadata(self):
         block = Block("f", 100.0, entry_time=2.0, last_access=5.0, dirty=True,
                       storage="disk0")
@@ -76,16 +65,6 @@ class TestBlockBehaviour:
         for point in (0.0, -1.0, 100.0, 150.0):
             with pytest.raises(ValueError):
                 block.split(point)
-
-    def test_clone_copies_metadata_with_new_id(self):
-        block = Block("f", 10.0, entry_time=1.0, last_access=2.0, dirty=True)
-        clone = block.clone()
-        assert clone.id != block.id
-        assert clone.filename == block.filename
-        assert clone.size == block.size
-        assert clone.entry_time == block.entry_time
-        assert clone.last_access == block.last_access
-        assert clone.dirty == block.dirty
 
     def test_repr_mentions_dirty_state(self):
         assert "dirty" in repr(Block("f", 1.0, entry_time=0.0, dirty=True))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.pagecache.config import PageCacheConfig
+from repro.pagecache.lru import ACTIVE_TO_INACTIVE_RATIO
 
 
 class TestValidation:
@@ -12,7 +13,8 @@ class TestValidation:
         assert config.dirty_ratio == pytest.approx(0.20)
         assert config.dirty_expire == pytest.approx(30.0)
         assert config.writeback_interval == pytest.approx(5.0)
-        assert config.active_to_inactive_ratio == pytest.approx(2.0)
+        # The kernel keeps the active list at most twice the inactive list.
+        assert ACTIVE_TO_INACTIVE_RATIO == 2.0
 
     @pytest.mark.parametrize("field,value", [
         ("dirty_ratio", 0.0),
@@ -21,7 +23,6 @@ class TestValidation:
         ("writeback_interval", 0.0),
         ("chunk_size", 0.0),
         ("dirty_threshold_base", "bogus"),
-        ("active_to_inactive_ratio", 0.0),
     ])
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(ConfigurationError):
@@ -73,14 +74,8 @@ class TestValidation:
 
 
 class TestPresets:
-    def test_linux_default(self):
-        assert PageCacheConfig.linux_default() == PageCacheConfig()
-
     def test_reference_preset_enables_kernel_idiosyncrasies(self):
         config = PageCacheConfig.reference()
         assert config.protect_written_files is True
         assert config.evict_from_active is True
         assert config.dirty_threshold_base == "available"
-
-    def test_no_periodic_flush_preset(self):
-        assert PageCacheConfig.no_periodic_flush().periodic_flushing is False

@@ -65,8 +65,8 @@ class TestPartialFlushSplits:
         # fragment's halves carry exactly the split sizes.
         assert mm.dirty == 150.0 * MB
         assert mm.cached == 400.0 * MB
-        sizes = sorted(block.size for block in
-                       mm.lists.inactive.dirty_blocks())
+        sizes = sorted(block.size for block in mm.lists.inactive.blocks
+                       if block.dirty)
         assert sizes == [50.0 * MB, 100.0 * MB]
         mm.lists.assert_consistent()
         total, dirty = exact_totals(mm.lists.inactive)
@@ -93,8 +93,8 @@ class TestPartialFlushSplits:
         lru.mark_clean(expired[0])
         assert lru.dirty_size == 40.0
         assert lru.run_count == 2
-        assert [block.size for block in lru.dirty_blocks()] == [10.0, 30.0]
-        assert [block.size for block in lru.clean_blocks()] == [20.0]
+        assert [block.size for block in lru.blocks if block.dirty] == [10.0, 30.0]
+        assert [block.size for block in lru.blocks if not block.dirty] == [20.0]
         # Byte-exact totals, no tolerance.
         total, dirty = exact_totals(lru)
         assert lru.size == total == 60.0
@@ -114,7 +114,8 @@ class TestEvictionCarving:
         assert evicted == 150.0 * MB
         assert mm.cached == 150.0 * MB
         # The carved fragment keeps the exact remainder.
-        sizes = [block.size for block in mm.lists.inactive.clean_blocks()]
+        sizes = [block.size for block in mm.lists.inactive.blocks
+                 if not block.dirty]
         assert sizes == [50.0 * MB, 100.0 * MB]
         mm.lists.assert_consistent()
 
@@ -164,7 +165,7 @@ class TestStateBoundaries:
         mm.add_to_cache("f", 100.0, disk, dirty=False)
         # ... gets new dirty data written over part of its range (the
         # model appends dirty blocks; it never re-dirties in place).
-        runner(env, mm.write_to_cache("f", 40.0, disk))
+        mm.put_to_cache("f", 40.0, disk)
         lru = mm.lists.inactive
         assert lru.run_count == 2
         assert lru.dirty_size == 40.0
@@ -185,8 +186,8 @@ class TestZeroLengthInvariants:
         mm.add_to_cache("f", 10.0, disk, dirty=False)
         assert mm.evict(10.0) == 10.0
         assert mm.lists.inactive.run_count == 0
-        assert mm.extent_runs == 0
-        assert mm.extent_fragments == 0
+        assert mm.lists.run_count == 0
+        assert mm.lists.fragment_count == 0
         mm.lists.assert_consistent()
 
     def test_assert_consistent_rejects_stored_empty_run(self):
@@ -228,13 +229,13 @@ class TestExactAccounting:
         assert mm.cached == (mm.lists.inactive.size
                              + mm.lists.active.size)
 
-    def test_read_consumption_is_byte_exact(self, mm_setup, runner):
+    def test_read_consumption_is_byte_exact(self, mm_setup):
         env, mm, disk = mm_setup
         for step in range(4):
             env._now = float(step)
             mm.add_to_cache("f", float(10 * MB), disk, dirty=False)
         env._now = 10.0
-        served = runner(env, mm.read_from_cache("f", float(25 * MB)))
+        served = mm.take_from_cache("f", float(25 * MB))
         assert served == float(25 * MB)
         # 25 MB re-accessed (merged into one active fragment), 15 MB left
         # behind: 5 MB carved from the third fragment plus the fourth.

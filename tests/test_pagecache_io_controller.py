@@ -99,7 +99,7 @@ class TestFileReads:
     def test_read_allocates_anonymous_memory_per_owner(self, small_setup, runner):
         env, mm, io, disk = small_setup
         runner(env, io.read_file("f", 1 * GB, disk, anonymous_owner="app1"))
-        assert mm.anonymous_of("app1") == pytest.approx(1 * GB)
+        assert mm.release_anonymous_memory(owner="app1") == pytest.approx(1 * GB)
 
     def test_read_larger_than_memory_evicts_lru_data(self, small_setup, runner):
         env, mm, io, disk = small_setup

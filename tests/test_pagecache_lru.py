@@ -11,6 +11,14 @@ def make_block(filename="f", size=10.0, entry=0.0, access=None, dirty=False):
     return Block(filename, size, entry_time=entry, last_access=access, dirty=dirty)
 
 
+def first_of(cursor):
+    """The first fragment a state cursor hands out (none consumed)."""
+    try:
+        return cursor.next()
+    finally:
+        cursor.close()
+
+
 class TestLRUList:
     def test_append_accumulates_sizes(self):
         lru = LRUList()
@@ -98,10 +106,15 @@ class TestLRUList:
         dirty_c = make_block("c", dirty=True)
         for block in (dirty_a, clean_b, dirty_c):
             lru.append(block)
-        assert lru.dirty_blocks() == [dirty_a, dirty_c]
-        assert lru.dirty_blocks(exclude_file="a") == [dirty_c]
-        assert lru.clean_blocks() == [clean_b]
-        assert lru.clean_blocks(exclude_files=["b"]) == []
+        assert [block for block in lru.blocks if block.dirty] == [dirty_a, dirty_c]
+        assert [block for block in lru.blocks if not block.dirty] == [clean_b]
+        # The consuming cursors hand out one state in LRU order and skip
+        # excluded files.
+        assert first_of(lru.dirty_cursor()) is dirty_a
+        assert first_of(lru.dirty_cursor(exclude_file="a")) is dirty_c
+        assert first_of(lru.clean_cursor()) is clean_b
+        assert first_of(lru.clean_cursor(exclude_files=["b"])) is None
+        lru.assert_consistent()
 
     def test_expired_blocks(self):
         lru = LRUList()
@@ -112,13 +125,29 @@ class TestLRUList:
             lru.append(block)
         assert lru.expired_blocks(now=40.0, expiration=30.0) == [old_dirty]
 
-    def test_clear(self):
+    def test_expired_blocks_boundary(self):
+        # Data exactly ``expiration`` seconds old has expired.
         lru = LRUList()
-        lru.append(make_block(size=10))
-        blocks = lru.clear()
-        assert len(blocks) == 1
-        assert lru.size == 0
-        assert lru.files() == {}
+        dirty = make_block("d", entry=0.0, dirty=True)
+        lru.append(dirty)
+        lru.append(make_block("c", entry=0.0, dirty=False))
+        assert lru.expired_blocks(now=30.0, expiration=30.0) == [dirty]
+        assert lru.expired_blocks(now=29.5, expiration=30.0) == []
+
+    def test_expired_blocks_are_not_an_lru_prefix(self):
+        # B was written at t=5 and C at t=8; C was read again at t=15 and
+        # B at t=20.  A re-read moves dirty data to the recent end but
+        # keeps its entry time, so the dirty order is C, then B.  At t=37
+        # with a 30 s expiry only B has expired, and it sits behind the
+        # unexpired C: a scan that stopped at the first fragment too young
+        # to expire would miss it.
+        lru = LRUList()
+        c = make_block("C", size=100, entry=8.0, access=15.0, dirty=True)
+        b = make_block("B", size=100, entry=5.0, access=20.0, dirty=True)
+        lru.append(b)
+        lru.append(c)
+        assert lru.blocks == [c, b]
+        assert lru.expired_blocks(now=37.0, expiration=30.0) == [b]
 
     def test_assert_consistent_detects_drift(self):
         lru = LRUList()
@@ -186,7 +215,7 @@ class TestExtentRuns:
         lru.append(make_block("a", size=10, access=1.0))
         lru.append(make_block("a", size=10, access=3.0))
         assert lru.run_count == 1
-        lru.insert_ordered(make_block("b", size=10, access=2.0))
+        lru.append(make_block("b", size=10, access=2.0))
         assert lru.run_count == 2
         assert [block.filename for block in lru.blocks] == ["a", "b", "a"]
         # Consumption still interleaves by exact LRU position.
@@ -202,8 +231,8 @@ class TestExtentRuns:
         flushed, rest = original.split(10.0)
         flushed.dirty = False
         lru.remove(original)
-        lru.insert_ordered(flushed)
-        lru.insert_ordered(rest)
+        lru.append(flushed)
+        lru.append(rest)
         assert lru.run_count == 2
         lru.mark_clean(rest)
         assert lru.run_count == 1
@@ -320,12 +349,3 @@ class TestPageCacheLists:
         lists.promote(promoted, now=1.0)
         assert lists.dirty_size == 15
         assert lists.clean_size == 0
-
-    def test_all_blocks_inactive_first(self):
-        lists = PageCacheLists()
-        inactive_block = make_block("i", size=10)
-        active_block = make_block("a", size=10)
-        lists.add_to_inactive(inactive_block)
-        lists.add_to_inactive(active_block)
-        lists.promote(active_block, now=3.0)
-        assert lists.all_blocks() == [inactive_block, active_block]

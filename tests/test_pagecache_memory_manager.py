@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.des import Environment
 from repro.errors import ConfigurationError
 from repro.pagecache import MemoryManager, PageCacheConfig
 from repro.platform.memory import MemoryDevice
 from repro.platform.storage import Disk
-from repro.units import GB, MBps
+from repro.units import GB, MB, MBps
 
 
 GB_F = float(GB)
@@ -43,7 +42,6 @@ class TestAnonymousMemory:
         mm.use_anonymous_memory(2 * GB, owner="app1")
         assert mm.anonymous == 2 * GB
         assert mm.free_mem == 8 * GB
-        assert mm.anonymous_of("app1") == 2 * GB
         released = mm.release_anonymous_memory(owner="app1")
         assert released == 2 * GB
         assert mm.anonymous == 0
@@ -55,7 +53,7 @@ class TestAnonymousMemory:
         mm.use_anonymous_memory(3 * GB, owner="app")
         mm.release_anonymous_memory(1 * GB, owner="app")
         assert mm.anonymous == 2 * GB
-        assert mm.anonymous_of("app") == 2 * GB
+        assert mm.release_anonymous_memory(owner="app") == 2 * GB
 
     def test_release_without_owner_releases_all(self, setup):
         _, mm, _ = setup
@@ -95,13 +93,13 @@ class TestCacheAccounting:
         _, mm, disk = setup
         assert mm.add_to_cache("f", 0, disk) is None
 
-    def test_write_to_cache_creates_dirty_block(self, setup, runner):
-        env, mm, disk = setup
-        runner(env, mm.write_to_cache("f", 2 * GB, disk))
+    def test_write_to_cache_creates_dirty_block(self, setup):
+        _, mm, disk = setup
+        mm.put_to_cache("f", 2 * GB, disk)
         assert mm.dirty == 2 * GB
         assert mm.cached == 2 * GB
         assert mm.free_mem == 8 * GB
-        assert env.now == pytest.approx(2.0)  # 2 GB at 1000 MBps
+        assert mm.stats.cache_write_bytes == 2 * GB
         mm.assert_consistent()
 
     def test_cache_content_reports_per_file(self, setup):
@@ -168,9 +166,9 @@ class TestEviction:
         assert mm.free_mem == pytest.approx(8.5 * GB)
         mm.assert_consistent()
 
-    def test_dirty_blocks_are_not_evicted(self, setup, runner):
-        env, mm, disk = setup
-        runner(env, mm.write_to_cache("d", 1 * GB, disk))
+    def test_dirty_blocks_are_not_evicted(self, setup):
+        _, mm, disk = setup
+        mm.put_to_cache("d", 1 * GB, disk)
         assert mm.evict(1 * GB) == 0.0
         assert mm.cached == 1 * GB
 
@@ -189,10 +187,10 @@ class TestEviction:
         assert mm.evict(-5) == 0.0
         assert mm.evict(None) == 0.0
 
-    def test_active_list_not_evicted_by_default(self, setup, runner):
-        env, mm, disk = setup
+    def test_active_list_not_evicted_by_default(self, setup):
+        _, mm, disk = setup
         mm.add_to_cache("a", 1 * GB, disk)
-        runner(env, mm.read_from_cache("a", 1 * GB))  # promote to active
+        mm.take_from_cache("a", 1 * GB)  # promote to active
         # Balancing demotes exactly one third back to the inactive list;
         # a single eviction pass may only reclaim that demoted part.
         assert mm.lists.active.cached_of_file("a") == pytest.approx(2 * GB / 3)
@@ -204,7 +202,7 @@ class TestEviction:
             mm.lists.active.size <= 2 * mm.lists.inactive.size + 1e-6
         )
 
-    def test_active_list_evicted_when_enabled(self, env, runner):
+    def test_active_list_evicted_when_enabled(self, env):
         memory = MemoryDevice.symmetric(env, "ram", 1000 * MBps, size=10 * GB)
         disk = Disk.symmetric(env, "ssd", 100 * MBps)
         mm = MemoryManager(
@@ -212,7 +210,7 @@ class TestEviction:
             PageCacheConfig(periodic_flushing=False, evict_from_active=True),
         )
         mm.add_to_cache("a", 1 * GB, disk)
-        runner(env, mm.read_from_cache("a", 1 * GB))
+        mm.take_from_cache("a", 1 * GB)
         assert mm.evict(1 * GB) == pytest.approx(1 * GB)
 
     def test_protected_written_files_not_evicted(self, env):
@@ -239,7 +237,7 @@ class TestEviction:
 class TestFlushing:
     def test_flush_writes_dirty_data_to_disk(self, setup, runner):
         env, mm, disk = setup
-        runner(env, mm.write_to_cache("f", 1 * GB, disk))
+        mm.put_to_cache("f", 1 * GB, disk)
         start = env.now
         flushed = runner(env, mm.flush(1 * GB))
         assert flushed == pytest.approx(1 * GB)
@@ -252,13 +250,13 @@ class TestFlushing:
 
     def test_flush_is_bounded_by_dirty_data(self, setup, runner):
         env, mm, disk = setup
-        runner(env, mm.write_to_cache("f", 1 * GB, disk))
+        mm.put_to_cache("f", 1 * GB, disk)
         flushed = runner(env, mm.flush(5 * GB))
         assert flushed == pytest.approx(1 * GB)
 
     def test_partial_flush_splits_block(self, setup, runner):
         env, mm, disk = setup
-        runner(env, mm.write_to_cache("f", 2 * GB, disk))
+        mm.put_to_cache("f", 2 * GB, disk)
         flushed = runner(env, mm.flush(0.5 * GB))
         assert flushed == pytest.approx(0.5 * GB)
         assert mm.dirty == pytest.approx(1.5 * GB)
@@ -267,19 +265,21 @@ class TestFlushing:
 
     def test_flush_excludes_file(self, setup, runner):
         env, mm, disk = setup
-        runner(env, mm.write_to_cache("keep", 1 * GB, disk))
-        runner(env, mm.write_to_cache("flushme", 1 * GB, disk))
+        mm.put_to_cache("keep", 1 * GB, disk)
+        mm.put_to_cache("flushme", 1 * GB, disk)
         flushed = runner(env, mm.flush(2 * GB, exclude_file="keep"))
         assert flushed == pytest.approx(1 * GB)
         assert mm.dirty == pytest.approx(1 * GB)
 
     def test_flush_lru_order(self, setup, runner):
         env, mm, disk = setup
-        runner(env, mm.write_to_cache("old", 1 * GB, disk))
-        runner(env, mm.write_to_cache("new", 1 * GB, disk))
+        mm.put_to_cache("old", 1 * GB, disk)
+        mm.put_to_cache("new", 1 * GB, disk)
         runner(env, mm.flush(1 * GB))
         # The oldest dirty block must have been flushed first.
-        assert mm.lists.inactive.dirty_blocks()[0].filename == "new"
+        dirty = [block.filename for block in mm.lists.inactive.blocks
+                 if block.dirty]
+        assert dirty == ["new"]
 
     def test_flush_zero_or_negative_amount(self, setup, runner):
         env, mm, _ = setup
@@ -292,30 +292,29 @@ class TestFlushing:
 
     def test_flushed_bytes_statistic(self, setup, runner):
         env, mm, disk = setup
-        runner(env, mm.write_to_cache("f", 1 * GB, disk))
+        mm.put_to_cache("f", 1 * GB, disk)
         runner(env, mm.flush(1 * GB))
         assert mm.stats.flushed_bytes == pytest.approx(1 * GB)
         assert mm.stats.flush_ops == 1
 
 
 class TestCacheReads:
-    def test_read_promotes_clean_block_to_active(self, setup, runner):
-        env, mm, disk = setup
+    def test_read_promotes_clean_block_to_active(self, setup):
+        _, mm, disk = setup
         mm.add_to_cache("f", 1 * GB, disk)
-        served = runner(env, mm.read_from_cache("f", 1 * GB))
+        served = mm.take_from_cache("f", 1 * GB)
         assert served == pytest.approx(1 * GB)
         # The whole file stays cached; balancing keeps two thirds active.
         assert mm.cached_amount("f") == pytest.approx(1 * GB)
         assert mm.lists.active.cached_of_file("f") == pytest.approx(2 * GB / 3)
         assert mm.lists.inactive.cached_of_file("f") == pytest.approx(1 * GB / 3)
-        assert env.now == pytest.approx(1.0)  # 1 GB at 1000 MBps memory
         assert mm.stats.cache_hit_bytes == pytest.approx(1 * GB)
 
-    def test_read_merges_clean_blocks(self, setup, runner):
-        env, mm, disk = setup
+    def test_read_merges_clean_blocks(self, setup):
+        _, mm, disk = setup
         mm.add_to_cache("f", 0.5 * GB, disk)
         mm.add_to_cache("f", 0.5 * GB, disk)
-        runner(env, mm.read_from_cache("f", 1 * GB))
+        mm.take_from_cache("f", 1 * GB)
         # The two clean blocks are merged into a single re-accessed block
         # (which balancing may split once between the two lists).
         active_blocks = mm.lists.active.blocks_of_file("f")
@@ -324,55 +323,56 @@ class TestCacheReads:
         assert len(active_blocks) + len(inactive_blocks) <= 2
         assert mm.cached_amount("f") == pytest.approx(1 * GB)
 
-    def test_read_moves_dirty_blocks_individually(self, setup, runner):
-        env, mm, disk = setup
-        runner(env, mm.write_to_cache("f", 0.5 * GB, disk))
-        runner(env, mm.write_to_cache("f", 0.5 * GB, disk))
-        runner(env, mm.read_from_cache("f", 1 * GB))
+    def test_read_moves_dirty_blocks_individually(self, setup):
+        _, mm, disk = setup
+        mm.put_to_cache("f", 0.5 * GB, disk)
+        mm.put_to_cache("f", 0.5 * GB, disk)
+        mm.take_from_cache("f", 1 * GB)
         # Dirty blocks are not merged: they keep their identity (and entry
         # time) when promoted, so the file still spans several dirty blocks.
-        all_blocks = (
+        fragments = (
             mm.lists.active.blocks_of_file("f") + mm.lists.inactive.blocks_of_file("f")
         )
-        assert len(all_blocks) >= 2
-        assert all(block.dirty for block in all_blocks)
+        assert len(fragments) >= 2
+        assert all(block.dirty for block in fragments)
         assert mm.dirty == pytest.approx(1 * GB)
 
-    def test_partial_block_read_splits(self, setup, runner):
-        env, mm, disk = setup
+    def test_partial_block_read_splits(self, setup):
+        _, mm, disk = setup
         mm.add_to_cache("f", 1 * GB, disk)
-        served = runner(env, mm.read_from_cache("f", 0.25 * GB))
+        served = mm.take_from_cache("f", 0.25 * GB)
         assert served == pytest.approx(0.25 * GB)
         assert mm.lists.active.cached_of_file("f") == pytest.approx(0.25 * GB)
         assert mm.lists.inactive.cached_of_file("f") == pytest.approx(0.75 * GB)
         assert mm.cached == pytest.approx(1 * GB)
 
-    def test_read_bounded_by_cached_amount(self, setup, runner):
-        env, mm, disk = setup
+    def test_read_bounded_by_cached_amount(self, setup):
+        _, mm, disk = setup
         mm.add_to_cache("f", 0.5 * GB, disk)
-        served = runner(env, mm.read_from_cache("f", 2 * GB))
+        served = mm.take_from_cache("f", 2 * GB)
         assert served == pytest.approx(0.5 * GB)
 
-    def test_read_of_uncached_file_serves_nothing(self, setup, runner):
-        env, mm, _ = setup
-        assert runner(env, mm.read_from_cache("missing", 1 * GB)) == 0.0
+    def test_read_of_uncached_file_serves_nothing(self, setup):
+        _, mm, _ = setup
+        assert mm.take_from_cache("missing", 1 * GB) == 0.0
 
-    def test_zero_read(self, setup, runner):
-        env, mm, _ = setup
-        assert runner(env, mm.read_from_cache("f", 0)) == 0.0
+    def test_zero_read(self, setup):
+        _, mm, _ = setup
+        assert mm.take_from_cache("f", 0) == 0.0
 
 
 class TestPeriodicFlushing:
-    def test_expired_dirty_blocks_are_flushed_in_background(self, env, runner):
+    def test_expired_dirty_blocks_are_flushed_in_background(self, env):
         memory = MemoryDevice.symmetric(env, "ram", 1000 * MBps, size=10 * GB)
         disk = Disk.symmetric(env, "ssd", 100 * MBps)
         config = PageCacheConfig(dirty_expire=10.0, writeback_interval=2.0)
         mm = MemoryManager(env, memory, config)
 
         def scenario(env):
-            yield from mm.write_to_cache("f", 1 * GB, disk)
-            # Wait past the expiration time plus one flusher period.
-            yield env.timeout(20.0)
+            mm.put_to_cache("f", 1 * GB, disk)
+            # Wait past the expiration time, one flusher period and the
+            # 10 s write-back.
+            yield env.timeout(21.0)
             return mm.dirty
 
         process = env.process(scenario(env))
@@ -389,7 +389,7 @@ class TestPeriodicFlushing:
         mm = MemoryManager(env, memory, config)
 
         def scenario(env):
-            yield from mm.write_to_cache("f", 1 * GB, disk)
+            mm.put_to_cache("f", 1 * GB, disk)
             yield env.timeout(20.0)
             return mm.dirty
 
@@ -397,6 +397,37 @@ class TestPeriodicFlushing:
         dirty_after = env.run(until=process)
         mm.stop()
         assert dirty_after == pytest.approx(1 * GB)
+
+    def test_expiry_follows_entry_time_not_lru_order(self, env):
+        # B is written at t=5 and C at t=8; C is read again at t=15 and B
+        # at t=20, so the dirty LRU order is C, then B.  The flusher's
+        # t=35 pass finds B 30 s old (expired) behind C, 27 s old (not).
+        memory = MemoryDevice.symmetric(env, "ram", 1000 * MBps, size=10 * GB)
+        disk = Disk.symmetric(env, "ssd", 100 * MBps)
+        mm = MemoryManager(env, memory, PageCacheConfig())
+
+        def scenario(env):
+            yield env.timeout(5.0)
+            mm.put_to_cache("B", 100 * MB, disk)
+            yield env.timeout(3.0)
+            mm.put_to_cache("C", 100 * MB, disk)
+            yield env.timeout(7.0)
+            mm.take_from_cache("C", 100 * MB)
+            yield env.timeout(5.0)
+            mm.take_from_cache("B", 100 * MB)
+
+        env.process(scenario(env))
+        env.run(until=34.0)
+        assert [block.filename for block in mm.lists.active.blocks
+                if block.dirty] == ["C", "B"]
+        env.run(until=37.0)
+        mm.stop()
+        dirty_files = {block.filename
+                       for lru in (mm.lists.inactive, mm.lists.active)
+                       for block in lru.blocks if block.dirty}
+        assert dirty_files == {"C"}
+        assert mm.dirty == pytest.approx(100 * MB)
+        assert mm.stats.background_flushed_bytes == pytest.approx(100 * MB)
 
     def test_expired_blocks_listing(self, env):
         memory = MemoryDevice.symmetric(env, "ram", 1000 * MBps, size=10 * GB)

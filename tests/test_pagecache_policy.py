@@ -25,7 +25,6 @@ from repro.pagecache.policy import (
     PriorityWeightedPolicy,
     TwoQPolicy,
     make_eviction_policy,
-    validate_policy_spec,
 )
 from repro.platform.memory import MemoryDevice
 from repro.platform.storage import Disk
@@ -46,6 +45,15 @@ def make_cache(policy, *, memory_size=512 * MB, chunk_size=16 * MB):
     )
     mm = MemoryManager(env, memory, config, name="policy-mm")
     return env, mm, IOController(env, mm), disk
+
+
+def next_victim(mm, lru):
+    """The fragment the policy would evict next from ``lru`` (not removed)."""
+    cursor = mm.policy.clean_cursor(lru)
+    try:
+        return cursor.next()
+    finally:
+        cursor.close()
 
 
 def read(env, io, disk, filename, size):
@@ -82,8 +90,8 @@ class TestRegistry:
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown eviction policy"):
             make_eviction_policy("mru")
-        with pytest.raises(ConfigurationError):
-            validate_policy_spec("mru")
+        with pytest.raises(ConfigurationError, match="unknown eviction policy"):
+            PageCacheConfig(eviction_policy="mru")
 
     def test_bad_spec_type_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -315,14 +323,17 @@ class TestVictimCursor:
         env, mm, io, disk = make_cache(ARCPolicy(), memory_size=1 * GB)
         read(env, io, disk, "a", 64 * MB)
         read(env, io, disk, "b", 64 * MB)
-        policy = mm.policy
         lru = mm.lists.inactive
-        peeked = policy.peek_victim(lru)
+        peeked = next_victim(mm, lru)
         assert peeked is not None
         before = mm.lists.cached_of_file(peeked.filename)
-        popped = policy.pop_victim(lru)
+        cursor = mm.policy.clean_cursor(lru)
+        popped = cursor.next()
+        lru.remove(popped)
+        cursor.close()
         assert popped is peeked
         assert mm.lists.cached_of_file(peeked.filename) < before
+        assert next_victim(mm, lru) is not popped
 
     def test_excluded_file_never_surfaces(self):
         env, mm, io, disk = make_cache(TwoQPolicy(), memory_size=1 * GB)
@@ -339,8 +350,7 @@ class TestVictimCursor:
 
     def test_empty_cache_yields_no_victim(self):
         env, mm, _, _ = make_cache(ARCPolicy())
-        assert mm.policy.peek_victim(mm.lists.inactive) is None
-        assert mm.policy.pop_victim(mm.lists.inactive) is None
+        assert next_victim(mm, mm.lists.inactive) is None
 
 
 class TestPredictedSurvival:
@@ -474,5 +484,5 @@ class TestCustomPolicySubclass:
         env, mm, io, disk = make_cache(MRUPolicy(), memory_size=1 * GB)
         read(env, io, disk, "a", 64 * MB)
         read(env, io, disk, "b", 64 * MB)
-        victim = mm.policy.peek_victim(mm.lists.inactive)
+        victim = next_victim(mm, mm.lists.inactive)
         assert victim.filename == "b"

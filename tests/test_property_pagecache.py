@@ -59,7 +59,7 @@ def test_lru_lists_invariants_under_random_operations(operations):
                 lists.promote(block, now=clock[0])
         elif kind == "remove":
             _, index = operation
-            blocks = lists.all_blocks()
+            blocks = lists.inactive.blocks + lists.active.blocks
             if blocks:
                 lists.remove(blocks[index % len(blocks)])
         elif kind == "balance":
@@ -111,12 +111,12 @@ def test_memory_manager_accounting_invariants(operations):
                 uncached = max(0.0, amount - mm.cached_amount(filename))
                 if uncached > 0 and mm.free_mem >= uncached:
                     mm.add_to_cache(filename, uncached, disk)
-                yield from mm.read_from_cache(filename, amount)
+                mm.take_from_cache(filename, amount)
             elif kind == "write":
                 _, file_index, size_mb = operation
                 amount = size_mb * MB
                 if mm.free_mem >= amount:
-                    yield from mm.write_to_cache(f"file{file_index}", amount, disk)
+                    mm.put_to_cache(f"file{file_index}", amount, disk)
             elif kind == "anon":
                 _, size_mb = operation
                 amount = size_mb * MB
@@ -160,7 +160,7 @@ def test_flush_conserves_cached_bytes_and_clears_dirty(write_amounts, flush_requ
         total_written = 0.0
         for index, amount_mb in enumerate(write_amounts):
             amount = amount_mb * MB
-            yield from mm.write_to_cache(f"file{index}", amount, disk)
+            mm.put_to_cache(f"file{index}", amount, disk)
             total_written += amount
         cached_before = mm.cached
         dirty_before = mm.dirty

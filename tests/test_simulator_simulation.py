@@ -231,6 +231,24 @@ class TestNFSSimulation:
         # avoids the server disk.
         assert result.duration_of("app_task2", "read") < 5.0
 
+    def test_cache_mode_selects_server_cache(self):
+        sim = Simulation(config=quiet_config())
+        sim.create_cluster_platform()
+        writeback = sim.create_nfs_storage_service("storage1", "/export",
+                                                   cache_mode="writeback")
+        assert writeback.cache_mode == "writeback"
+        cacheless = sim.create_nfs_storage_service("storage1", "/export",
+                                                   cache_mode="none")
+        assert cacheless.cache_mode == "none"
+
+    def test_unknown_cache_mode_rejected(self):
+        sim = Simulation(config=quiet_config())
+        sim.create_cluster_platform()
+        with pytest.raises(ConfigurationError,
+                           match="unknown cache mode 'write-back'"):
+            sim.create_nfs_storage_service("storage1", "/export",
+                                           cache_mode="write-back")
+
 
 class TestMemoryTracing:
     def test_memory_trace_collected(self):

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.filesystem import File, NFSConfig
+from repro.des import Environment
+from repro.filesystem import File
 from repro.pagecache.config import PageCacheConfig
 from repro.platform.host import Host
 from repro.platform.memory import MemoryDevice
@@ -14,11 +15,12 @@ from repro.simulator.storage_service import NFSStorageService, PageCachedStorage
 from repro.units import GB, MBps
 
 
-def make_host(env, name, with_memory=True):
+def make_host(env, name, with_memory=True, memory_size=10 * GB):
     host = Host(env, name, cores=4)
     if with_memory:
         host.set_memory(
-            MemoryDevice.symmetric(env, f"{name}.ram", 1000 * MBps, size=10 * GB)
+            MemoryDevice.symmetric(env, f"{name}.ram", 1000 * MBps,
+                                   size=memory_size)
         )
     disk = Disk.symmetric(env, f"{name}.ssd", 100 * MBps, capacity=100 * GB)
     host.add_disk(disk, mount_point="/data")
@@ -182,16 +184,21 @@ class TestPageCachedStorageService:
 
 
 class TestNFSStorageService:
-    def _setup(self, env, nfs_config=None):
+    def _setup(self, env, writethrough=True):
         server, server_disk = make_host(env, "server")
         client, _ = make_host(env, "client")
         network = make_network(env, "server", "client")
         service = NFSStorageService(
             env, server, server_disk, network,
-            nfs_config=nfs_config or NFSConfig.hpc_default(),
-            cache_config=CACHE_OFF,
+            cache_config=CACHE_OFF, writethrough=writethrough,
         )
         return service, server, client
+
+    def test_requires_server_memory(self, env):
+        server, disk = make_host(env, "server", with_memory=False)
+        network = make_network(env, "server", "client")
+        with pytest.raises(ConfigurationError):
+            NFSStorageService(env, server, disk, network)
 
     def test_reads_require_reader_host(self, env, runner):
         service, server, client = self._setup(env)
@@ -250,9 +257,7 @@ class TestNFSStorageService:
         assert server.memory_manager.cached_amount("f") == pytest.approx(1 * GB)
 
     def test_writeback_server_cache(self, env, runner):
-        service, server, client = self._setup(
-            env, nfs_config=NFSConfig(server_cache_mode="writeback")
-        )
+        service, server, client = self._setup(env, writethrough=False)
         file = File("f", 1 * GB)
 
         def scenario(env):
@@ -267,6 +272,20 @@ class TestNFSStorageService:
     def test_cache_mode_property(self, env):
         service, _, _ = self._setup(env)
         assert service.cache_mode == "writethrough"
+        service, _, _ = self._setup(Environment(), writethrough=False)
+        assert service.cache_mode == "writeback"
+
+    def test_delete_invalidates_server_cache(self, env, runner):
+        service, server, client = self._setup(env)
+        file = File("f", 1 * GB)
+
+        def scenario(env):
+            yield from service.write_file(file, writer_host=client)
+
+        runner(env, scenario(env))
+        assert server.memory_manager.cached_amount("f") == pytest.approx(1 * GB)
+        service.delete_file(file)
+        assert server.memory_manager.cached_amount("f") == 0
 
     def test_client_anonymous_memory_accounted(self, env, runner):
         service, server, client = self._setup(env)
@@ -278,3 +297,70 @@ class TestNFSStorageService:
 
         runner(env, scenario(env))
         assert client.memory_manager is None  # no cache on the client host
+
+
+NETWORK_BANDWIDTH = 1000 * MBps
+ORACLE_FILES = [File(f"f{index}", 1.5 * GB) for index in range(3)]
+
+
+def _oracle_run(writethrough, nfs):
+    """Write, then read, ``ORACLE_FILES`` on a 4 GB server: locally, or
+    from a client over NFS.  Local reads skip anonymous memory, as the NFS
+    server's reads do."""
+    env = Environment()
+    server, disk = make_host(env, "server", memory_size=4 * GB)
+    if nfs:
+        client, _ = make_host(env, "client")
+        network = make_network(env, "server", "client")
+        service = NFSStorageService(env, server, disk, network,
+                                    cache_config=CACHE_OFF,
+                                    writethrough=writethrough)
+
+        def write(file):
+            return service.write_file(file, writer_host=client)
+
+        def read(file):
+            return service.read_file(file, reader_host=client,
+                                     use_anonymous_memory=False)
+    else:
+        service = PageCachedStorageService(env, server, disk,
+                                           cache_config=CACHE_OFF,
+                                           writethrough=writethrough)
+        write = service.write_file
+
+        def read(file):
+            return service.io_controller.read_file(
+                file.name, file.size, disk, use_anonymous_memory=False)
+    results = []
+
+    def scenario():
+        for operation in (write, read):
+            for file in ORACLE_FILES:
+                results.append((yield from operation(file)))
+
+    env.run(until=env.process(scenario()))
+    return results, server.memory_manager.stats
+
+
+class TestNFSIsLocalPlusNetworkHop:
+    """Oracle: an NFS operation costs the server's local page-cache
+    operation plus one uncontended network transfer per chunk."""
+
+    @pytest.mark.parametrize("writethrough", [False, True],
+                             ids=["writeback", "writethrough"])
+    def test_each_operation_adds_one_network_term(self, writethrough):
+        local, local_stats = _oracle_run(writethrough, nfs=False)
+        nfs, nfs_stats = _oracle_run(writethrough, nfs=True)
+        assert len(nfs) == len(local) == 2 * len(ORACLE_FILES)
+        for remote, base in zip(nfs, local):
+            assert remote.filename == base.filename
+            assert remote.chunks == base.chunks == 15
+            assert remote.elapsed == pytest.approx(
+                base.elapsed + remote.size / NETWORK_BANDWIDTH, rel=1e-12)
+            assert remote.cache_bytes == base.cache_bytes
+            assert remote.storage_bytes == base.storage_bytes
+        assert nfs_stats.flush_ops == local_stats.flush_ops
+        assert nfs_stats.flushed_bytes == local_stats.flushed_bytes
+        if not writethrough:
+            # 4.5 GB of writes against a 0.8 GB dirty threshold.
+            assert nfs_stats.flush_ops > 0
