@@ -2,9 +2,10 @@
 
 A tiny ordinary-least-squares implementation with the statistics the paper
 reports: slope, intercept, coefficient of determination and the p-value of
-the slope (two-sided t-test against a zero slope).  SciPy is used for the
-p-value when available; otherwise a normal approximation is applied so the
-package keeps working with NumPy alone.
+the slope (two-sided t-test against a zero slope).  The fit is plain
+Python (``math.fsum`` sums), so the package needs nothing beyond the
+standard library.  SciPy is used for the p-value when available; otherwise
+a normal approximation is applied.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -46,31 +45,33 @@ def linear_fit(x: Sequence[float], y: Sequence[float]) -> LinearFit:
     ValueError
         If fewer than two points are given or all ``x`` are identical.
     """
-    xs = np.asarray(list(x), dtype=float)
-    ys = np.asarray(list(y), dtype=float)
-    if xs.size != ys.size:
-        raise ValueError(f"length mismatch: {xs.size} x values vs {ys.size} y values")
-    if xs.size < 2:
+    xs = [float(value) for value in x]
+    ys = [float(value) for value in y]
+    if len(xs) != len(ys):
+        raise ValueError(f"length mismatch: {len(xs)} x values vs {len(ys)} y values")
+    if len(xs) < 2:
         raise ValueError("at least two points are required for a linear fit")
-    if np.allclose(xs, xs[0]):
+    # numpy.allclose's default tolerances.
+    if all(math.isclose(value, xs[0], rel_tol=1e-5, abs_tol=1e-8) for value in xs):
         raise ValueError("all x values are identical; the slope is undefined")
 
-    n = xs.size
-    x_mean = xs.mean()
-    y_mean = ys.mean()
-    sxx = float(((xs - x_mean) ** 2).sum())
-    sxy = float(((xs - x_mean) * (ys - y_mean)).sum())
+    n = len(xs)
+    x_mean = math.fsum(xs) / n
+    y_mean = math.fsum(ys) / n
+    dxs = [value - x_mean for value in xs]
+    sxx = math.fsum(dx * dx for dx in dxs)
+    sxy = math.fsum(dx * (value - y_mean) for dx, value in zip(dxs, ys))
     slope = sxy / sxx
     intercept = y_mean - slope * x_mean
 
-    predicted = slope * xs + intercept
-    ss_res = float(((ys - predicted) ** 2).sum())
-    ss_tot = float(((ys - y_mean) ** 2).sum())
+    ss_res = math.fsum((value - (slope * xv + intercept)) ** 2
+                       for xv, value in zip(xs, ys))
+    ss_tot = math.fsum((value - y_mean) ** 2 for value in ys)
     r_squared = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
 
     p_value = _slope_p_value(n, slope, sxx, ss_res)
     return LinearFit(slope=slope, intercept=intercept, r_squared=r_squared,
-                     p_value=p_value, n=int(n))
+                     p_value=p_value, n=n)
 
 
 def _slope_p_value(n: int, slope: float, sxx: float, ss_res: float) -> float:
@@ -88,7 +89,7 @@ def _slope_p_value(n: int, slope: float, sxx: float, ss_res: float) -> float:
         from scipy import stats
 
         return float(2.0 * stats.t.sf(t_stat, dof))
-    except Exception:  # pragma: no cover - scipy always present in CI
+    except Exception:  # SciPy is optional
         # Normal approximation of the t distribution.
         return float(2.0 * (1.0 - _normal_cdf(t_stat)))
 

@@ -16,14 +16,15 @@ insertion stamp (``_stamp``), which breaks last-access ties in the LRU
 order.  Blocks keep their exact individual sizes inside the run, which is
 what makes run coalescing lossless: joining runs moves fragments around
 without performing any byte arithmetic.
+
+A cache holds one block per fragment, hundreds of thousands of them on a
+paper-scale run, so a block carries only the slots above and no id: the
+object is its own identity.
 """
 
 from __future__ import annotations
 
-from itertools import count
 from typing import Any, Optional, Tuple
-
-_block_ids = count()
 
 
 class Block:
@@ -46,7 +47,7 @@ class Block:
         flushing to know where dirty data must be written.
     """
 
-    __slots__ = ("id", "filename", "size", "entry_time", "last_access", "dirty",
+    __slots__ = ("filename", "size", "entry_time", "last_access", "dirty",
                  "storage", "_run", "_stamp")
 
     def __init__(self, filename: str, size: float, entry_time: float,
@@ -54,7 +55,6 @@ class Block:
                  storage: Any = None):
         if size <= 0:
             raise ValueError(f"block size must be positive, got {size}")
-        self.id = next(_block_ids)
         self.filename = filename
         self.size = float(size)
         self.entry_time = float(entry_time)
@@ -93,6 +93,6 @@ class Block:
     def __repr__(self) -> str:
         flag = "dirty" if self.dirty else "clean"
         return (
-            f"<Block #{self.id} file={self.filename!r} size={self.size:.0f} "
+            f"<Block file={self.filename!r} size={self.size:.0f} "
             f"entry={self.entry_time:.2f} access={self.last_access:.2f} {flag}>"
         )

@@ -210,7 +210,9 @@ class IOController:
 
         Returns an :class:`IOResult`.
         """
-        chunk = chunk_size or self.config.chunk_size
+        # One float shared by every full chunk, and so by every fragment
+        # these chunks leave in the cache.
+        chunk = float(chunk_size or self.config.chunk_size)
         env = self.env
         start = env.now
         result = IOResult(filename, file_size, start, start)
@@ -249,7 +251,7 @@ class IOController:
         Returns an :class:`IOResult`.  With ``writethrough=True`` the write
         bypasses the writeback path and goes synchronously to storage.
         """
-        chunk = chunk_size or self.config.chunk_size
+        chunk = float(chunk_size or self.config.chunk_size)
         env = self.env
         start = env.now
         result = IOResult(filename, file_size, start, start)

@@ -107,7 +107,8 @@ class SimulationResult:
     operations: List[OperationRecord]
     #: Periodic memory snapshots (Figure 4b).
     memory_trace: List[MemorySnapshot]
-    #: Per-file cache contents recorded after each I/O (Figure 4c).
+    #: Per-file cache contents recorded after each I/O (Figure 4c); empty
+    #: when the simulation has more than one page cache.
     cache_contents: List[CacheContentRecord]
     #: Cache statistics per host name.
     cache_stats: Dict[str, CacheStatistics]

@@ -189,7 +189,9 @@ class NFSStorageService(PageCachedStorageService):
                   use_anonymous_memory: bool = True):
         if reader_host is None:
             raise ConfigurationError("NFS reads require the reading host")
-        chunk = chunk_size or self.memory_manager.config.chunk_size
+        # One float shared by every full chunk, and so by every fragment
+        # these chunks leave in the cache.
+        chunk = float(chunk_size or self.memory_manager.config.chunk_size)
         start = self.env.now
         result = IOResult(file.name, file.size, start, start)
         remaining = file.size
@@ -222,7 +224,7 @@ class NFSStorageService(PageCachedStorageService):
         if writer_host is None:
             raise ConfigurationError("NFS writes require the writing host")
         self.disk.allocate(file.size)
-        chunk = chunk_size or self.memory_manager.config.chunk_size
+        chunk = float(chunk_size or self.memory_manager.config.chunk_size)
         start = self.env.now
         result = IOResult(file.name, file.size, start, start)
         remaining = file.size

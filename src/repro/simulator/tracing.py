@@ -9,8 +9,9 @@ The paper's evaluation relies on three kinds of observations:
 * per-file cache contents after each application I/O — Figure 4c.
 
 The :class:`Tracer` collects all three: storage services and the workflow
-executor report :class:`OperationRecord` objects, and an optional sampling
-process snapshots the memory manager at a fixed interval.
+executor report :class:`OperationRecord` objects, an optional sampling
+process snapshots the memory manager at a fixed interval, and single-cache
+runs record the cache contents after each read and write.
 """
 
 from __future__ import annotations
@@ -74,6 +75,12 @@ class CacheContentRecord:
 class Tracer:
     """Collects operation records, memory snapshots and cache contents.
 
+    Cache contents (Figure 4c) are recorded only while the tracer watches
+    exactly one page cache (one cached host), as in the paper's
+    single-node experiments.  A record copies that cache's whole per-file
+    map, so with several cached hosts it would cost O(operations x files)
+    for a record no experiment reads; ``cache_contents`` stays empty there.
+
     When telemetry is enabled the tracer doubles as a compatibility
     adapter onto :mod:`repro.obs`: every :class:`OperationRecord` is
     mirrored as an ``"operation"`` span and every memory snapshot as a
@@ -131,7 +138,11 @@ class Tracer:
 
     # --------------------------------------------------------------- recording
     def record_operation(self, record: OperationRecord) -> None:
-        """Store an operation record and snapshot the cache contents."""
+        """Store an operation record.
+
+        A read or write also records the per-file cache contents right
+        after it, when the tracer watches exactly one page cache.
+        """
         self.operations.append(record)
         observer = self._observer()
         if observer is not None:
@@ -145,7 +156,7 @@ class Tracer:
                 f"{record.task}:{record.kind}", "operation",
                 f"app:{record.app}", record.start, record.end, attrs,
             )
-        if self._memory_managers and record.kind in ("read", "write"):
+        if len(self._memory_managers) == 1 and record.kind in ("read", "write"):
             self.cache_contents.append(
                 CacheContentRecord(
                     app=record.app,

@@ -17,6 +17,13 @@ class TestLinearFit:
         assert fit.p_value < 1e-6
         assert fit.n == 4
 
+    def test_closed_form_fit(self):
+        # x_mean 2.5, y_mean 4: Sxx = 5, Sxy = 7, SSres = 0.2, SStot = 10.
+        fit = linear_fit([1, 2, 3, 4], [2, 3, 5, 6])
+        assert fit.slope == pytest.approx(1.4, rel=1e-12)
+        assert fit.intercept == pytest.approx(0.5, rel=1e-12)
+        assert fit.r_squared == pytest.approx(0.98, rel=1e-12)
+
     def test_noisy_line_recovers_slope(self):
         xs = list(range(1, 33))
         ys = [0.05 * x - 0.19 + ((-1) ** x) * 0.01 for x in xs]

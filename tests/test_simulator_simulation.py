@@ -12,6 +12,7 @@ from repro import File, Simulation, SimulationConfig
 from repro.errors import ConfigurationError, SchedulingError
 from repro.pagecache.config import PageCacheConfig
 from repro.simulator.workflow import Task, Workflow, chain_workflow
+from repro.snapshot import build_experiment, capture_state
 from repro.units import GB, GiB, MBps
 
 
@@ -274,3 +275,12 @@ class TestMemoryTracing:
         # Cache content records exist for every read/write operation.
         io_ops = [op for op in result.operations if op.kind in ("read", "write")]
         assert len(result.cache_contents) == len(io_ops)
+
+    def test_no_cache_contents_with_several_page_caches(self):
+        # Figure 4c records copy the watched cache's per-file map after
+        # every I/O; a run with several cached hosts records none.
+        sim = build_experiment("exp6", n_jobs=10)
+        result = sim.run()
+        assert result.operations_of("read")
+        assert result.cache_contents == []
+        assert capture_state(sim)["tracer"]["n_cache_records"] == 0
