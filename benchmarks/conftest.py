@@ -9,6 +9,7 @@ reports as plain text, prints them and saves them under
 
 from __future__ import annotations
 
+import gc
 import os
 from pathlib import Path
 
@@ -45,3 +46,20 @@ def paper_scale() -> bool:
     paper's exact file sizes and concurrency sweeps.
     """
     return os.environ.get("PAGECACHE_SIM_PAPER_SCALE", "0") not in ("0", "", "false")
+
+
+def fastest_of(curves, sweep, reruns: int = 2):
+    """Lower each point's wall time in ``curves`` to its minimum over
+    ``reruns`` more, untimed runs of ``sweep`` (garbage collected first).
+
+    A single sub-second reading is at the mercy of whatever else shares
+    the machine; the minimum of three is the cost of the simulation
+    itself, which is what a Figure 8 linearity check is about.
+    """
+    for _ in range(reruns):
+        gc.collect()
+        for label, points in sweep().items():
+            for point, rerun in zip(curves[label], points):
+                point.wallclock_time = min(point.wallclock_time,
+                                           rerun.wallclock_time)
+    return curves

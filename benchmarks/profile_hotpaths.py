@@ -149,7 +149,8 @@ def run_pagecache_workload(file_size=None, chunk_size=None, streams=8):
             env.process(strided(index), name=f"strided{index}")
             for index in range(streams)
         ]
-        yield env.all_of(readers)
+        for reader in readers:
+            yield reader
         yield from mm.flush(mm.dirty)
 
     process = env.process(driver(), name="pagecache-driver")

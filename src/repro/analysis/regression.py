@@ -3,9 +3,9 @@
 A tiny ordinary-least-squares implementation with the statistics the paper
 reports: slope, intercept, coefficient of determination and the p-value of
 the slope (two-sided t-test against a zero slope).  The fit is plain
-Python (``math.fsum`` sums), so the package needs nothing beyond the
-standard library.  SciPy is used for the p-value when available; otherwise
-a normal approximation is applied.
+Python (``math.fsum`` sums), and the p-value is Student's t tail computed
+from the regularized incomplete beta function, so the package needs
+nothing beyond the standard library.
 """
 
 from __future__ import annotations
@@ -75,7 +75,11 @@ def linear_fit(x: Sequence[float], y: Sequence[float]) -> LinearFit:
 
 
 def _slope_p_value(n: int, slope: float, sxx: float, ss_res: float) -> float:
-    """Two-sided p-value of the slope against the null hypothesis slope=0."""
+    """Two-sided p-value of the slope against the null hypothesis slope=0.
+
+    Student's t with ``dof`` degrees of freedom has the two-sided tail
+    ``P(|T| > t) = I_x(dof/2, 1/2)`` with ``x = dof / (dof + t^2)``.
+    """
     dof = n - 2
     if dof <= 0:
         return float("nan")
@@ -84,15 +88,52 @@ def _slope_p_value(n: int, slope: float, sxx: float, ss_res: float) -> float:
     stderr = math.sqrt(ss_res / dof / sxx)
     if stderr == 0:
         return 0.0
-    t_stat = abs(slope / stderr)
-    try:
-        from scipy import stats
-
-        return float(2.0 * stats.t.sf(t_stat, dof))
-    except Exception:  # SciPy is optional
-        # Normal approximation of the t distribution.
-        return float(2.0 * (1.0 - _normal_cdf(t_stat)))
+    t_squared = (slope / stderr) ** 2
+    # x and 1 - x are formed separately so neither loses digits to the
+    # subtraction when t is very small or very large.
+    denominator = dof + t_squared
+    return _regularized_beta(0.5 * dof, 0.5, dof / denominator,
+                             t_squared / denominator)
 
 
-def _normal_cdf(value: float) -> float:
-    return 0.5 * (1.0 + math.erf(value / math.sqrt(2.0)))
+def _regularized_beta(a: float, b: float, x: float, y: float) -> float:
+    """The regularized incomplete beta function ``I_x(a, b)``, ``y = 1 - x``.
+
+    Evaluated with the continued fraction of Numerical Recipes (section
+    6.4) by the modified Lentz method, on whichever side of the symmetry
+    ``I_x(a, b) = 1 - I_y(b, a)`` converges quickly.
+    """
+    if x <= 0.0:
+        return 0.0
+    if y <= 0.0:
+        return 1.0
+    swap = x > (a + 1.0) / (a + b + 2.0)
+    if swap:
+        a, b, x, y = b, a, y, x
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * math.log(x) + b * math.log(y))
+    tiny = 1e-300
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    if abs(d) < tiny:
+        d = tiny
+    d = 1.0 / d
+    fraction = d
+    for m in range(1, 10_000):
+        # One even and one odd term of the continued fraction.
+        for numerator in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                          -(a + m) * (a + b + m) * x
+                          / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 + numerator * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + numerator / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            step = c * d
+            fraction *= step
+        if abs(step - 1.0) < 1e-15:
+            break
+    value = front * fraction / a
+    return 1.0 - value if swap else value

@@ -7,14 +7,7 @@ import math
 from itertools import count
 from typing import Any, Generator, List, Optional, Tuple, Union
 
-from repro.des.events import (
-    AllOf,
-    AnyOf,
-    Event,
-    NORMAL,
-    PENDING,
-    Timeout,
-)
+from repro.des.events import Event, NORMAL, PENDING, Timeout
 from repro.des.process import Process
 
 
@@ -78,14 +71,6 @@ class Environment:
     def event(self) -> Event:
         """Return a new untriggered event."""
         return Event(self)
-
-    def all_of(self, events) -> AllOf:
-        """Return an event triggered when all ``events`` have triggered."""
-        return AllOf(self, events)
-
-    def any_of(self, events) -> AnyOf:
-        """Return an event triggered when any of ``events`` triggers."""
-        return AnyOf(self, events)
 
     # ------------------------------------------------------------ scheduling
     def schedule(self, event: Event, priority: int = NORMAL, delay: float = 0.0) -> None:

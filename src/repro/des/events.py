@@ -47,20 +47,6 @@ class Interrupt(Exception):
         return self.args[0]
 
 
-class StopProcess(Exception):
-    """Raised internally to stop a process and return a value.
-
-    Using ``return value`` inside a process generator is the idiomatic way
-    to produce a result; this exception exists for API completeness and for
-    callers that need to end a process from a helper function.
-    """
-
-    @property
-    def value(self) -> Any:
-        """The value the process returns."""
-        return self.args[0] if self.args else None
-
-
 class Event:
     """A single simulation event.
 
@@ -143,23 +129,6 @@ class Event:
         self.env.schedule(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Copy the outcome (success/failure and value) of ``event``."""
-        if event._ok is None:
-            raise RuntimeError(f"{event!r} has not been triggered")
-        if self.triggered:
-            raise RuntimeError(f"{self!r} has already been triggered")
-        self._ok = event._ok
-        self._value = event._value
-        self.env.schedule(self)
-
-    # ------------------------------------------------------------ composition
-    def __and__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.all_events, [self, other])
-
-    def __or__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.any_event, [self, other])
-
     def __repr__(self) -> str:
         state = (
             "processed"
@@ -197,14 +166,6 @@ class Timeout(Event):
         """The configured delay in simulated seconds."""
         return self._delay
 
-    def cancel(self) -> None:
-        """Withdraw the timeout before it fires (tombstone, O(1)).
-
-        A cancelled timeout is skipped by the event loop: its callbacks
-        never run.  Cancelling after processing is a no-op.
-        """
-        self._defunct = True
-
     def __repr__(self) -> str:
         return f"<Timeout(delay={self._delay}) at {id(self):#x}>"
 
@@ -220,125 +181,3 @@ class Initialize(Event):
         self._ok = True
         self._value = None
         env.schedule(self, priority=URGENT)
-
-
-class ConditionValue:
-    """Ordered mapping of the events that triggered in a condition.
-
-    Behaves like a read-only dict keyed by event, preserving the order in
-    which events were given to the condition.
-    """
-
-    __slots__ = ("events",)
-
-    def __init__(self) -> None:
-        self.events: List[Event] = []
-
-    def __getitem__(self, key: Event) -> Any:
-        if key not in self.events:
-            raise KeyError(key)
-        return key.value
-
-    def __contains__(self, key: Event) -> bool:
-        return key in self.events
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ConditionValue):
-            return self.todict() == other.todict()
-        if isinstance(other, dict):
-            return self.todict() == other
-        return NotImplemented
-
-    def todict(self) -> dict:
-        """Return a plain ``{event: value}`` dict."""
-        return {event: event.value for event in self.events}
-
-    def values(self):
-        """Return the values of the triggered events, in insertion order."""
-        return [event.value for event in self.events]
-
-    def __repr__(self) -> str:
-        return f"<ConditionValue {self.todict()!r}>"
-
-
-class Condition(Event):
-    """Composite event triggered when a predicate over sub-events holds.
-
-    Used through the ``&`` / ``|`` operators on events or the
-    :class:`AllOf` / :class:`AnyOf` helpers.
-    """
-
-    __slots__ = ("_evaluate", "_events", "_count")
-
-    def __init__(self, env, evaluate, events):
-        super().__init__(env)
-        self._evaluate = evaluate
-        self._events = list(events)
-        self._count = 0
-
-        for event in self._events:
-            if event.env is not env:
-                raise ValueError("cannot mix events from different environments")
-
-        # Immediately check for already-processed events.
-        for event in self._events:
-            if event.callbacks is None:
-                self._check(event)
-            else:
-                event.callbacks.append(self._check)
-
-        if not self._events and not self.triggered:
-            self.succeed(ConditionValue())
-
-    def _populate_value(self, value: ConditionValue) -> None:
-        for event in self._events:
-            if isinstance(event, Condition) and event.triggered and event.ok:
-                event._populate_value(value)
-            elif event.callbacks is None and event not in value.events:
-                value.events.append(event)
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        self._count += 1
-        if not event.ok:
-            event.defused = True
-            self.fail(event.value)
-        elif self._evaluate(self._events, self._count):
-            value = ConditionValue()
-            self._populate_value(value)
-            self.succeed(value)
-
-    @staticmethod
-    def all_events(events: List[Event], count: int) -> bool:
-        """Predicate: all sub-events triggered."""
-        return len(events) == count
-
-    @staticmethod
-    def any_event(events: List[Event], count: int) -> bool:
-        """Predicate: at least one sub-event triggered."""
-        return count > 0 or not events
-
-
-class AllOf(Condition):
-    """Condition that triggers once *all* given events have triggered."""
-
-    __slots__ = ()
-
-    def __init__(self, env, events):
-        super().__init__(env, Condition.all_events, events)
-
-
-class AnyOf(Condition):
-    """Condition that triggers once *any* of the given events triggers."""
-
-    __slots__ = ()
-
-    def __init__(self, env, events):
-        super().__init__(env, Condition.any_event, events)

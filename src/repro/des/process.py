@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
-from repro.des.events import Event, Initialize, Interrupt, PENDING, StopProcess, URGENT
+from repro.des.events import Event, Initialize, Interrupt, PENDING, URGENT
 
 
 class Process(Event):
@@ -102,9 +102,6 @@ class Process(Event):
             else:
                 target = self._generator.send(value)
         except StopIteration as stop:
-            self._end(stop.value, ok=True)
-            return
-        except StopProcess as stop:
             self._end(stop.value, ok=True)
             return
         except BaseException as exc:  # noqa: BLE001 - propagate as failed event

@@ -35,10 +35,10 @@ mode).
 
 Consumption model.  All hot-path consumption carves fragments off the
 *front* of runs: ``frags[head]`` with a moving ``head`` cursor and
-periodic compaction, so consuming a fragment is O(1) amortized.  Run
-objects are pooled by their owning list (see ``LRUList._run_pool``);
-stale references held by heaps are fenced by fragment stamps, and
-everything else by the per-run ``_epoch``.
+periodic compaction, so consuming a fragment is O(1) amortized.  A run
+dies when its last fragment goes and is never reused: its ``_list``
+stays ``None`` for good, which fences every stale reference a heap entry
+or a cursor may still hold.
 """
 
 from __future__ import annotations
@@ -59,11 +59,10 @@ class ExtentRun:
     The fragment row ``frags[head:]`` holds the live fragments, oldest
     first; slots before ``head`` are consumed (cleared to ``None``) and
     reclaimed in bulk.  ``_list`` is the owning
-    :class:`~repro.pagecache.lru.LRUList` (``None`` while dead) and
-    ``_epoch`` the incarnation counter fencing pooled reuse.
+    :class:`~repro.pagecache.lru.LRUList` (``None`` once dead).
     """
 
-    __slots__ = ("filename", "dirty", "frags", "head", "_list", "_epoch")
+    __slots__ = ("filename", "dirty", "frags", "head", "_list")
 
     def __init__(self, filename: str, dirty: bool):
         self.filename = filename
@@ -71,7 +70,6 @@ class ExtentRun:
         self.frags: List[Optional[Block]] = []
         self.head = 0
         self._list = None
-        self._epoch = 0
 
     # ------------------------------------------------------------------ views
     def fragments(self) -> List[Block]:
@@ -119,31 +117,30 @@ class StateHeap:
 
     Entries are ``(last_access, stamp, seq, run)`` — the run's *front*
     key at push time plus a monotone sequence number so duplicate pushes
-    never fall through to comparing runs.  An entry is live while the run
-    is still in the owning list, still in the heap's state and still
+    never fall through to comparing runs.  A run never changes state, so
+    an entry is live while the run is still in the owning list and still
     fronted by the fragment the entry was pushed for (fragment stamps are
-    never reused within a list, so no epoch is needed); everything else
-    is a tombstone, skipped on pop and swept out when tombstones
-    outnumber live runs.  Front advances do not touch the heap eagerly:
-    the owning list collects runs whose front moved in a pending set and
-    re-pushes them in bulk the next time a consumer needs the heap.
+    never reused within a list); everything else is a tombstone, skipped
+    on pop and swept out when tombstones outnumber live runs.  Front
+    advances do not touch the heap eagerly: the owning list collects runs
+    whose front moved in a pending set and re-pushes them in bulk the next
+    time a consumer needs the heap.
 
     ``live`` counts the runs currently in this state (maintained by the
-    owning list at run creation/death/state flips).
+    owning list at run creation and death).
     """
 
-    __slots__ = ("owner", "dirty", "heap", "live", "_seq")
+    __slots__ = ("owner", "heap", "live", "_seq")
 
-    def __init__(self, owner, dirty: bool):
+    def __init__(self, owner):
         self.owner = owner
-        self.dirty = dirty
         self.heap: List[Tuple[float, int, int, ExtentRun]] = []
         self.live = 0
         self._seq = 0
 
     def _is_live(self, entry: Tuple[float, int, int, ExtentRun]) -> bool:
         run = entry[3]
-        if run._list is not self.owner or run.dirty is not self.dirty:
+        if run._list is not self.owner:
             return False
         frags = run.frags
         if run.head >= len(frags):
@@ -181,6 +178,7 @@ class StateHeap:
                 return entry[3]
         return None
 
+
 class StateCursor:
     """Consuming cursor over one state's fragments in exact LRU order.
 
@@ -196,14 +194,13 @@ class StateCursor:
     and returned to the heap on ``close()``.
     """
 
-    __slots__ = ("heap", "excluded", "held", "run", "run_epoch", "limit")
+    __slots__ = ("heap", "excluded", "held", "run", "limit")
 
     def __init__(self, heap: StateHeap, excluded: FrozenSet[str]):
         self.heap = heap
         self.excluded = excluded
         self.held: List[ExtentRun] = []
         self.run: Optional[ExtentRun] = None
-        self.run_epoch = 0
         #: Key of the next-oldest enqueued run at acquisition time: the
         #: cursor may stream its current run without consulting the heap
         #: while the front key stays below it.  Valid for the cursor's
@@ -217,9 +214,7 @@ class StateCursor:
         heap = self.heap
         run = self.run
         if run is not None:
-            if (run._list is heap.owner and run.dirty is heap.dirty
-                    and run._epoch == self.run_epoch
-                    and run.head < len(run.frags)):
+            if run._list is heap.owner and run.head < len(run.frags):
                 front = run.frags[run.head]
                 limit = self.limit
                 if limit is None or (front.last_access, front._stamp) < limit:
@@ -236,7 +231,6 @@ class StateCursor:
                 self.held.append(run)
                 continue
             self.run = run
-            self.run_epoch = run._epoch
             top = heap.skim()
             self.limit = None if top is None else (top[0], top[1])
             return run.frags[run.head]
@@ -250,8 +244,7 @@ class StateCursor:
         self.held = []
         run = self.run
         if run is not None:
-            if (run._list is heap.owner and run._epoch == self.run_epoch
-                    and run.head < len(run.frags)):
+            if run._list is heap.owner and run.head < len(run.frags):
                 pending[run] = None
             self.run = None
 
@@ -273,21 +266,16 @@ class FileCursor:
     remainder (the read path's "partial last block" case always does).
     """
 
-    __slots__ = ("owner", "clean", "clean_epoch", "dirty", "dirty_epoch",
-                 "stamp_bound")
+    __slots__ = ("owner", "clean", "dirty", "stamp_bound")
 
     def __init__(self, owner, index: Optional[RunIndex], stamp_bound: int):
         self.owner = owner
         self.clean = index.clean if index is not None else None
-        self.clean_epoch = self.clean._epoch if self.clean is not None else 0
         self.dirty = index.dirty if index is not None else None
-        self.dirty_epoch = self.dirty._epoch if self.dirty is not None else 0
         self.stamp_bound = stamp_bound
 
-    def _front(self, run: Optional[ExtentRun], epoch: int) -> Optional[Block]:
-        if run is None:
-            return None
-        if run._list is not self.owner or run._epoch != epoch:
+    def _front(self, run: Optional[ExtentRun]) -> Optional[Block]:
+        if run is None or run._list is not self.owner:
             return None
         frags = run.frags
         if run.head >= len(frags):
@@ -298,10 +286,10 @@ class FileCursor:
         return front
 
     def next(self) -> Optional[Block]:
-        clean_front = self._front(self.clean, self.clean_epoch)
+        clean_front = self._front(self.clean)
         if clean_front is None:
             self.clean = None
-        dirty_front = self._front(self.dirty, self.dirty_epoch)
+        dirty_front = self._front(self.dirty)
         if dirty_front is None:
             self.dirty = None
         if clean_front is None:

@@ -82,7 +82,7 @@ class LRUList:
 
     __slots__ = ("name", "merges", "_length", "_size", "_dirty", "_per_file",
                  "_file_runs", "_dirty_heap", "_clean_heap", "_next_stamp",
-                 "_run_count", "_pending_repush", "_run_pool")
+                 "_run_count", "_pending_repush")
 
     def __init__(self, name: str = "lru"):
         self.name = name
@@ -98,17 +98,13 @@ class LRUList:
         self._file_runs: Dict[str, RunIndex] = {}
         #: Lazy-deletion heaps serving "next dirty/clean fragment in LRU
         #: order" to the flush and eviction paths.
-        self._dirty_heap = StateHeap(self, True)
-        self._clean_heap = StateHeap(self, False)
+        self._dirty_heap = StateHeap(self)
+        self._clean_heap = StateHeap(self)
         #: Runs whose front key changed since their last heap push; they
         #: are re-pushed in bulk before the next heap consumer runs, so
         #: front carving costs no per-fragment heap traffic.  A dict is
         #: used as an insertion-ordered set to keep runs deterministic.
         self._pending_repush: Dict[ExtentRun, None] = {}
-        #: Dead run objects kept for reuse; stale references are fenced
-        #: by the per-run ``_epoch`` bumped at death.  Pools are per list
-        #: so fragment stamps stay unique per heap.
-        self._run_pool: List[ExtentRun] = []
         self._next_stamp = 0
 
     # ----------------------------------------------------------------- sizes
@@ -162,14 +158,8 @@ class LRUList:
 
     # ----------------------------------------------------------- run plumbing
     def _new_run(self, index: RunIndex, filename: str, dirty: bool) -> ExtentRun:
-        """A fresh (or recycled) run registered for ``filename``."""
-        pool = self._run_pool
-        if pool:
-            run = pool.pop()
-            run.filename = filename
-            run.dirty = dirty
-        else:
-            run = ExtentRun(filename, dirty)
+        """A fresh run registered for ``filename``."""
+        run = ExtentRun(filename, dirty)
         run._list = self
         if dirty:
             index.dirty = run
@@ -182,7 +172,8 @@ class LRUList:
         return run
 
     def _kill_run(self, run: ExtentRun) -> None:
-        """Retire an exhausted run; its heap entries die lazily."""
+        """Retire an exhausted run for good; its heap entries and any
+        cursor still holding it see ``_list is None`` and skip it."""
         run._list = None
         self._run_count -= 1
         filename = run.filename
@@ -198,15 +189,9 @@ class LRUList:
         heap = self._dirty_heap if run.dirty else self._clean_heap
         heap.live -= 1
         self._pending_repush.pop(run, None)
-        # The epoch bump turns every outstanding reference (cursors) into
-        # a tombstone, so the object can be reused immediately.
-        run._epoch += 1
         if run.frags:
             run.frags.clear()
         run.head = 0
-        pool = self._run_pool
-        if len(pool) < 512:
-            pool.append(run)
 
     def _flush_pending(self) -> None:
         """Re-push runs whose front key changed since their last push."""

@@ -8,8 +8,8 @@ the three ways that drift can surface — use these constants instead of
 module-local ``_EPSILON`` copies.
 
 The extent-run rebuild made the *structure* exact: fragments keep their
-individually recorded sizes through coalescing, state changes and pooled
-reuse (no arithmetic is performed on a merge), so on integer-sized
+individually recorded sizes through coalescing and state changes (no
+arithmetic is performed on a merge), so on integer-sized
 workloads the totals are exactly the sum of the run lengths and the unit
 tests assert ``==`` with no slack (``tests/test_pagecache_extents.py``).
 What remains float-inexact is the *accumulation order* of the

@@ -1,9 +1,9 @@
 """Hardware platform models.
 
 This subpackage reimplements the "macroscopic" resource models the paper
-inherits from SimGrid [21]: devices characterised by a bandwidth and a
-latency, with the bandwidth shared fairly among concurrent transfers
-(progressive filling).  On top of the raw flow model it provides disks,
+inherits from SimGrid [21]: devices characterised by a bandwidth (network
+links also by a latency), with the bandwidth shared fairly among
+concurrent transfers (progressive filling).  On top of the raw flow model it provides disks,
 memory devices, network links and routes, CPUs, hosts and a platform
 builder used by the higher simulation layers.
 """

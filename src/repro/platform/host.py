@@ -76,8 +76,8 @@ class Host:
             ) from None
 
     # -------------------------------------------------------------- liveness
-    def channels(self, include_memory: bool = True) -> list:
-        """The distinct transfer channels of the host's devices.
+    def channels(self) -> list:
+        """The distinct transfer channels of the host's disks and memory.
 
         Symmetric devices expose one channel for both directions; it is
         returned once.
@@ -87,7 +87,7 @@ class Host:
             channels.append(disk.read_channel)
             if disk.write_channel is not disk.read_channel:
                 channels.append(disk.write_channel)
-        if include_memory and self.memory is not None:
+        if self.memory is not None:
             channels.append(self.memory.read_channel)
             if self.memory.write_channel is not self.memory.read_channel:
                 channels.append(self.memory.write_channel)

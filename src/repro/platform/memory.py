@@ -2,14 +2,13 @@
 
 The page cache model charges cached reads and cache writes at memory
 bandwidth.  A :class:`MemoryDevice` is a bandwidth-limited device just like
-a disk (reads and writes through fair-sharing channels), plus a total size
+a disk (reads and writes through fair-sharing channels, one shared
+channel when the bandwidths are equal), plus a total size
 used by the :class:`~repro.pagecache.memory_manager.MemoryManager` for
 capacity accounting.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.des.environment import Environment
 from repro.errors import ConfigurationError
@@ -30,29 +29,22 @@ class MemoryDevice(StorageDevice):
         Total physical memory in bytes.
     read_bandwidth, write_bandwidth:
         Memory bandwidths in bytes per second.
-    latency:
-        Per-access latency (usually 0 for the macroscopic model).
     sharing:
         Whether concurrent accesses share the memory bandwidth.
     """
 
     def __init__(self, env: Environment, name: str, *, size: float,
                  read_bandwidth: float, write_bandwidth: float,
-                 latency: float = 0.0, sharing: bool = True,
-                 unified_channel: Optional[bool] = None):
+                 sharing: bool = True):
         if size <= 0:
             raise ConfigurationError(f"memory {name!r}: size must be positive")
-        if unified_channel is None:
-            unified_channel = read_bandwidth == write_bandwidth
         super().__init__(
             env,
             name,
             read_bandwidth=read_bandwidth,
             write_bandwidth=write_bandwidth,
             capacity=size,
-            latency=latency,
             sharing=sharing,
-            unified_channel=unified_channel,
         )
 
     @property
@@ -62,8 +54,7 @@ class MemoryDevice(StorageDevice):
 
     @classmethod
     def symmetric(cls, env: Environment, name: str, bandwidth: float, *,
-                  size: float, latency: float = 0.0,
-                  sharing: bool = True) -> "MemoryDevice":
+                  size: float, sharing: bool = True) -> "MemoryDevice":
         """Create a memory device with identical read and write bandwidths."""
         return cls(
             env,
@@ -71,7 +62,6 @@ class MemoryDevice(StorageDevice):
             size=size,
             read_bandwidth=bandwidth,
             write_bandwidth=bandwidth,
-            latency=latency,
             sharing=sharing,
         )
 

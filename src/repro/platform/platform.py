@@ -106,7 +106,7 @@ class PlatformBuilder:
     def disk(self, host_name: str, disk_name: str, *, bandwidth: Optional[float] = None,
              read_bandwidth: Optional[float] = None,
              write_bandwidth: Optional[float] = None,
-             capacity: float = float("inf"), latency: float = 0.0,
+             capacity: float = float("inf"),
              mount_point: Optional[str] = None,
              sharing: bool = True) -> "PlatformBuilder":
         """Attach a disk to an existing host."""
@@ -123,9 +123,7 @@ class PlatformBuilder:
             read_bandwidth=read_bw,
             write_bandwidth=write_bw,
             capacity=capacity,
-            latency=latency,
             sharing=sharing,
-            unified_channel=(read_bw == write_bw),
         )
         host.add_disk(disk, mount_point=mount_point or disk_name)
         return self

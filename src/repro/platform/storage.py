@@ -1,8 +1,9 @@
 """Storage device models (disks).
 
-A :class:`StorageDevice` simulates transfer times through two
-:class:`~repro.platform.flows.FairShareChannel` objects (one for reads, one
-for writes) plus an optional per-access latency.  The original paper (and
+A :class:`StorageDevice` simulates transfer times through
+:class:`~repro.platform.flows.FairShareChannel` objects: one channel that
+reads and writes share when the two bandwidths are equal, as in SimGrid's
+disk model, and one per direction otherwise.  The original paper (and
 SimGrid 3.25) only supports **symmetric** bandwidths, so the convenience
 constructor :meth:`Disk.symmetric` creates a disk whose read and write
 bandwidths are both set to the mean of the measured values, exactly as done
@@ -22,7 +23,7 @@ from repro.units import format_size
 
 
 class StorageDevice:
-    """A device with read/write bandwidth, latency and capacity accounting.
+    """A device with read/write bandwidth and capacity accounting.
 
     Parameters
     ----------
@@ -31,25 +32,19 @@ class StorageDevice:
     name:
         Device name (e.g. ``"ssd0"``).
     read_bandwidth, write_bandwidth:
-        Bandwidths in bytes per second.
+        Bandwidths in bytes per second.  Equal bandwidths give one channel
+        that reads and writes compete on; unequal ones give a channel per
+        direction.
     capacity:
         Usable capacity in bytes (``inf`` for unbounded devices).
-    latency:
-        Fixed per-access latency in seconds, added before the transfer.
     sharing:
         Whether concurrent accesses share bandwidth (fair sharing).  The
         contention-oblivious mode reproduces the standalone prototype.
-    unified_channel:
-        If ``True``, reads and writes compete on a single channel sized at
-        ``read_bandwidth`` (requires symmetric bandwidths).  If ``False``
-        (default), reads and writes use separate channels, mirroring the
-        SimGrid disk model.
     """
 
     def __init__(self, env: Environment, name: str, *,
                  read_bandwidth: float, write_bandwidth: float,
-                 capacity: float = float("inf"), latency: float = 0.0,
-                 sharing: bool = True, unified_channel: bool = False):
+                 capacity: float = float("inf"), sharing: bool = True):
         if read_bandwidth <= 0 or write_bandwidth <= 0:
             raise ConfigurationError(
                 f"device {name!r}: bandwidths must be positive "
@@ -57,25 +52,17 @@ class StorageDevice:
             )
         if capacity <= 0:
             raise ConfigurationError(f"device {name!r}: capacity must be positive")
-        if latency < 0:
-            raise ConfigurationError(f"device {name!r}: latency must be >= 0")
-        if unified_channel and read_bandwidth != write_bandwidth:
-            raise ConfigurationError(
-                f"device {name!r}: a unified channel requires symmetric bandwidths"
-            )
         self.env = env
         self.name = name
         self.read_bandwidth = float(read_bandwidth)
         self.write_bandwidth = float(write_bandwidth)
         self.capacity = float(capacity)
-        self.latency = float(latency)
         self.sharing = sharing
-        self.unified_channel = unified_channel
 
         self._read_channel = FairShareChannel(
             env, read_bandwidth, name=f"{name}.read", sharing=sharing
         )
-        if unified_channel:
+        if read_bandwidth == write_bandwidth:
             self._write_channel = self._read_channel
         else:
             self._write_channel = FairShareChannel(
@@ -112,11 +99,6 @@ class StorageDevice:
             raise ValueError("cannot read a negative amount")
         self.bytes_read += amount
         self.read_ops += 1
-        if self.latency > 0:
-            return self.env.process(
-                self._delayed_transfer(self._read_channel, amount, label),
-                name=f"{self.name}-read",
-            )
         return self._read_channel.transfer(amount, label=label)
 
     def write(self, amount: float, label: Optional[str] = None) -> Event:
@@ -125,18 +107,7 @@ class StorageDevice:
             raise ValueError("cannot write a negative amount")
         self.bytes_written += amount
         self.write_ops += 1
-        if self.latency > 0:
-            return self.env.process(
-                self._delayed_transfer(self._write_channel, amount, label),
-                name=f"{self.name}-write",
-            )
         return self._write_channel.transfer(amount, label=label)
-
-    def _delayed_transfer(self, channel: FairShareChannel, amount: float,
-                          label: Optional[str]):
-        yield self.env.timeout(self.latency)
-        elapsed = yield channel.transfer(amount, label=label)
-        return self.latency + elapsed
 
     # ------------------------------------------------------- space accounting
     def allocate(self, amount: float) -> None:
@@ -170,7 +141,7 @@ class Disk(StorageDevice):
 
     @classmethod
     def symmetric(cls, env: Environment, name: str, bandwidth: float, *,
-                  capacity: float = float("inf"), latency: float = 0.0,
+                  capacity: float = float("inf"),
                   sharing: bool = True) -> "Disk":
         """Create a disk with identical read and write bandwidths.
 
@@ -185,7 +156,5 @@ class Disk(StorageDevice):
             read_bandwidth=bandwidth,
             write_bandwidth=bandwidth,
             capacity=capacity,
-            latency=latency,
             sharing=sharing,
-            unified_channel=True,
         )

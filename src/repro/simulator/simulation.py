@@ -36,6 +36,8 @@ if TYPE_CHECKING:  # pragma: no cover - the scheduler imports simulator
     from repro.scheduler.policies import SchedulingPolicy
 
 from repro.des.environment import Environment
+from repro.des.events import Event
+from repro.des.process import Process
 from repro.errors import ConfigurationError
 from repro.filesystem.file import File
 from repro.filesystem.registry import FileRegistry
@@ -230,7 +232,10 @@ class Simulation:
         #: result has been finalized (a Simulation finalizes only once).
         self._started = False
         self._has_run = False
-        self._completion = None
+        #: Triggered by the top-level processes (see :meth:`_start`).
+        self._completion: Optional[Event] = None
+        #: Top-level processes that have not yet ended successfully.
+        self._unfinished = 0
         self._sampler = None
         self._wallclock = 0.0
         #: Build recipe bound by ``build_experiment``
@@ -607,8 +612,11 @@ class Simulation:
 
         Everything :meth:`run` used to do before entering the event loop:
         fault injector, executor and scheduler processes, the completion
-        condition and the optional DES sampler — in exactly that order, so
-        a stepped run allocates event ids identically to a plain run.
+        event and the optional DES sampler — in exactly that order, so a
+        stepped run allocates event ids identically to a plain run.  Each
+        top-level process gets one callback, :meth:`_process_ended`: the
+        last one to end succeeds the completion event, and the first one
+        to fail fails it.
         """
         if self._started:
             return
@@ -643,13 +651,29 @@ class Simulation:
             processes.append(
                 self.env.process(self._scheduler.run(), name="cluster-scheduler")
             )
-        self._completion = self.env.all_of(processes)
+        self._completion = Event(self.env)
+        self._unfinished = len(processes)
+        for process in processes:
+            process.callbacks.append(self._process_ended)
 
         observer = self.observer
         if observer is not None and observer.des_sample_interval is not None:
             self._sampler = DESSampler(self.env, observer,
                                        interval=observer.des_sample_interval)
             self._sampler.start()
+
+    def _process_ended(self, process: Process) -> None:
+        """Callback of each top-level process (see :meth:`_start`)."""
+        completion = self._completion
+        if completion.triggered:
+            return
+        if not process.ok:
+            process.defused = True
+            completion.fail(process.value)
+            return
+        self._unfinished -= 1
+        if not self._unfinished:
+            completion.succeed()
 
     @property
     def completed(self) -> bool:

@@ -21,10 +21,12 @@ node's page cache is still warm) and compute only their remaining work.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional
 
 from repro.des.environment import Environment
-from repro.des.events import Interrupt
+from repro.des.events import Event, Interrupt
+from repro.des.process import Process
 from repro.errors import SchedulingError
 from repro.filesystem.file import File
 from repro.filesystem.registry import FileRegistry
@@ -106,7 +108,10 @@ class WorkflowExecutor:
         self._pending: Optional[Dict[str, Task]] = None
         self._completed: set = set()
         self._compute_done: Dict[str, float] = {}
-        self._running: Dict[str, object] = {}
+        self._running: Dict[str, Process] = {}
+        #: The event :meth:`run` waits on in the current pass (``None``
+        #: once it has returned).
+        self._wait: Optional[Event] = None
         self._preempting = False
         self._crashing = False
         self._suspended = False
@@ -127,6 +132,12 @@ class WorkflowExecutor:
         Returns :data:`PREEMPTED` instead when the execution was suspended
         by :meth:`preempt`; calling :meth:`run` again later resumes from
         the checkpoint.
+
+        Each pass launches the startable tasks, then yields one plain
+        event, the *wait*.  Every task process gets one callback when it
+        is created (:meth:`_task_ended`), which triggers the wait when the
+        task ends, so a pass costs the same however many tasks run.  After
+        the wait, the loop reaps every task whose generator has ended.
         """
         if self._pending is None:
             self.workflow.validate()
@@ -175,6 +186,9 @@ class WorkflowExecutor:
                             self._execute_task(task),
                             name=f"{self.label}:{task.name}",
                         )
+                        process.callbacks.append(
+                            partial(self._task_ended, task.name)
+                        )
                         running[task.name] = process
                         del pending[task.name]
 
@@ -186,14 +200,15 @@ class WorkflowExecutor:
                     self._preempting = False
                     self._crashing = False
                     self._suspended = True
+                    self._wait = None
                     return self.PREEMPTED
                 raise SchedulingError(
                     f"workflow {self.workflow.name!r} cannot make progress: "
                     f"tasks {sorted(pending)} have unsatisfied dependencies"
                 )
 
-            # AnyOf copies the iterable itself; no list() snapshot needed.
-            yield self.env.any_of(running.values())
+            self._wait = Event(self.env)
+            yield self._wait
 
             # Reap finished tasks: scan without copying, mutate after.
             finished = None
@@ -215,8 +230,28 @@ class WorkflowExecutor:
                         self._completed.add(name)
                         self._compute_done.pop(name, None)
 
+        self._wait = None
         self.end_time = self.env.now
         return self.end_time - self.start_time
+
+    def _task_ended(self, name: str, process: Process) -> None:
+        """Callback of a task's process: trigger the current wait.
+
+        A task reaped in an earlier pass (or whose name already belongs to
+        the process of its re-run after a suspension) is not part of the
+        current wait.  A failed process fails the wait and counts as
+        handled there.
+        """
+        if self._running.get(name) is not process:
+            return
+        wait = self._wait
+        if wait.triggered:
+            return
+        if process.ok:
+            wait.succeed()
+        else:
+            process.defused = True
+            wait.fail(process.value)
 
     # ------------------------------------------------------------ preemption
     def preempt(self) -> None:

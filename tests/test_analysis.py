@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.analysis.regression import LinearFit, linear_fit
+from repro.analysis.regression import LinearFit, _slope_p_value, linear_fit
 from repro.analysis.tables import format_series, format_table
 
 
@@ -54,6 +54,34 @@ class TestLinearFit:
         fit = linear_fit([1, 2, 3, 4], [5, 5, 5, 5])
         assert fit.slope == pytest.approx(0.0)
         assert not math.isnan(fit.p_value)
+
+
+class TestSlopePValue:
+    """Student's t two-sided tail against its closed forms.
+
+    Three points with slope t, Sxx 1 and SSres 1 (or four points with
+    SSres 2) give a standard error of 1, so the t statistic is t.
+    """
+
+    T_VALUES = [10.0 ** (k / 8) for k in range(-24, 49)]  # 1e-3 .. 1e6
+
+    def test_one_degree_of_freedom(self):
+        for t in self.T_VALUES:
+            exact = (2 / math.pi) * math.atan(1 / t)
+            assert _slope_p_value(3, t, 1.0, 1.0) == pytest.approx(
+                exact, rel=1e-12), t
+
+    def test_two_degrees_of_freedom(self):
+        for t in self.T_VALUES:
+            s = math.sqrt(t * t + 2)
+            exact = 2 / (s * (s + t))
+            assert _slope_p_value(4, t, 1.0, 2.0) == pytest.approx(
+                exact, rel=1e-12), t
+
+    def test_four_point_fit(self):
+        # t = 1.4 / sqrt(0.1 / 5) = 9.90 on 2 degrees of freedom.
+        fit = linear_fit([1, 2, 3, 4], [2, 3, 5, 6])
+        assert fit.p_value == pytest.approx(0.01005, rel=1e-3)
 
 
 class TestFormatTable:

@@ -202,7 +202,13 @@ class TestHorizon:
                     log.append((env.now, idx, step,
                                 sorted(entry[:3] for entry in env._queue)))
 
-            return env.all_of([env.process(worker(i)) for i in range(3)])
+            workers = [env.process(worker(i)) for i in range(3)]
+
+            def join():
+                for process in workers:
+                    yield process
+
+            return env.process(join())
 
         runs = []
         for horizons in ((), (0.5, 0.75, 1.0, 1.0, 3.0)):

@@ -2,8 +2,9 @@
 
 import pytest
 
+import repro.des
 from repro.des import Environment
-from repro.des.events import AllOf, ConditionValue
+from repro.des.events import Event, Timeout
 
 
 class TestEvent:
@@ -57,14 +58,6 @@ class TestEvent:
         event.defused = True
         env.run()  # must not raise
 
-    def test_trigger_copies_outcome(self, env):
-        source = env.event()
-        source.succeed("payload")
-        target = env.event()
-        target.trigger(source)
-        assert target.ok
-        assert target.value == "payload"
-
     def test_callbacks_invoked_on_processing(self, env):
         event = env.event()
         seen = []
@@ -97,93 +90,95 @@ class TestTimeout:
         assert timeout.delay == 2.5
 
 
-class TestConditions:
-    def test_all_of_waits_for_all(self, env, runner):
+class TestJoins:
+    """A parent waits on its children without composite events: it yields
+    each child in turn, or one event that the children's callbacks
+    trigger."""
+
+    def test_yielding_each_child_waits_for_all(self, env, runner):
         def proc(env):
-            t1 = env.timeout(1.0, value="a")
-            t2 = env.timeout(3.0, value="b")
-            result = yield env.all_of([t1, t2])
-            return env.now, result.values()
+            values = []
+            for child in (env.timeout(1.0, value="a"),
+                          env.timeout(3.0, value="b")):
+                values.append((yield child))
+            return env.now, values
 
-        now, values = runner(env, proc(env))
-        assert now == 3.0
-        assert values == ["a", "b"]
+        assert runner(env, proc(env)) == (3.0, ["a", "b"])
 
-    def test_any_of_returns_at_first(self, env, runner):
+    def test_yielding_a_processed_child_resumes_at_once(self, env, runner):
         def proc(env):
-            t1 = env.timeout(1.0, value="fast")
-            t2 = env.timeout(3.0, value="slow")
-            result = yield env.any_of([t1, t2])
-            return env.now, list(result.values())
-
-        now, values = runner(env, proc(env))
-        assert now == 1.0
-        assert values == ["fast"]
-
-    def test_and_operator(self, env, runner):
-        def proc(env):
-            yield env.timeout(1.0) & env.timeout(2.0)
+            first = env.timeout(1.0)
+            yield env.timeout(2.0)
+            assert first.processed
+            yield first
             return env.now
 
         assert runner(env, proc(env)) == 2.0
 
-    def test_or_operator(self, env, runner):
+    def test_one_event_wakes_at_the_first_child(self, env, runner):
         def proc(env):
-            yield env.timeout(1.0) | env.timeout(2.0)
-            return env.now
+            wake = env.event()
 
-        assert runner(env, proc(env)) == 1.0
+            def ended(child):
+                if not wake.triggered:
+                    wake.succeed(child.value)
 
-    def test_empty_all_of_triggers_immediately(self, env, runner):
-        def proc(env):
-            yield env.all_of([])
-            return env.now
+            for delay, value in ((3.0, "slow"), (1.0, "fast")):
+                env.timeout(delay, value=value).callbacks.append(ended)
+            value = yield wake
+            return env.now, value
 
-        assert runner(env, proc(env)) == 0.0
+        assert runner(env, proc(env)) == (1.0, "fast")
 
-    def test_condition_with_already_processed_event(self, env, runner):
-        def proc(env):
-            t1 = env.timeout(1.0)
-            yield t1
-            # t1 is already processed when the condition is built.
-            yield env.all_of([t1, env.timeout(1.0)])
-            return env.now
-
-        assert runner(env, proc(env)) == 2.0
-
-    def test_failed_subevent_fails_condition(self, env, runner):
+    def test_a_failed_child_fails_the_parents_event(self, env, runner):
         def failing(env):
             yield env.timeout(1.0)
             raise ValueError("sub-process failure")
 
         def proc(env):
-            bad = env.process(failing(env))
+            wake = env.event()
+
+            def ended(child):
+                if not child.ok:
+                    child.defused = True
+                    wake.fail(child.value)
+
+            env.process(failing(env)).callbacks.append(ended)
             with pytest.raises(ValueError, match="sub-process failure"):
-                yield env.all_of([bad, env.timeout(5.0)])
+                yield wake
             return env.now
 
         assert runner(env, proc(env)) == 1.0
 
-    def test_mixing_environments_rejected(self, env):
-        other = Environment()
-        with pytest.raises(ValueError):
-            AllOf(env, [env.timeout(1.0), other.timeout(1.0)])
 
-    def test_condition_value_mapping(self, env, runner):
-        def proc(env):
-            t1 = env.timeout(1.0, value="x")
-            t2 = env.timeout(2.0, value="y")
-            result = yield env.all_of([t1, t2])
-            return result, t1, t2
+class TestNoCompositeEvents:
+    """The kernel has no composite events and one cancel API."""
 
-        result, t1, t2 = runner(env, proc(env))
-        assert result[t1] == "x"
-        assert t2 in result
-        assert len(result) == 2
-        assert result.todict() == {t1: "x", t2: "y"}
-        assert result == {t1: "x", t2: "y"}
+    def test_kernel_exports_no_composite_events(self):
+        for name in ("Condition", "ConditionValue", "AllOf", "AnyOf",
+                     "StopProcess"):
+            assert not hasattr(repro.des, name)
+            assert not hasattr(repro.des.events, name)
+        # No ``*_of`` factory of composite events on the environment.
+        assert not [name for name in dir(Environment) if name.endswith("_of")]
+        assert not hasattr(Timeout, "cancel")
 
-    def test_condition_value_missing_key(self):
-        value = ConditionValue()
-        with pytest.raises(KeyError):
-            _ = value[object()]
+    def test_and_of_two_events_is_a_type_error(self, env):
+        with pytest.raises(TypeError):
+            env.event() & env.event()
+
+    def test_or_of_two_events_is_a_type_error(self, env):
+        with pytest.raises(TypeError):
+            env.event() | env.event()
+
+    def test_event_has_no_trigger(self):
+        assert not hasattr(Event, "trigger")
+
+    def test_environment_cancel_withdraws_a_timeout(self, env):
+        fired = []
+        timeout = env.timeout(1.0)
+        timeout.callbacks.append(fired.append)
+        env.cancel(timeout)
+        env.run()
+        assert fired == []
+        assert env.now == 0.0

@@ -248,21 +248,22 @@ class TestExactAccounting:
 
 
 class TestRunPooling:
-    """Dead run objects are reused; stale references are fenced."""
+    """Dead runs are never reused; their references stay fenced."""
 
-    def test_killed_run_is_reused_with_a_new_epoch(self):
+    def test_killed_run_is_never_reused(self):
         lru = LRUList()
         block = make_block("a", 10.0, access=0.0)
         lru.append(block)
         run = block._run
-        epoch = run._epoch
         lru.remove(block)
         assert run._list is None
-        assert run._epoch == epoch + 1
-        other = make_block("b", 5.0, access=1.0)
+        assert run.frags == [] and run.head == 0  # the row is cleared
+        again = make_block("a", 5.0, access=1.0)
+        lru.append(again)
+        other = make_block("b", 5.0, access=2.0)
         lru.append(other)
-        assert other._run is run  # recycled object...
-        assert other._run.filename == "b"  # ...new identity
+        assert again._run is not run and other._run is not run
+        assert run._list is None  # dead for good
         lru.assert_consistent()
 
     def test_stale_file_cursor_sees_reuse_as_exhaustion(self):
@@ -271,7 +272,7 @@ class TestRunPooling:
         lru.append(block)
         cursor = lru.file_cursor("a")
         lru.remove(block)  # the run dies under the cursor
-        lru.append(make_block("b", 5.0, access=1.0))  # object reused for b
+        lru.append(make_block("a", 5.0, access=1.0))  # a new run for a
         assert cursor.next() is None
 
     def test_file_cursor_skips_fragments_linked_after_creation(self):

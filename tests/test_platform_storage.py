@@ -17,17 +17,6 @@ class TestStorageDeviceConstruction:
         with pytest.raises(ConfigurationError):
             StorageDevice(env, "bad", read_bandwidth=1, write_bandwidth=1, capacity=0)
 
-    def test_negative_latency_rejected(self, env):
-        with pytest.raises(ConfigurationError):
-            StorageDevice(env, "bad", read_bandwidth=1, write_bandwidth=1, latency=-1)
-
-    def test_unified_channel_requires_symmetry(self, env):
-        with pytest.raises(ConfigurationError):
-            StorageDevice(
-                env, "bad", read_bandwidth=100, write_bandwidth=50,
-                unified_channel=True,
-            )
-
     def test_symmetric_disk_uses_unified_channel(self, env):
         disk = Disk.symmetric(env, "ssd", 465 * MBps)
         assert disk.read_channel is disk.write_channel
@@ -35,6 +24,20 @@ class TestStorageDeviceConstruction:
     def test_asymmetric_disk_uses_separate_channels(self, env):
         disk = Disk(env, "ssd", read_bandwidth=510 * MBps, write_bandwidth=420 * MBps)
         assert disk.read_channel is not disk.write_channel
+
+    def test_channel_is_unified_exactly_when_bandwidths_are_equal(self, env):
+        for device in (
+            StorageDevice(env, "hdd", read_bandwidth=200 * MBps, write_bandwidth=200 * MBps),
+            MemoryDevice(env, "ram", size=GB, read_bandwidth=4000 * MBps,
+                         write_bandwidth=4000 * MBps),
+        ):
+            assert device.read_channel is device.write_channel
+        for device in (
+            StorageDevice(env, "hdd", read_bandwidth=200 * MBps, write_bandwidth=100 * MBps),
+            MemoryDevice(env, "ram", size=GB, read_bandwidth=4000 * MBps,
+                         write_bandwidth=3000 * MBps),
+        ):
+            assert device.read_channel is not device.write_channel
 
 
 class TestTransfers:
@@ -55,15 +58,6 @@ class TestTransfers:
             return env.now
 
         assert runner(env, proc(env)) == pytest.approx(2.0)
-
-    def test_latency_added_once_per_access(self, env, runner):
-        disk = Disk.symmetric(env, "ssd", 100 * MBps, latency=0.5)
-
-        def proc(env):
-            yield disk.read(100 * MB)
-            return env.now
-
-        assert runner(env, proc(env)) == pytest.approx(1.5)
 
     def test_negative_amounts_rejected(self, env):
         disk = Disk.symmetric(env, "ssd", 100 * MBps)
@@ -91,8 +85,7 @@ class TestTransfers:
         assert finish["write"] == pytest.approx(2.0)
 
     def test_separate_channels_do_not_interfere(self, env):
-        disk = Disk(env, "ssd", read_bandwidth=100 * MBps, write_bandwidth=100 * MBps,
-                    unified_channel=False)
+        disk = Disk(env, "ssd", read_bandwidth=100 * MBps, write_bandwidth=50 * MBps)
         finish = {}
 
         def reader(env):
@@ -100,7 +93,7 @@ class TestTransfers:
             finish["read"] = env.now
 
         def writer(env):
-            yield disk.write(100 * MB)
+            yield disk.write(50 * MB)
             finish["write"] = env.now
 
         env.process(reader(env))

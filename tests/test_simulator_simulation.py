@@ -11,6 +11,7 @@ import repro
 from repro import File, Simulation, SimulationConfig
 from repro.errors import ConfigurationError, SchedulingError
 from repro.pagecache.config import PageCacheConfig
+from repro.simulator.wms import WorkflowExecutor
 from repro.simulator.workflow import Task, Workflow, chain_workflow
 from repro.snapshot import build_experiment, capture_state
 from repro.units import GB, GiB, MBps
@@ -284,3 +285,167 @@ class TestMemoryTracing:
         assert result.operations_of("read")
         assert result.cache_contents == []
         assert capture_state(sim)["tracer"]["n_cache_records"] == 0
+
+
+def scripted_tasks(monkeypatch, script):
+    """Replace every task body by ``script(executor, task)`` (a generator)."""
+    monkeypatch.setattr(WorkflowExecutor, "_execute_task", script)
+
+
+def compute_simulation(*workflows):
+    """A four-core node without page cache running ``workflows``."""
+    sim = Simulation(config=quiet_config(cache_mode="none"))
+    sim.create_single_node_platform(
+        cores=4,
+        memory_size=16 * GiB,
+        memory_bandwidth=1000 * MBps,
+        disk_bandwidth=100 * MBps,
+    )
+    svc = sim.create_storage_service("node1", "/local")
+    for workflow in workflows:
+        sim.submit_workflow(workflow, host="node1", storage=svc)
+    return sim
+
+
+class TestOneEventWaits:
+    """An executor waits on one event per pass that its task processes
+    trigger; the simulation completes on one event that its top-level
+    processes trigger."""
+
+    def test_simultaneous_task_ends_are_reaped_in_one_pass(self, monkeypatch):
+        # src -> (left, right) -> sink, one second per task.  left and
+        # right both end at t=2, but right's process ends only after
+        # left has woken the executor.
+        def script(executor, task):
+            yield executor.env.timeout(1.0)
+            if task.name == "right":
+                yield executor.env.timeout(0.0)
+            return True
+
+        scripted_tasks(monkeypatch, script)
+        calls = []
+        task_ended = WorkflowExecutor._task_ended
+
+        def spy(executor, name, process):
+            wait = executor._wait
+            task_ended(executor, name, process)
+            calls.append((executor.env.now, name, wait, wait.triggered))
+
+        monkeypatch.setattr(WorkflowExecutor, "_task_ended", spy)
+        workflow = Workflow("diamond")
+        src, left, right, sink = (
+            workflow.add_task(Task(name)) for name in
+            ("src", "left", "right", "sink")
+        )
+        for before, after in ((src, left), (src, right), (left, sink),
+                              (right, sink)):
+            workflow.add_dependency(before, after)
+        result = compute_simulation(workflow).run()
+
+        assert [(now, name) for now, name, _, _ in calls] == [
+            (1.0, "src"), (2.0, "left"), (2.0, "right"), (3.0, "sink"),
+        ]
+        # One pass reaped both middle tasks and started the sink, so three
+        # passes ran four tasks ...
+        assert len({id(wait) for _, _, wait, _ in calls}) == 3
+        # ... and right's late callback found the sink's pass waiting and
+        # left it untriggered.
+        assert calls[2][2] is calls[3][2]
+        assert calls[2][3] is False
+        assert result.makespan == pytest.approx(3.0)
+
+    def test_a_long_task_carries_one_executor_callback(self):
+        workflow = Workflow("mixed")
+        workflow.add_task(Task.from_cpu_time("long", 10.0))
+        previous = None
+        for index in range(5):
+            task = workflow.add_task(Task.from_cpu_time(f"short{index}", 1.0))
+            if previous is not None:
+                workflow.add_dependency(previous, task)
+            previous = task
+        sim = compute_simulation(workflow)
+        # Five short tasks have ended: the executor made six passes.
+        sim.step_until(7.0)
+        executor = sim._executors[0]
+        assert list(executor._running) == ["long"]
+        assert len(executor._running["long"].callbacks) == 1
+        assert sim.run().makespan == pytest.approx(10.0)
+
+    def test_a_failing_task_fails_the_run(self, monkeypatch):
+        def script(executor, task):
+            yield executor.env.timeout(1.0 if task.name == "bad" else 2.0)
+            if task.name == "bad":
+                raise RuntimeError("task failed")
+            return True
+
+        scripted_tasks(monkeypatch, script)
+        workflow = Workflow("app")
+        workflow.add_task(Task("good"))
+        workflow.add_task(Task("bad"))
+        sim = compute_simulation(workflow)
+        with pytest.raises(RuntimeError, match="task failed"):
+            sim.run()
+        assert sim.env.now == 1.0
+
+    def test_completion_fails_with_the_first_failing_process(self, monkeypatch):
+        def script(executor, task):
+            yield executor.env.timeout(float(task.name[-1]))
+            if task.name.startswith("fail"):
+                raise RuntimeError(task.name)
+            return True
+
+        scripted_tasks(monkeypatch, script)
+        workflows = []
+        for name in ("ok1", "fail2", "fail4"):
+            workflow = Workflow(name)
+            workflow.add_task(Task(name))
+            workflows.append(workflow)
+        sim = compute_simulation(*workflows)
+        with pytest.raises(RuntimeError, match="fail2"):
+            sim.run()
+        assert sim.env.now == 2.0
+        assert sim.completed
+        assert not sim._completion.ok
+
+    def test_completion_waits_for_the_last_top_level_process(self, monkeypatch):
+        def script(executor, task):
+            yield executor.env.timeout(float(task.name[-1]))
+            return True
+
+        scripted_tasks(monkeypatch, script)
+        workflows = []
+        for name in ("app3", "app1"):
+            workflow = Workflow(name)
+            workflow.add_task(Task(name))
+            workflows.append(workflow)
+        sim = compute_simulation(*workflows)
+        sim.step_until(2.0)
+        assert not sim.completed
+        assert sim.run().makespan == pytest.approx(3.0)
+        assert sim.completed and sim.env.now == 3.0
+
+    def test_no_executor_keeps_its_wait(self):
+        sim = Simulation(config=SimulationConfig(cache_mode="writeback",
+                                                 trace_interval=None))
+        sim.create_cluster_platform(1, cores_per_node=4, with_nfs_server=False)
+        sim.create_cluster_scheduler(policy="preemptive-priority",
+                                     placement="round-robin")
+        jobs = {}
+        for label, cpu_time, cores, arrival, priority in (
+                ("low", 10.0, 4, 0.0, 0), ("high", 1.0, 2, 2.0, 1)):
+            workflow = Workflow(label)
+            workflow.add_task(Task.from_cpu_time(f"{label}_t", cpu_time))
+            jobs[label] = sim.submit_job(
+                workflow, cores=cores, arrival_time=arrival,
+                estimated_runtime=cpu_time, priority=priority, label=label,
+            )
+        sim.step_until(2.5)
+        low = sim.scheduler._executors_by_job[jobs["low"].id]
+        # Its run() returned PREEMPTED at t=2.
+        assert low.suspended
+        assert low._wait is None
+        result = sim.run()
+        assert result.scheduler.n_preemptions == 1
+        assert len(sim.scheduler.executors) == 2
+        assert all(executor._wait is None
+                   for executor in sim.scheduler.executors)
