@@ -44,12 +44,15 @@ def main(argv=None) -> int:
         write_spans_csv,
         write_spans_jsonl,
     )
+    from repro.pagecache.config import PageCacheConfig
     from repro.simulator.simulation import Simulation, SimulationConfig
     from repro.units import MB
 
     simulation = Simulation(
         config=SimulationConfig(
-            cache_mode="writeback", chunk_size=16 * MB, trace_interval=1.0
+            cache_mode="writeback",
+            page_cache=PageCacheConfig(chunk_size=16 * MB),
+            trace_interval=1.0,
         ),
         observe=True,
     )

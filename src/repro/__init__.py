@@ -22,8 +22,8 @@ The package is organised in layers:
     Files and the registry of their locations.
 ``repro.simulator``
     A WRENCH-like workflow simulation facade: storage services (local,
-    cacheless and NFS), compute services, workflows, a workflow management
-    system and execution tracing.
+    cacheless and NFS), workflows, a workflow management system whose
+    tasks compute on their host's CPU, and execution tracing.
 ``repro.scheduler``
     A cluster batch-scheduler subsystem: job queues with seeded arrival
     generators, pluggable scheduling policies (FIFO, SJF, EASY

@@ -39,8 +39,7 @@ def make_instances(count: int, input_size: float,
 
 
 def stage_and_submit_instances(simulation: Simulation, instances,
-                               *, host: str, storage: StorageService,
-                               chunk_size: Optional[float] = None) -> None:
+                               *, host: str, storage: StorageService) -> None:
     """Stage the input file of each instance and submit it for execution."""
     for workflow, input_file in instances:
         simulation.stage_file(input_file, storage)
@@ -49,5 +48,4 @@ def stage_and_submit_instances(simulation: Simulation, instances,
             host=host,
             storage=storage,
             label=workflow.name,
-            chunk_size=chunk_size,
         )

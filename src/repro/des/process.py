@@ -27,7 +27,7 @@ class Process(Event):
         Optional human-readable name used in ``repr`` and error messages.
     """
 
-    __slots__ = ("_generator", "name", "_target", "data")
+    __slots__ = ("_generator", "name", "_target")
 
     def __init__(self, env, generator: Generator, name: Optional[str] = None):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -37,9 +37,6 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", type(generator).__name__)
         #: The event this process is currently waiting on (None if resumable).
         self._target: Optional[Event] = None
-        #: Arbitrary caller payload (processes are slotted, so ad-hoc
-        #: attributes are not available; attach metadata here instead).
-        self.data: Any = None
         observer = env.observer
         if observer is not None:
             observer.process_started(self)

@@ -68,7 +68,6 @@ from repro.experiments.runner import (
     PointResult,
     PointSpec,
     SweepPointError,
-    derive_point_seed,
     make_spec,
     resolve_workers,
     run_named_sweep,
@@ -109,5 +108,4 @@ __all__ = [
     "run_named_sweep",
     "sweep_values",
     "resolve_workers",
-    "derive_point_seed",
 ]

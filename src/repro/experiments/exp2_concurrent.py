@@ -65,9 +65,8 @@ def build_exp2(simulator: str, n_apps: int, *,
                               eviction_policy=eviction_policy)
     simulation, storage = build_simulation(simulator, scenario)
     instances = make_instances(n_apps, input_size)
-    stage_and_submit_instances(
-        simulation, instances, host="node1", storage=storage, chunk_size=chunk_size
-    )
+    stage_and_submit_instances(simulation, instances, host="node1",
+                               storage=storage)
     return simulation
 
 

@@ -154,9 +154,9 @@ def build_exp6(placement: str = "cache", *, policy: str = "fifo",
     simulation = Simulation(
         config=SimulationConfig(
             cache_mode="writeback",
-            chunk_size=chunk_size,
             trace_interval=None,
-            page_cache=PageCacheConfig(eviction_policy=eviction_policy),
+            page_cache=PageCacheConfig(chunk_size=chunk_size,
+                                       eviction_policy=eviction_policy),
         ),
         fault_plan=fault_plan,
     )

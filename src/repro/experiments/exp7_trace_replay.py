@@ -135,9 +135,9 @@ def build_exp7(policy: str = "preemptive-priority", *,
     simulation = Simulation(
         config=SimulationConfig(
             cache_mode="writeback",
-            chunk_size=chunk_size,
             trace_interval=None,
-            page_cache=PageCacheConfig(eviction_policy=eviction_policy),
+            page_cache=PageCacheConfig(chunk_size=chunk_size,
+                                       eviction_policy=eviction_policy),
         ),
         fault_plan=fault_plan,
     )

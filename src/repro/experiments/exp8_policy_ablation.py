@@ -246,9 +246,9 @@ def run_sched_cell(policy: object = "lru", *,
     simulation = Simulation(
         config=SimulationConfig(
             cache_mode="writeback",
-            chunk_size=chunk_size,
             trace_interval=None,
-            page_cache=PageCacheConfig(eviction_policy=policy),
+            page_cache=PageCacheConfig(chunk_size=chunk_size,
+                                       eviction_policy=policy),
         ),
     )
     simulation.create_cluster_platform(

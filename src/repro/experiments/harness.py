@@ -58,7 +58,8 @@ class ScenarioConfig:
         If true, the data is on an NFS-mounted remote disk (Exp 3);
         otherwise on the local SSD of the compute node (Exp 1, 2, 4).
     chunk_size:
-        I/O granularity used by the page-cache simulators.
+        I/O granularity used by the page-cache simulators (their
+        :class:`PageCacheConfig` chunk size).
     trace_interval:
         Memory-profile sampling period (``None`` disables sampling, which
         speeds up large concurrency sweeps).
@@ -110,7 +111,6 @@ def build_simulation(simulator: str,
         cache_mode=cache_mode,
         page_cache=_page_cache_config(simulator, scenario.chunk_size,
                                       scenario.eviction_policy),
-        chunk_size=scenario.chunk_size,
         trace_interval=scenario.trace_interval,
     )
     simulation = Simulation(config=config)

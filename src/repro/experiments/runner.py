@@ -8,7 +8,7 @@ observation into a process-pool engine with three hard guarantees:
 
 **Determinism.**  Results are returned in spec-submission order, and any
 randomness a point needs is derived from an explicit seed via
-:func:`derive_point_seed` (:mod:`repro.rng` under the hood), never from
+:func:`repro.rng.derive_seed`, never from
 worker identity, scheduling order or wall clock.  The output of a sweep is
 therefore byte-identical for *any* worker count, including the inline
 ``workers=1`` mode — the property the determinism tests pin down.
@@ -74,16 +74,6 @@ def experiment_fn(name: str) -> Callable[..., Any]:
     )
 
 
-def derive_point_seed(base_seed: int, key: str) -> int:
-    """Derive a per-point seed from ``(base_seed, key)``.
-
-    Stable across platforms, processes and worker counts (SHA-256 based,
-    see :mod:`repro.rng`), so a sweep's random workloads do not depend on
-    which worker runs which point.
-    """
-    return derive_seed(base_seed, key)
-
-
 @dataclass(frozen=True)
 class PointSpec:
     """One independent simulation point of a sweep.
@@ -101,7 +91,7 @@ class PointSpec:
         reporting; defaults to ``experiment``.
     seed_key:
         When set (together with ``run_sweep(base_seed=...)``), the engine
-        injects ``seed=derive_point_seed(base_seed, seed_key)`` into the
+        injects ``seed=derive_seed(base_seed, seed_key)`` into the
         experiment's keyword arguments — per-point seed derivation that is
         independent of point order and worker count.
     """
@@ -304,7 +294,7 @@ def _payloads(
                     f"spec {spec.name!r} has seed_key={spec.seed_key!r} but "
                     "run_sweep was called without base_seed"
                 )
-            seed = derive_point_seed(base_seed, spec.seed_key)
+            seed = derive_seed(base_seed, spec.seed_key)
         payloads.append((index, spec, seed, checkpoint_dir))
     return payloads
 

@@ -35,7 +35,9 @@ class PageCacheConfig:
         Period in seconds of the flusher thread
         (``vm.dirty_writeback_centisecs`` / 100).
     chunk_size:
-        Default granularity of simulated file accesses (bytes).
+        Granularity of simulated file accesses (bytes): the only
+        chunk-size setting; every page-cached read and write, local or
+        NFS, moves files in chunks of this size.
     dirty_threshold_base:
         ``"total"`` computes the dirty threshold against total memory (a
         horizontal line, as plotted in Fig. 4b); ``"available"`` computes it

@@ -74,7 +74,7 @@ class IOController:
         The Memory Manager of the host performing the I/O.  ``None`` raises
         :class:`~repro.errors.ConfigurationError` (the cacheless baseline
         bypasses the controller entirely).  Its configuration supplies
-        the default chunk size.
+        the chunk size of :meth:`read_file` and :meth:`write_file`.
     """
 
     def __init__(self, env: Environment, memory_manager: MemoryManager):
@@ -203,7 +203,6 @@ class IOController:
 
     # ---------------------------------------------------------------- file ops
     def read_file(self, filename: str, file_size: float, storage: StorageDevice,
-                  chunk_size: Optional[float] = None,
                   anonymous_owner: Optional[str] = None,
                   use_anonymous_memory: bool = True):
         """Read a whole file chunk by chunk (round-robin page access).
@@ -212,7 +211,7 @@ class IOController:
         """
         # One float shared by every full chunk, and so by every fragment
         # these chunks leave in the cache.
-        chunk = float(chunk_size or self.config.chunk_size)
+        chunk = float(self.config.chunk_size)
         env = self.env
         start = env.now
         result = IOResult(filename, file_size, start, start)
@@ -245,13 +244,13 @@ class IOController:
         return result
 
     def write_file(self, filename: str, file_size: float, storage: StorageDevice,
-                   chunk_size: Optional[float] = None, writethrough: bool = False):
+                   writethrough: bool = False):
         """Write a whole file chunk by chunk.
 
         Returns an :class:`IOResult`.  With ``writethrough=True`` the write
         bypasses the writeback path and goes synchronously to storage.
         """
-        chunk = float(chunk_size or self.config.chunk_size)
+        chunk = float(self.config.chunk_size)
         env = self.env
         start = env.now
         result = IOResult(filename, file_size, start, start)

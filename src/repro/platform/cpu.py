@@ -14,12 +14,30 @@ from typing import Optional
 
 from repro.des.environment import Environment
 from repro.des.events import Event, Interrupt
+from repro.des.process import Process
 from repro.des.resources import Resource
 from repro.errors import ConfigurationError
 
 
+class _Computation(Process):
+    """A computation on one core: a process that keeps its core's grant time."""
+
+    __slots__ = ("granted_at",)
+
+    def __init__(self, cpu: "CPU", flops: float, name: str):
+        #: When a core was granted (``None`` while queued for one).  Kept
+        #: after the computation ends: its task can be interrupted in the
+        #: instant the computation finished, before the task resumes.
+        self.granted_at: Optional[float] = None
+        super().__init__(cpu.env, cpu._execute(flops, self), name=name)
+
+
 class CPU:
     """A multi-core CPU with a fixed per-core speed.
+
+    Workflow tasks compute on it directly: :meth:`execute` queues a
+    computation for a core, and :meth:`cancel` stops one that a preemption
+    or crash interrupts, reporting how long it held a core.
 
     Parameters
     ----------
@@ -47,9 +65,6 @@ class CPU:
         self.speed = float(speed)
         self.name = name
         self._core_pool = Resource(env, capacity=self.cores, name=f"{name}-cores")
-        #: Cumulative statistics.
-        self.total_flops = 0.0
-        self.tasks_executed = 0
 
     @property
     def busy_cores(self) -> int:
@@ -59,18 +74,23 @@ class CPU:
     def execute(self, flops: float, label: Optional[str] = None) -> Event:
         """Execute ``flops`` on one core; returns a completion event.
 
-        The returned process carries (in ``Process.data``) a dict whose
-        ``granted_at`` key is set the moment a core is granted, so a
-        canceller can tell executed time apart from core-queueing time.
+        Stop the computation early with :meth:`cancel`.
         """
         if flops < 0:
             raise ValueError("flops must be >= 0")
-        info: dict = {}
-        process = self.env.process(
-            self._execute(flops, info), name=label or "compute"
-        )
-        process.data = info
-        return process
+        return _Computation(self, flops, label or "compute")
+
+    def cancel(self, computation: _Computation) -> float:
+        """Interrupt a computation started by :meth:`execute`.
+
+        Returns the seconds it held a core: time queued for a busy core
+        executed nothing and counts zero.  A computation that has already
+        ended is not interrupted but still reports its core time.
+        """
+        if computation.is_alive:
+            computation.interrupt("preempted")
+        granted_at = computation.granted_at
+        return 0.0 if granted_at is None else self.env.now - granted_at
 
     def compute_seconds(self, seconds: float, label: Optional[str] = None) -> Event:
         """Execute work lasting ``seconds`` of CPU time on one core."""
@@ -91,7 +111,7 @@ class CPU:
             raise ConfigurationError("CPU speed must be positive")
         self.speed = float(speed)
 
-    def _execute(self, flops: float, info: Optional[dict] = None):
+    def _execute(self, flops: float, computation: _Computation):
         # The request is released in the finally block whether it was
         # granted or still queued, so an interrupt (preemption) can never
         # leak a core or a queue slot.
@@ -99,24 +119,14 @@ class CPU:
         try:
             yield request
             duration = flops / self.speed
-            started = self.env.now
-            if info is not None:
-                info["granted_at"] = started
+            computation.granted_at = self.env.now
             if duration > 0:
-                try:
-                    yield self.env.timeout(duration)
-                except Interrupt:
-                    # Preempted mid-computation: account the flops actually
-                    # executed and end cleanly (the core frees right away).
-                    elapsed = self.env.now - started
-                    self.total_flops += min(flops, elapsed * self.speed)
-                    return elapsed
-            self.total_flops += flops
-            self.tasks_executed += 1
+                yield self.env.timeout(duration)
             return duration
         except Interrupt:
-            # Cancelled while still waiting for a core: nothing executed.
-            return 0.0
+            # Cancelled, queued or on a core: :meth:`cancel` reports the
+            # time it held a core.
+            return None
         finally:
             request.release()
 

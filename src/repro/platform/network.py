@@ -31,25 +31,10 @@ class Link:
             raise ConfigurationError(f"link {name!r}: bandwidth must be positive")
         if latency < 0:
             raise ConfigurationError(f"link {name!r}: latency must be >= 0")
-        self.env = env
         self.name = name
         self.bandwidth = float(bandwidth)
         self.latency = float(latency)
         self.channel = FairShareChannel(env, bandwidth, name=name, sharing=sharing)
-        self.bytes_transferred = 0.0
-
-    def transfer(self, amount: float, label: Optional[str] = None) -> Event:
-        """Transfer ``amount`` bytes over this link (latency + bandwidth)."""
-        self.bytes_transferred += amount
-        if self.latency > 0:
-            return self.env.process(self._transfer(amount, label),
-                                    name=f"{self.name}-xfer")
-        return self.channel.transfer(amount, label=label)
-
-    def _transfer(self, amount: float, label: Optional[str]):
-        yield self.env.timeout(self.latency)
-        elapsed = yield self.channel.transfer(amount, label=label)
-        return self.latency + elapsed
 
     def __repr__(self) -> str:
         return (
@@ -119,10 +104,6 @@ class Network:
             return self._routes[(src, dst)]
         except KeyError:
             raise ConfigurationError(f"no route registered from {src!r} to {dst!r}") from None
-
-    def has_route(self, src: str, dst: str) -> bool:
-        """True if a route from ``src`` to ``dst`` exists."""
-        return (src, dst) in self._routes
 
     def transfer(self, src: str, dst: str, amount: float,
                  label: Optional[str] = None) -> Event:

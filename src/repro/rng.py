@@ -25,16 +25,12 @@ def derive_seed(seed: int, key: str) -> int:
 
     This is the seed-derivation primitive behind
     :meth:`DeterministicRNG.spawn` and the sweep engine's per-point seeds
-    (:func:`repro.experiments.runner.derive_point_seed`): SHA-256 of
+    (:func:`repro.experiments.runner.run_sweep`'s ``base_seed``): SHA-256 of
     ``"{seed}:{key}"``, so the result depends only on the two inputs —
     never on process, platform or hash randomization.
     """
     digest = hashlib.sha256(f"{seed}:{key}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-#: Backwards-compatible alias (pre-PR-4 internal name).
-_derive_seed = derive_seed
 
 
 class DeterministicRNG:

@@ -169,7 +169,8 @@ class ClusterScheduler:
     env:
         Simulation environment.
     nodes:
-        The compute nodes (with their node-local storage services).
+        The compute nodes (with their node-local storage services, whose
+        page-cache configuration sets the chunk size of the jobs' I/O).
     registry:
         File registry shared with the rest of the simulation.
     tracer:
@@ -178,8 +179,6 @@ class ClusterScheduler:
         Scheduling policy (name or instance); decides *which* job is next.
     placement:
         Placement strategy (name or instance); decides *where* it runs.
-    chunk_size:
-        I/O granularity forwarded to the workflow executors.
     lost_work_penalty:
         Seconds of compute progress a job loses each time it is preempted
         (checkpoint-and-requeue redoes the work since the last
@@ -197,7 +196,6 @@ class ClusterScheduler:
                  registry: FileRegistry, tracer: Tracer, *,
                  policy: Union[str, SchedulingPolicy] = "fifo",
                  placement: Union[str, PlacementStrategy] = "round-robin",
-                 chunk_size: Optional[float] = None,
                  lost_work_penalty: float = 0.0,
                  streaming: bool = False,
                  name: str = "cluster-scheduler"):
@@ -214,7 +212,6 @@ class ClusterScheduler:
         self.tracer = tracer
         self.policy = make_policy(policy)
         self.placement = make_placement(placement)
-        self.chunk_size = chunk_size
         self.lost_work_penalty = float(lost_work_penalty)
         self.name = name
 
@@ -675,7 +672,6 @@ class ClusterScheduler:
                 node.storage,
                 self.tracer,
                 label=job.label,
-                chunk_size=self.chunk_size,
                 # The reservation is an execution bound: a job never runs
                 # more concurrent tasks than the cores it reserved.
                 max_concurrent_tasks=job.cores,

@@ -147,32 +147,19 @@ class FailureAwarePlacement(CacheLocalityPlacement):
     """Cache locality, discounted by a node's failure history.
 
     Same scoring as :class:`CacheLocalityPlacement`, but each node's
-    cached-byte score is multiplied by ``1 / (1 + penalty * n_failures)``:
-    a node that keeps crashing loses its locality advantage — its cache is
-    cold after every crash anyway, and work placed there keeps being
-    rolled back.  With no failure history (or ``penalty=0``) the strategy
-    degenerates to plain cache locality, including the rendezvous-hash
-    cold path.
-
-    Parameters
-    ----------
-    penalty:
-        Discount weight per recorded crash (>= 0, default 1.0).
+    cached-byte score is divided by ``1 + n_failures``: a node that keeps
+    crashing loses its locality advantage — its cache is cold after every
+    crash anyway, and work placed there keeps being rolled back.  When no
+    candidate caches the job's inputs, the cold path picks among the
+    candidates with the fewest recorded crashes, by rendezvous hash.  With
+    no failure history the strategy is plain cache locality.
     """
 
     name = "failure-aware"
 
-    def __init__(self, penalty: float = 1.0) -> None:
-        super().__init__()
-        if penalty < 0:
-            raise ConfigurationError(
-                f"failure-aware placement: penalty must be >= 0, got {penalty}"
-            )
-        self.penalty = float(penalty)
-
     def score(self, job: Job, node: "NodeState") -> float:
         score = super().score(job, node)
-        return score / (1.0 + self.penalty * node.n_failures)
+        return score / (1.0 + node.n_failures)
 
     def select_node(self, job: Job, candidates: Sequence["NodeState"],
                     now: float = 0.0) -> "NodeState":
@@ -183,7 +170,7 @@ class FailureAwarePlacement(CacheLocalityPlacement):
         for node in candidates:
             manager = node.host.memory_manager
             score = 0.0 if manager is None else manager.cached_bytes(names)
-            score /= 1.0 + self.penalty * node.n_failures
+            score /= 1.0 + node.n_failures
             if score <= 0.0:
                 continue
             tie = (-node.free_cores, node.n_running, node.name)

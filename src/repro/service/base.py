@@ -54,9 +54,9 @@ def build_service_cluster(*, n_nodes: int = DEFAULT_N_NODES,
     simulation = Simulation(
         config=SimulationConfig(
             cache_mode="writeback",
-            chunk_size=chunk_size,
             trace_interval=None,
-            page_cache=PageCacheConfig(eviction_policy=eviction_policy),
+            page_cache=PageCacheConfig(chunk_size=chunk_size,
+                                       eviction_policy=eviction_policy),
         ),
         fault_plan=fault_plan,
     )

@@ -8,8 +8,10 @@ with, mirroring the WRENCH framework the paper extends:
   (tasks with injected CPU times, input and output files);
 * storage services (:mod:`repro.simulator.storage_service`) — cacheless
   (original WRENCH), page-cached (WRENCH-cache, writeback or writethrough)
-  and NFS (remote server with its own page cache);
-* the workflow executor (:mod:`repro.simulator.wms`);
+  and NFS (remote server with its own page cache), reading and writing in
+  chunks of :class:`~repro.pagecache.config.PageCacheConfig`'s chunk size;
+* the workflow executor (:mod:`repro.simulator.wms`), whose tasks compute
+  on their host's CPU (:class:`~repro.platform.cpu.CPU`);
 * execution tracing (:mod:`repro.simulator.tracing`) — per-operation times,
   memory profiles and per-file cache contents, i.e. everything plotted in
   Figures 4-7 of the paper;
@@ -25,7 +27,6 @@ from repro.simulator.storage_service import (
     NFSStorageService,
 )
 from repro.simulator.cacheless import SimpleStorageService
-from repro.simulator.compute_service import ComputeService
 from repro.simulator.tracing import OperationRecord, Tracer
 from repro.simulator.wms import WorkflowExecutor
 from repro.simulator.simulation import Simulation, SimulationConfig, SimulationResult
@@ -38,7 +39,6 @@ __all__ = [
     "SimpleStorageService",
     "PageCachedStorageService",
     "NFSStorageService",
-    "ComputeService",
     "OperationRecord",
     "Tracer",
     "WorkflowExecutor",

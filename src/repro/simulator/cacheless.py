@@ -53,8 +53,7 @@ class SimpleStorageService(StorageService):
         yield self.network.transfer(src.name, dst.name, amount, label=label)
 
     def read_file(self, file: File, *, reader_host: Optional[Host] = None,
-                  owner: Optional[str] = None, chunk_size: Optional[float] = None,
-                  use_anonymous_memory: bool = True):
+                  owner: Optional[str] = None):
         start = self.env.now
         result = IOResult(file.name, file.size, start, start)
         yield self.disk.read(file.size, label=f"read:{file.name}")
@@ -68,7 +67,7 @@ class SimpleStorageService(StorageService):
         return result
 
     def write_file(self, file: File, *, writer_host: Optional[Host] = None,
-                   owner: Optional[str] = None, chunk_size: Optional[float] = None):
+                   owner: Optional[str] = None):
         self.disk.allocate(file.size)
         start = self.env.now
         result = IOResult(file.name, file.size, start, start)

@@ -73,9 +73,8 @@ class SimulationConfig:
         original WRENCH simulator, ``"writeback"`` and ``"writethrough"``
         enable the page cache model.
     page_cache:
-        Kernel tunables for the page cache model.
-    chunk_size:
-        Default I/O granularity (``None`` = the page-cache default).
+        Kernel tunables for the page cache model, including the chunk
+        size of every page-cached read and write.
     trace_interval:
         Period in simulated seconds of the memory profile sampler
         (``None`` disables sampling).
@@ -83,7 +82,6 @@ class SimulationConfig:
 
     cache_mode: str = "writeback"
     page_cache: PageCacheConfig = field(default_factory=PageCacheConfig)
-    chunk_size: Optional[float] = None
     trace_interval: Optional[float] = 1.0
 
     def __post_init__(self) -> None:
@@ -91,8 +89,6 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"cache_mode must be one of {CACHE_MODES}, got {self.cache_mode!r}"
             )
-        if self.chunk_size is not None and self.chunk_size <= 0:
-            raise ConfigurationError("chunk_size must be positive")
         if self.trace_interval is not None and self.trace_interval <= 0:
             raise ConfigurationError("trace_interval must be positive")
 
@@ -375,8 +371,8 @@ class Simulation:
 
     # -------------------------------------------------------------- workflows
     def submit_workflow(self, workflow: Workflow, *, host: str,
-                        storage: StorageService, label: Optional[str] = None,
-                        chunk_size: Optional[float] = None) -> WorkflowExecutor:
+                        storage: StorageService,
+                        label: Optional[str] = None) -> WorkflowExecutor:
         """Register a workflow instance for execution on ``host``.
 
         ``storage`` receives the files produced by the workflow.  Input
@@ -399,7 +395,6 @@ class Simulation:
             storage,
             self.tracer,
             label=label,
-            chunk_size=chunk_size or self.config.chunk_size,
         )
         self._executors.append(executor)
         return executor
@@ -411,7 +406,6 @@ class Simulation:
                                  node_names: Optional[List[str]] = None,
                                  mount_point: str = "/local",
                                  cache_mode: Optional[str] = None,
-                                 chunk_size: Optional[float] = None,
                                  lost_work_penalty: float = 0.0,
                                  streaming: bool = False,
                                  ) -> ClusterScheduler:
@@ -460,7 +454,6 @@ class Simulation:
             self.tracer,
             policy=policy,
             placement=placement,
-            chunk_size=chunk_size or self.config.chunk_size,
             lost_work_penalty=lost_work_penalty,
             streaming=streaming,
         )

@@ -14,7 +14,9 @@ host.  Three flavours are provided:
   and each chunk adds one network transfer; the client does not cache.
 
 All read/write methods are simulation processes returning an
-:class:`~repro.pagecache.io_controller.IOResult`.
+:class:`~repro.pagecache.io_controller.IOResult`.  The page-cached services
+read and write in chunks of the chunk size of their memory manager's
+:class:`~repro.pagecache.config.PageCacheConfig`.
 """
 
 from __future__ import annotations
@@ -61,13 +63,12 @@ class StorageService:
         self.disk.deallocate(file.size)
 
     def read_file(self, file: File, *, reader_host: Optional[Host] = None,
-                  owner: Optional[str] = None, chunk_size: Optional[float] = None,
-                  use_anonymous_memory: bool = True):
+                  owner: Optional[str] = None):
         """Read ``file``; simulation process returning an :class:`IOResult`."""
         raise NotImplementedError
 
     def write_file(self, file: File, *, writer_host: Optional[Host] = None,
-                   owner: Optional[str] = None, chunk_size: Optional[float] = None):
+                   owner: Optional[str] = None):
         """Write ``file``; simulation process returning an :class:`IOResult`."""
         raise NotImplementedError
 
@@ -126,29 +127,19 @@ class PageCachedStorageService(StorageService):
             )
 
     def read_file(self, file: File, *, reader_host: Optional[Host] = None,
-                  owner: Optional[str] = None, chunk_size: Optional[float] = None,
-                  use_anonymous_memory: bool = True):
+                  owner: Optional[str] = None):
         self._require_local(reader_host, "read")
         result = yield from self.io_controller.read_file(
-            file.name,
-            file.size,
-            self.disk,
-            chunk_size=chunk_size,
-            anonymous_owner=owner,
-            use_anonymous_memory=use_anonymous_memory,
+            file.name, file.size, self.disk, anonymous_owner=owner
         )
         return result
 
     def write_file(self, file: File, *, writer_host: Optional[Host] = None,
-                   owner: Optional[str] = None, chunk_size: Optional[float] = None):
+                   owner: Optional[str] = None):
         self._require_local(writer_host, "write")
         self.disk.allocate(file.size)
         result = yield from self.io_controller.write_file(
-            file.name,
-            file.size,
-            self.disk,
-            chunk_size=chunk_size,
-            writethrough=self.writethrough,
+            file.name, file.size, self.disk, writethrough=self.writethrough
         )
         return result
 
@@ -185,13 +176,12 @@ class NFSStorageService(PageCachedStorageService):
 
     # ------------------------------------------------------------------ reads
     def read_file(self, file: File, *, reader_host: Optional[Host] = None,
-                  owner: Optional[str] = None, chunk_size: Optional[float] = None,
-                  use_anonymous_memory: bool = True):
+                  owner: Optional[str] = None):
         if reader_host is None:
             raise ConfigurationError("NFS reads require the reading host")
         # One float shared by every full chunk, and so by every fragment
         # these chunks leave in the cache.
-        chunk = float(chunk_size or self.memory_manager.config.chunk_size)
+        chunk = float(self.memory_manager.config.chunk_size)
         start = self.env.now
         result = IOResult(file.name, file.size, start, start)
         remaining = file.size
@@ -211,7 +201,7 @@ class NFSStorageService(PageCachedStorageService):
                 self.host.name, reader_host.name, this_chunk,
                 label=f"nfs:{file.name}",
             )
-            if use_anonymous_memory and client_mm is not None:
+            if client_mm is not None:
                 client_mm.use_anonymous_memory(this_chunk, owner=owner)
             result.chunks += 1
             remaining -= this_chunk
@@ -220,11 +210,11 @@ class NFSStorageService(PageCachedStorageService):
 
     # ----------------------------------------------------------------- writes
     def write_file(self, file: File, *, writer_host: Optional[Host] = None,
-                   owner: Optional[str] = None, chunk_size: Optional[float] = None):
+                   owner: Optional[str] = None):
         if writer_host is None:
             raise ConfigurationError("NFS writes require the writing host")
         self.disk.allocate(file.size)
-        chunk = float(chunk_size or self.memory_manager.config.chunk_size)
+        chunk = float(self.memory_manager.config.chunk_size)
         start = self.env.now
         result = IOResult(file.name, file.size, start, start)
         remaining = file.size

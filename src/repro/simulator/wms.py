@@ -2,12 +2,12 @@
 
 The :class:`WorkflowExecutor` runs one workflow instance on one host:
 tasks start as soon as all their input files exist, each task reads its
-inputs, computes, writes its outputs and (optionally) releases its
-anonymous memory — the execution pattern of both the synthetic application
-and the Nighres workflow in the paper.  Independent tasks of the same
-workflow run concurrently, bounded by the host's CPU cores; independent
-workflow instances (Exp 2 and 3) are separate executors running in
-parallel in the same simulation.
+inputs, computes on the host's CPU, writes its outputs and (optionally)
+releases its anonymous memory — the execution pattern of both the
+synthetic application and the Nighres workflow in the paper.  Independent
+tasks of the same workflow run concurrently, bounded by the host's CPU
+cores; independent workflow instances (Exp 2 and 3) are separate
+executors running in parallel in the same simulation.
 
 The executor also supports *suspension* for preemptive batch scheduling
 (:meth:`WorkflowExecutor.preempt`): running tasks are interrupted, their
@@ -31,7 +31,6 @@ from repro.errors import SchedulingError
 from repro.filesystem.file import File
 from repro.filesystem.registry import FileRegistry
 from repro.platform.host import Host
-from repro.simulator.compute_service import ComputeService
 from repro.simulator.storage_service import StorageService
 from repro.simulator.tracing import OperationRecord, Tracer
 from repro.simulator.workflow import Task, Workflow
@@ -40,6 +39,12 @@ from repro.simulator.workflow import Task, Workflow
 class WorkflowExecutor:
     """Executes one workflow instance.
 
+    Tasks compute on the host's CPU (:meth:`CPU.execute
+    <repro.platform.cpu.CPU.execute>`; a suspension stops the computation
+    with :meth:`CPU.cancel <repro.platform.cpu.CPU.cancel>`) and read and
+    write through storage services, in chunks of their page-cache
+    configuration.
+
     Parameters
     ----------
     env:
@@ -47,7 +52,8 @@ class WorkflowExecutor:
     workflow:
         The workflow to execute.
     host:
-        The host running the tasks (CPU and, for local I/O, page cache).
+        The host running the tasks: they compute on its CPU and, for local
+        I/O, go through its page cache.
     registry:
         File registry used to locate input files and to record outputs.
     output_storage:
@@ -57,8 +63,6 @@ class WorkflowExecutor:
     label:
         Application label used in traces and as the anonymous-memory owner;
         defaults to the workflow name.
-    chunk_size:
-        I/O granularity; ``None`` uses the storage service default.
     max_concurrent_tasks:
         Upper bound on simultaneously running tasks of this workflow
         (``None`` = bounded only by dependencies and the host CPU).  The
@@ -76,8 +80,6 @@ class WorkflowExecutor:
     def __init__(self, env: Environment, workflow: Workflow, host: Host,
                  registry: FileRegistry, output_storage: StorageService,
                  tracer: Tracer, label: Optional[str] = None,
-                 chunk_size: Optional[float] = None,
-                 compute_service: Optional[ComputeService] = None,
                  max_concurrent_tasks: Optional[int] = None,
                  lost_work_penalty: float = 0.0):
         self.env = env
@@ -87,7 +89,6 @@ class WorkflowExecutor:
         self.output_storage = output_storage
         self.tracer = tracer
         self.label = label or workflow.name
-        self.chunk_size = chunk_size
         if max_concurrent_tasks is not None and max_concurrent_tasks < 1:
             raise SchedulingError(
                 f"executor {self.label!r}: max_concurrent_tasks must be >= 1"
@@ -98,7 +99,6 @@ class WorkflowExecutor:
             )
         self.max_concurrent_tasks = max_concurrent_tasks
         self.lost_work_penalty = float(lost_work_penalty)
-        self.compute_service = compute_service or ComputeService(env, host)
         self.start_time: Optional[float] = None
         self.end_time: Optional[float] = None
         #: Checkpoint state surviving across suspensions: task objects by
@@ -288,19 +288,14 @@ class WorkflowExecutor:
         Used when a crash-restarted job is dispatched elsewhere: tasks now
         compute on ``host`` and write to ``output_storage``.  Files the
         job already produced stay registered on the old node's storage and
-        are read remotely through the registry.  The compute service is
-        rebuilt for the new host; a custom ``compute_service`` passed at
-        construction does not survive a rebind.
+        are read remotely through the registry.
         """
-        if host is self.host:
-            return
         self.host = host
         self.output_storage = output_storage
-        self.compute_service = ComputeService(self.env, host)
 
     # ------------------------------------------------------------------ tasks
     def _execute_task(self, task: Task):
-        compute_start: Optional[float] = None
+        work = None  # the computation in flight on the host's CPU
         remaining_flops = 0.0
         written: List[File] = []
         in_flight_write: Optional[File] = None
@@ -311,10 +306,7 @@ class WorkflowExecutor:
             for file in task.inputs:
                 service = self._locate(file)
                 result = yield from service.read_file(
-                    file,
-                    reader_host=self.host,
-                    owner=self.label,
-                    chunk_size=self.chunk_size,
+                    file, reader_host=self.host, owner=self.label
                 )
                 self.tracer.record_operation(
                     OperationRecord(
@@ -336,9 +328,11 @@ class WorkflowExecutor:
             )
             if remaining_flops > 0:
                 compute_start = self.env.now
-                yield from self.compute_service.execute(
-                    task, flops=remaining_flops
+                work = self.host.cpu.execute(
+                    remaining_flops, label=f"compute:{task.name}"
                 )
+                yield work
+                work = None
                 self.tracer.record_operation(
                     OperationRecord(
                         app=self.label,
@@ -350,17 +344,13 @@ class WorkflowExecutor:
                         end=self.env.now,
                     )
                 )
-                compute_start = None
                 self._compute_done[task.name] = task.flops
 
             # Write outputs in declaration order.
             for file in task.outputs:
                 in_flight_write = file
                 result = yield from self.output_storage.write_file(
-                    file,
-                    writer_host=self.host,
-                    owner=self.label,
-                    chunk_size=self.chunk_size,
+                    file, writer_host=self.host, owner=self.label
                 )
                 in_flight_write = None
                 written.append(file)
@@ -383,26 +373,19 @@ class WorkflowExecutor:
             # synthetic application does at the end of every task.
             if task.release_memory and self.host.memory_manager is not None:
                 self.host.memory_manager.release_anonymous_memory(owner=self.label)
-        except Interrupt as interrupt:
-            self._checkpoint_task(task, compute_start, remaining_flops,
-                                  interrupt)
+        except Interrupt:
+            if work is not None:
+                self._checkpoint_task(task, remaining_flops,
+                                      self.host.cpu.cancel(work))
             self._rollback_task(written, in_flight_write)
             return self.PREEMPTED
         return True
 
-    def _checkpoint_task(self, task: Task, compute_start: Optional[float],
-                         remaining_flops: float,
-                         interrupt: Interrupt) -> None:
-        """Credit the flops computed before the interrupt, minus the lost
-        work redone on resume (checkpoint granularity)."""
-        if compute_start is None or remaining_flops <= 0:
-            return
-        # The compute service reports the seconds the work actually held a
-        # core (time queued for a busy core executes nothing); fall back
-        # to wall-clock elapsed for custom services that do not.
-        executed = getattr(
-            interrupt, "executed_seconds", self.env.now - compute_start
-        )
+    def _checkpoint_task(self, task: Task, remaining_flops: float,
+                         executed: float) -> None:
+        """Credit the flops computed in ``executed`` seconds on a core
+        before the interrupt, minus the lost work redone on resume
+        (checkpoint granularity)."""
         speed = self.host.cpu.speed
         done = min(remaining_flops, executed * speed)
         if self._crashing:

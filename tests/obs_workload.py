@@ -13,6 +13,7 @@ regenerate the golden with ``tests/record_obs_golden.py``.
 from __future__ import annotations
 
 from repro.experiments.exp6_cluster import build_cluster_workload
+from repro.pagecache.config import PageCacheConfig
 from repro.simulator.simulation import Simulation, SimulationConfig
 from repro.units import MB
 
@@ -24,7 +25,7 @@ def build_small_exp6(observe=False) -> Simulation:
     simulation = Simulation(
         config=SimulationConfig(
             cache_mode="writeback",
-            chunk_size=4 * MB,
+            page_cache=PageCacheConfig(chunk_size=4 * MB),
             trace_interval=1.0,
         ),
         observe=observe,

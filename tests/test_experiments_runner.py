@@ -26,7 +26,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.runner import (
     SweepPointError,
-    derive_point_seed,
     make_spec,
     resolve_workers,
     run_sweep,
@@ -190,15 +189,13 @@ class TestDeterminism:
         pooled = sweep_values(specs, workers=3, base_seed=42)
         assert inline == pooled
         assert inline == [
-            (tag, derive_point_seed(42, f"point:{tag}"))
+            (tag, derive_seed(42, f"point:{tag}"))
             for tag in ("a", "b", "c", "d")
         ]
         # Reversing the sweep order changes nothing about each point's seed.
         reversed_values = sweep_values(list(reversed(specs)), workers=1,
                                        base_seed=42)
         assert reversed_values == list(reversed(inline))
-        # The primitive matches repro.rng's derivation.
-        assert derive_point_seed(42, "point:a") == derive_seed(42, "point:a")
 
     def test_run_named_sweep_matches_keys_to_values(self):
         from repro.experiments.runner import run_named_sweep

@@ -109,10 +109,6 @@ class TestFailureAwarePlacement:
         strategy = make_placement("failure-aware")
         assert isinstance(strategy, FailureAwarePlacement)
 
-    def test_penalty_validation(self):
-        with pytest.raises(ConfigurationError):
-            FailureAwarePlacement(penalty=-1.0)
-
     def test_cold_path_avoids_crash_prone_nodes(self, env):
         healthy = make_node(env, "n1")
         flaky = make_node(env, "n2", n_failures=3)

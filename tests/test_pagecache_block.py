@@ -74,9 +74,9 @@ class TestBlockBehaviour:
 def _three_file_chain():
     """A chain over three 1 GB files in 1 MB chunks, all cached in 64 GiB."""
     sim = Simulation(config=SimulationConfig(
-        page_cache=PageCacheConfig(periodic_flushing=False),
+        page_cache=PageCacheConfig(periodic_flushing=False,
+                                   chunk_size=1 * MB),
         trace_interval=None,
-        chunk_size=1 * MB,
     ))
     sim.create_single_node_platform(memory_size=64 * GiB)
     svc = sim.create_storage_service("node1", "/local")

@@ -72,12 +72,14 @@ class TestCPU:
         cpu = CPU(env, cores=1, speed=1e9)
 
         def proc(env):
-            yield cpu.execute(5e8)
-            yield cpu.execute(5e8)
+            first = yield cpu.execute(5e8)
+            second = yield cpu.execute(5e8)
+            return first, second
 
-        runner(env, proc(env))
-        assert cpu.total_flops == 1e9
-        assert cpu.tasks_executed == 2
+        # Each computation reports its seconds on a core.
+        assert runner(env, proc(env)) == (0.5, 0.5)
+        assert env.now == 1.0
+        assert cpu.busy_cores == 0
 
     def test_duration_of(self, env):
         cpu = CPU(env, speed=2e9)
@@ -143,7 +145,7 @@ class TestPlatformBuilder:
         assert isinstance(platform, Platform)
         assert len(platform) == 2
         assert platform.host("node1").disk("/local").read_bandwidth == 465 * MBps
-        assert platform.network.has_route("storage1", "node1")
+        assert platform.network.route("storage1", "node1").dst == "node1"
 
     def test_unknown_host_lookup(self, env):
         platform = PlatformBuilder(env).host("node1").build()
@@ -161,7 +163,7 @@ class TestConcordiaCluster:
         assert node.disk("/local").read_bandwidth == pytest.approx(465 * MBps)
         storage = platform.host("storage1")
         assert storage.disk("/export").read_bandwidth == pytest.approx(445 * MBps)
-        assert platform.network.has_route("node1", "storage1")
+        assert platform.network.route("node1", "storage1").dst == "storage1"
 
     def test_cluster_without_nfs(self, env):
         platform = concordia_cluster(env, with_nfs_server=False)
@@ -170,7 +172,7 @@ class TestConcordiaCluster:
     def test_multiple_compute_nodes(self, env):
         platform = concordia_cluster(env, compute_nodes=3)
         assert {"node1", "node2", "node3", "storage1"} == set(platform.host_names())
-        assert platform.network.has_route("node3", "storage1")
+        assert platform.network.route("node3", "storage1").dst == "storage1"
 
     def test_asymmetric_bandwidths(self, env):
         platform = concordia_cluster(

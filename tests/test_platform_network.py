@@ -14,39 +14,6 @@ class TestLink:
         with pytest.raises(ConfigurationError):
             Link(env, "bad", bandwidth=100, latency=-1)
 
-    def test_transfer_time_includes_latency(self, env, runner):
-        link = Link(env, "net", bandwidth=100 * MBps, latency=0.25)
-
-        def proc(env):
-            yield link.transfer(100 * MB)
-            return env.now
-
-        assert runner(env, proc(env)) == pytest.approx(1.25)
-
-    def test_concurrent_transfers_share_bandwidth(self, env):
-        link = Link(env, "net", bandwidth=100 * MBps)
-        finish = {}
-
-        def proc(env, label):
-            yield link.transfer(100 * MB)
-            finish[label] = env.now
-
-        env.process(proc(env, "a"))
-        env.process(proc(env, "b"))
-        env.run()
-        assert finish["a"] == pytest.approx(2.0)
-        assert finish["b"] == pytest.approx(2.0)
-
-    def test_bytes_transferred_counter(self, env, runner):
-        link = Link(env, "net", bandwidth=100 * MBps)
-
-        def proc(env):
-            yield link.transfer(10 * MB)
-            yield link.transfer(15 * MB)
-
-        runner(env, proc(env))
-        assert link.bytes_transferred == 25 * MB
-
 
 class TestRoute:
     def test_requires_at_least_one_link(self):
@@ -76,15 +43,16 @@ class TestNetwork:
 
     def test_symmetric_route_registration(self, env):
         network = self._simple_network(env)
-        assert network.has_route("client", "server")
-        assert network.has_route("server", "client")
+        assert network.route("client", "server").dst == "server"
+        assert network.route("server", "client").dst == "client"
 
     def test_asymmetric_route_registration(self, env):
         network = Network(env)
         link = network.add_link("lan", 100 * MBps)
         network.add_route("a", "b", [link], symmetric=False)
-        assert network.has_route("a", "b")
-        assert not network.has_route("b", "a")
+        assert network.route("a", "b").links == [link]
+        with pytest.raises(ConfigurationError):
+            network.route("b", "a")
 
     def test_missing_route_raises(self, env):
         network = Network(env)

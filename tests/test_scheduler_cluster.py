@@ -12,6 +12,7 @@ import pytest
 
 from repro.errors import ConfigurationError, SchedulingError
 from repro.filesystem.file import File
+from repro.pagecache.config import PageCacheConfig
 from repro.simulator.simulation import Simulation, SimulationConfig
 from repro.simulator.workflow import Task, Workflow
 from repro.snapshot import run_experiment
@@ -307,7 +308,8 @@ class TestClusterExecution:
         results = []
         for streaming in (False, True):
             simulation = Simulation(config=SimulationConfig(
-                cache_mode="writeback", chunk_size=100 * MB,
+                cache_mode="writeback",
+                page_cache=PageCacheConfig(chunk_size=100 * MB),
                 trace_interval=None,
             ))
             simulation.create_cluster_platform(

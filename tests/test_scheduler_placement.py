@@ -204,9 +204,9 @@ class TestCachedBytesScoring:
         cache = CacheLocalityPlacement()
         assert (cache.select_node(job, nodes)
                 is reference_select(cache, job, nodes))
-        failure_aware = FailureAwarePlacement(penalty=0.5)
+        failure_aware = FailureAwarePlacement()
         assert (failure_aware.select_node(job, nodes)
-                is reference_select(failure_aware, job, nodes, penalty=0.5))
+                is reference_select(failure_aware, job, nodes, penalty=1.0))
 
 
 class TestRegistry:

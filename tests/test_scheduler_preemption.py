@@ -266,25 +266,25 @@ class TestPreemptiveScheduling:
 
 
 class TestComputeCreditAccuracy:
+    """``CPU.cancel`` reports the seconds an interrupted computation held a
+    core: the executor credits that much work to the task's checkpoint."""
+
     def test_core_queueing_time_earns_no_checkpoint_credit(self, env):
         """A task interrupted while queued for a busy core executed nothing."""
         from repro.des.events import Interrupt
-        from repro.simulator.compute_service import ComputeService
 
-        host = Host(env, "n1", cores=1)
-        service = ComputeService(env, host)
-        hog = Task("hog", flops=10e9)
-        queued = Task("queued", flops=10e9)
+        cpu = Host(env, "n1", cores=1).cpu
         observed = {}
 
         def run_hog():
-            yield from service.execute(hog)
+            yield cpu.execute(10e9)
 
         def run_queued():
+            work = cpu.execute(10e9)
             try:
-                yield from service.execute(queued)
-            except Interrupt as interrupt:
-                observed["executed"] = interrupt.executed_seconds
+                yield work
+            except Interrupt:
+                observed["executed"] = cpu.cancel(work)
 
         env.process(run_hog())
         victim = env.process(run_queued())
@@ -296,21 +296,20 @@ class TestComputeCreditAccuracy:
         env.process(interrupter())
         env.run()
         # Three wall-clock seconds elapsed, but the core was never granted.
-        assert observed["executed"] == pytest.approx(0.0)
+        assert observed["executed"] == 0.0
 
     def test_granted_core_reports_executed_seconds(self, env):
         from repro.des.events import Interrupt
-        from repro.simulator.compute_service import ComputeService
 
-        host = Host(env, "n1", cores=1)
-        service = ComputeService(env, host)
+        cpu = Host(env, "n1", cores=1).cpu
         observed = {}
 
         def run():
+            work = cpu.execute(10e9)
             try:
-                yield from service.execute(Task("t", flops=10e9))
-            except Interrupt as interrupt:
-                observed["executed"] = interrupt.executed_seconds
+                yield work
+            except Interrupt:
+                observed["executed"] = cpu.cancel(work)
 
         victim = env.process(run())
 
@@ -322,7 +321,37 @@ class TestComputeCreditAccuracy:
         env.run()
         assert observed["executed"] == pytest.approx(4.0)
         # The cancelled computation released its core at the interrupt.
-        assert host.cpu.busy_cores == 0
+        assert cpu.busy_cores == 0
+
+    def test_interrupt_in_the_instant_the_computation_ends(self, env):
+        """The computation's own timeout fires first, then the interrupter's
+        (queued later at the same time): the task gets the interrupt after
+        the computation ended but before it resumed, and the whole 10 s
+        still count."""
+        from repro.des.events import Interrupt
+
+        cpu = Host(env, "n1", cores=1).cpu
+        observed = {}
+
+        def run():
+            work = cpu.execute(10e9)
+            try:
+                yield work
+            except Interrupt:
+                observed["alive"] = work.is_alive
+                observed["executed"] = cpu.cancel(work)
+
+        victim = env.process(run())
+
+        def interrupter():
+            yield env.timeout(1.0)
+            yield env.timeout(9.0)
+            victim.interrupt("preempt")
+
+        env.process(interrupter())
+        env.run()
+        assert observed == {"alive": False, "executed": 10.0}
+        assert cpu.busy_cores == 0
 
 
 class TestPriorityAging:

@@ -77,6 +77,7 @@ class TestStreamingScheduler:
         return build_service_cluster(**SMALL_PARAMS)
 
     def test_batch_rejects_close_stream_and_late_submit(self):
+        from repro.pagecache.config import PageCacheConfig
         from repro.simulator.simulation import Simulation, SimulationConfig
         from repro.simulator.workflow import Task, Workflow
 
@@ -85,7 +86,8 @@ class TestStreamingScheduler:
             flow.add_task(Task.from_cpu_time(f"{name}-t", 1.0))
             return flow
 
-        sim = Simulation(config=SimulationConfig(chunk_size=16 * MB))
+        sim = Simulation(config=SimulationConfig(
+            page_cache=PageCacheConfig(chunk_size=16 * MB)))
         sim.create_cluster_platform(2, cores_per_node=2,
                                     with_nfs_server=False)
         scheduler = sim.create_cluster_scheduler()

@@ -14,7 +14,7 @@ from repro.pagecache.config import PageCacheConfig
 from repro.simulator.wms import WorkflowExecutor
 from repro.simulator.workflow import Task, Workflow, chain_workflow
 from repro.snapshot import build_experiment, capture_state
-from repro.units import GB, GiB, MBps
+from repro.units import GB, GiB, MB, MBps
 
 
 def quiet_config(**kwargs):
@@ -38,10 +38,6 @@ class TestSimulationConfig:
     def test_invalid_cache_mode(self):
         with pytest.raises(ConfigurationError):
             SimulationConfig(cache_mode="bogus")
-
-    def test_invalid_chunk_size(self):
-        with pytest.raises(ConfigurationError):
-            SimulationConfig(chunk_size=0)
 
     def test_invalid_trace_interval(self):
         with pytest.raises(ConfigurationError):
@@ -250,6 +246,59 @@ class TestNFSSimulation:
                            match="unknown cache mode 'write-back'"):
             sim.create_nfs_storage_service("storage1", "/export",
                                            cache_mode="write-back")
+
+
+class TestOneChunkSize:
+    """``PageCacheConfig.chunk_size`` is the chunk of every I/O path: a
+    task reading and writing 2.5-chunk files does 3 chunk reads and 3 chunk
+    writes in the cache that serves them."""
+
+    CHUNK = 64 * MB
+
+    def simulation(self):
+        return Simulation(config=quiet_config(page_cache=PageCacheConfig(
+            periodic_flushing=False, chunk_size=self.CHUNK)))
+
+    def one_task_app(self):
+        source = File("app_in", 2.5 * self.CHUNK)
+        workflow = Workflow("app")
+        workflow.add_task(Task("app_t", flops=1e9, inputs=[source],
+                               outputs=[File("app_out", 2.5 * self.CHUNK)]))
+        return workflow, source
+
+    def chunk_ops(self, sim, host):
+        stats = sim.run().cache_stats[host]
+        return stats.read_ops, stats.write_ops
+
+    @pytest.mark.parametrize("cache_mode", ["writeback", "writethrough"])
+    def test_local_app(self, cache_mode):
+        sim = self.simulation()
+        sim.create_single_node_platform()
+        svc = sim.create_storage_service("node1", "/local",
+                                         cache_mode=cache_mode)
+        workflow, source = self.one_task_app()
+        sim.stage_file(source, svc)
+        sim.submit_workflow(workflow, host="node1", storage=svc)
+        assert self.chunk_ops(sim, "node1") == (3, 3)
+
+    def test_nfs_writethrough_app(self):
+        sim = self.simulation()
+        sim.create_cluster_platform(1)
+        svc = sim.create_nfs_storage_service("storage1", "/export",
+                                             cache_mode="writethrough")
+        workflow, source = self.one_task_app()
+        sim.stage_file(source, svc)
+        sim.submit_workflow(workflow, host="node1", storage=svc)
+        assert self.chunk_ops(sim, "storage1") == (3, 3)
+
+    def test_scheduled_job(self):
+        sim = self.simulation()
+        sim.create_cluster_platform(1, with_nfs_server=False)
+        sim.create_cluster_scheduler()
+        workflow, source = self.one_task_app()
+        sim.stage_file_replicated(source)
+        sim.submit_job(workflow)
+        assert self.chunk_ops(sim, "node1") == (3, 3)
 
 
 class TestMemoryTracing:

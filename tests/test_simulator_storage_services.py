@@ -306,7 +306,7 @@ ORACLE_FILES = [File(f"f{index}", 1.5 * GB) for index in range(3)]
 def _oracle_run(writethrough, nfs):
     """Write, then read, ``ORACLE_FILES`` on a 4 GB server: locally, or
     from a client over NFS.  Local reads skip anonymous memory, as the NFS
-    server's reads do."""
+    server's reads do (the client has no memory manager to account any)."""
     env = Environment()
     server, disk = make_host(env, "server", memory_size=4 * GB)
     if nfs:
@@ -320,8 +320,7 @@ def _oracle_run(writethrough, nfs):
             return service.write_file(file, writer_host=client)
 
         def read(file):
-            return service.read_file(file, reader_host=client,
-                                     use_anonymous_memory=False)
+            return service.read_file(file, reader_host=client)
     else:
         service = PageCachedStorageService(env, server, disk,
                                            cache_config=CACHE_OFF,
