@@ -22,7 +22,7 @@ from repro.apps.nighres import NIGHRES_STEPS, nighres_input_files, nighres_workf
 def run(cache_mode: str):
     simulation = Simulation(config=SimulationConfig(cache_mode=cache_mode,
                                                     trace_interval=None))
-    simulation.create_single_node_platform()
+    simulation.create_cluster_platform(1, with_nfs_server=False)
     storage = simulation.create_storage_service("node1", "/local")
     workflow = nighres_workflow()
     for file in nighres_input_files():

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Quickstart: simulate one data-processing pipeline with and without a page cache.
 
-This example builds a single 32-core node (250 GiB RAM, one local SSD),
-runs the paper's synthetic three-task pipeline on a 20 GB file, and
+This example builds a single 32-core node (250 GiB RAM, one 450 GB local
+SSD), runs the paper's synthetic three-task pipeline on a 20 GB file, and
 compares three simulators:
 
 * ``none``          — the cacheless baseline (original WRENCH behaviour);
@@ -28,7 +28,7 @@ def run_once(cache_mode: str, file_size: float):
     """Run the synthetic pipeline with one cache mode and return the result."""
     simulation = Simulation(config=SimulationConfig(cache_mode=cache_mode,
                                                     trace_interval=None))
-    simulation.create_single_node_platform()
+    simulation.create_cluster_platform(1, with_nfs_server=False)
     storage = simulation.create_storage_service("node1", "/local")
 
     workflow = synthetic_workflow(file_size)

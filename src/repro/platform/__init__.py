@@ -4,8 +4,8 @@ This subpackage reimplements the "macroscopic" resource models the paper
 inherits from SimGrid [21]: devices characterised by a bandwidth (network
 links also by a latency), with the bandwidth shared fairly among
 concurrent transfers (progressive filling).  On top of the raw flow model it provides disks,
-memory devices, network links and routes, CPUs, hosts and a platform
-builder used by the higher simulation layers.
+memory devices, network links and routes, CPUs, hosts, and the paper's
+cluster built from them for the higher simulation layers.
 """
 
 from repro.platform.flows import FairShareChannel, Flow
@@ -14,7 +14,7 @@ from repro.platform.memory import MemoryDevice
 from repro.platform.network import Link, Route, Network
 from repro.platform.cpu import CPU
 from repro.platform.host import Host
-from repro.platform.platform import Platform, PlatformBuilder, concordia_cluster
+from repro.platform.platform import Platform, concordia_cluster
 
 __all__ = [
     "FairShareChannel",
@@ -28,6 +28,5 @@ __all__ = [
     "CPU",
     "Host",
     "Platform",
-    "PlatformBuilder",
     "concordia_cluster",
 ]

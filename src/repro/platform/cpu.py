@@ -92,14 +92,6 @@ class CPU:
         granted_at = computation.granted_at
         return 0.0 if granted_at is None else self.env.now - granted_at
 
-    def compute_seconds(self, seconds: float, label: Optional[str] = None) -> Event:
-        """Execute work lasting ``seconds`` of CPU time on one core."""
-        return self.execute(seconds * self.speed, label=label)
-
-    def duration_of(self, flops: float) -> float:
-        """Uncontended duration of ``flops`` on one core."""
-        return flops / self.speed
-
     def set_speed(self, speed: float) -> None:
         """Change the per-core speed (straggling / recovered node).
 

@@ -50,11 +50,6 @@ class Host:
         self.up = True
 
     # -------------------------------------------------------------- building
-    def set_memory(self, memory: MemoryDevice) -> MemoryDevice:
-        """Attach a memory device to the host."""
-        self.memory = memory
-        return memory
-
     def add_disk(self, disk: Disk, mount_point: Optional[str] = None) -> Disk:
         """Attach a disk under ``mount_point`` (defaults to the disk name)."""
         key = mount_point or disk.name

@@ -8,17 +8,17 @@ profiles, cache contents and cache statistics.
 
 Example
 -------
->>> from repro import Simulation, SimulationConfig, File, GB
+>>> from repro import Simulation, SimulationConfig, GB
 >>> from repro.apps.synthetic import synthetic_workflow
 >>> sim = Simulation(config=SimulationConfig(cache_mode="writeback"))
->>> sim.create_single_node_platform()
+>>> platform = sim.create_cluster_platform(1, with_nfs_server=False)
 >>> svc = sim.create_storage_service("node1", "/local")
 >>> app = synthetic_workflow(input_size=3 * GB)
 >>> sim.stage_file(app.input_files()[0], svc)
->>> sim.submit_workflow(app, host="node1", storage=svc)
+>>> executor = sim.submit_workflow(app, host="node1", storage=svc)
 >>> result = sim.run()
->>> result.makespan > 0
-True
+>>> round(result.makespan, 1)
+22.8
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from repro.simulator.storage_service import (
 from repro.simulator.tracing import CacheContentRecord, OperationRecord, Tracer
 from repro.simulator.wms import WorkflowExecutor
 from repro.simulator.workflow import Task, Workflow
-from repro.units import GiB, MBps, GB, MB
+from repro.units import GB, MB
 
 #: Valid cache modes for storage services.
 CACHE_MODES = ("none", "writeback", "writethrough")
@@ -245,40 +245,18 @@ class Simulation:
         self.platform = platform
         return platform
 
-    def create_single_node_platform(self, *, cores: int = 32,
-                                    memory_size: float = 250 * GiB,
-                                    memory_bandwidth: float = 4812 * MBps,
-                                    disk_bandwidth: float = 465 * MBps,
-                                    disk_capacity: float = float("inf"),
-                                    ) -> Platform:
-        """Create a one-node platform matching the paper's compute nodes."""
-        platform = concordia_cluster(
-            self.env,
-            compute_nodes=1,
-            cores_per_node=cores,
-            memory_size=memory_size,
-            memory_bandwidth=memory_bandwidth,
-            local_disk_bandwidth=disk_bandwidth,
-            local_disk_capacity=disk_capacity,
-            with_nfs_server=False,
-        )
-        return self.set_platform(platform)
-
-    def create_cluster_platform(self, n_nodes: Optional[int] = None,
+    def create_cluster_platform(self, compute_nodes: int = 1,
                                 **kwargs) -> Platform:
-        """Create the cluster platform (compute nodes, optional NFS server).
+        """Create the paper's cluster: compute nodes and an NFS server.
 
-        ``n_nodes`` is a convenience alias for ``compute_nodes``; all other
-        keyword arguments are forwarded to
-        :func:`~repro.platform.platform.concordia_cluster`.
+        Keyword arguments are forwarded to
+        :func:`~repro.platform.platform.concordia_cluster`; a one-node
+        platform without the server is
+        ``create_cluster_platform(1, with_nfs_server=False)``.
         """
-        if n_nodes is not None:
-            if "compute_nodes" in kwargs:
-                raise ConfigurationError(
-                    "pass either n_nodes or compute_nodes, not both"
-                )
-            kwargs["compute_nodes"] = n_nodes
-        return self.set_platform(concordia_cluster(self.env, **kwargs))
+        return self.set_platform(
+            concordia_cluster(self.env, compute_nodes=compute_nodes, **kwargs)
+        )
 
     def host(self, name: str) -> Host:
         """Return a host of the platform."""
@@ -288,8 +266,7 @@ class Simulation:
 
     # --------------------------------------------------------------- services
     def create_storage_service(self, host_name: str, mount_point: str, *,
-                               cache_mode: Optional[str] = None,
-                               name: Optional[str] = None) -> StorageService:
+                               cache_mode: Optional[str] = None) -> StorageService:
         """Create a local storage service on ``host_name``/``mount_point``."""
         mode = cache_mode or self.config.cache_mode
         if mode not in CACHE_MODES:
@@ -299,7 +276,7 @@ class Simulation:
         if mode == "none":
             network = self.platform.network if self.platform else None
             service: StorageService = SimpleStorageService(
-                self.env, host, disk, network=network, name=name
+                self.env, host, disk, network=network
             )
         else:
             service = PageCachedStorageService(
@@ -308,15 +285,13 @@ class Simulation:
                 disk,
                 cache_config=self.config.page_cache,
                 writethrough=(mode == "writethrough"),
-                name=name,
             )
             self.tracer.attach_memory_manager(service.memory_manager)
         self.storage_services.append(service)
         return service
 
     def create_nfs_storage_service(self, server_host: str, mount_point: str, *,
-                                   cache_mode: Optional[str] = None,
-                                   name: Optional[str] = None) -> StorageService:
+                                   cache_mode: Optional[str] = None) -> StorageService:
         """Create an NFS storage service served by ``server_host``.
 
         With ``cache_mode="none"`` the server does not cache anything
@@ -330,7 +305,7 @@ class Simulation:
         disk = host.disk(mount_point)
         if mode == "none":
             service: StorageService = SimpleStorageService(
-                self.env, host, disk, network=self.platform.network, name=name
+                self.env, host, disk, network=self.platform.network
             )
         else:
             service = NFSStorageService(
@@ -340,7 +315,6 @@ class Simulation:
                 network=self.platform.network,
                 cache_config=self.config.page_cache,
                 writethrough=(mode == "writethrough"),
-                name=name,
             )
             self.tracer.attach_memory_manager(service.memory_manager)
         self.storage_services.append(service)
@@ -403,19 +377,16 @@ class Simulation:
     def create_cluster_scheduler(self, *,
                                  policy: Union[str, SchedulingPolicy] = "fifo",
                                  placement: Union[str, PlacementStrategy] = "round-robin",
-                                 node_names: Optional[List[str]] = None,
-                                 mount_point: str = "/local",
-                                 cache_mode: Optional[str] = None,
                                  lost_work_penalty: float = 0.0,
                                  streaming: bool = False,
                                  ) -> ClusterScheduler:
         """Create the batch scheduler managing the platform's compute nodes.
 
-        One storage service is created on ``mount_point`` of every node
-        (``node_names`` defaults to all hosts with a disk mounted there,
-        which excludes the NFS server and its ``/export`` disk).  Jobs are
-        then submitted with :meth:`submit_job` and executed when
-        :meth:`run` is called.
+        The compute nodes are the hosts with a ``/local`` disk, in platform
+        order (the NFS server and its ``/export`` disk are left out), and
+        each gets one storage service on that disk.  Jobs are then
+        submitted with :meth:`submit_job` and executed when :meth:`run` is
+        called.
 
         With ``streaming=True`` the scheduler accepts submissions while
         the simulation runs (:meth:`submit_job` works at any paused
@@ -429,24 +400,13 @@ class Simulation:
             raise ConfigurationError("a cluster scheduler has already been created")
         if self.platform is None:
             raise ConfigurationError("create a platform before the scheduler")
-        if node_names is None:
-            node_names = [
-                name
-                for name, host in self.platform.hosts.items()
-                if mount_point in host.disks
-            ]
-        if not node_names:
-            raise ConfigurationError(
-                f"no host has a disk mounted at {mount_point!r}"
-            )
         nodes = [
-            NodeState(
-                self.host(name),
-                self.create_storage_service(name, mount_point,
-                                            cache_mode=cache_mode),
-            )
-            for name in node_names
+            NodeState(host, self.create_storage_service(name, "/local"))
+            for name, host in self.platform.hosts.items()
+            if "/local" in host.disks
         ]
+        if not nodes:
+            raise ConfigurationError("no host has a disk mounted at '/local'")
         self._scheduler = ClusterScheduler(
             self.env,
             nodes,
@@ -502,11 +462,8 @@ class Simulation:
     def submit_trace(self, trace, *, max_jobs: Optional[int] = None,
                      load_factor: float = 1.0,
                      runtime_scale: float = 1.0,
-                     cores_per_job_cap: Optional[int] = None,
                      dataset_size: float = 1 * GB,
-                     output_size: float = 128 * MB,
-                     priority_of=None,
-                     label_prefix: str = "swf") -> List[Job]:
+                     output_size: float = 128 * MB) -> List[Job]:
         """Replay an SWF workload trace as batch jobs.
 
         ``trace`` is an :class:`~repro.scheduler.swf.SWFTrace` or a path
@@ -519,7 +476,7 @@ class Simulation:
         Scaling knobs (``max_jobs``, ``load_factor``, ``runtime_scale``)
         are forwarded to :meth:`~repro.scheduler.swf.SWFTrace.job_specs`;
         core requests are rescaled so the widest trace job exactly fits
-        the largest scheduler node (override with ``cores_per_job_cap``).
+        the largest scheduler node.  Jobs are labelled ``swf<job id>``.
 
         Returns the submitted :class:`~repro.scheduler.job.Job` list.
         """
@@ -543,25 +500,23 @@ class Simulation:
                 f"{trace.n_jobs} record(s)",
                 stacklevel=2,
             )
-        max_cores = cores_per_job_cap or self._scheduler.max_node_cores
         specs = trace.job_specs(
             max_jobs=max_jobs,
             load_factor=load_factor,
             runtime_scale=runtime_scale,
-            max_cores=max_cores,
-            priority_of=priority_of,
+            max_cores=self._scheduler.max_node_cores,
         )
 
         datasets: Dict[int, File] = {}
         for spec in specs:
             if spec.app not in datasets:
-                dataset = File(f"{label_prefix}_app{spec.app}", dataset_size)
+                dataset = File(f"swf_app{spec.app}", dataset_size)
                 self.stage_file_replicated(dataset)
                 datasets[spec.app] = dataset
 
         jobs: List[Job] = []
         for spec in specs:
-            label = f"{label_prefix}{spec.job_id}"
+            label = f"swf{spec.job_id}"
             workflow = Workflow(label)
             workflow.add_task(
                 Task.from_cpu_time(

@@ -136,7 +136,7 @@ class TestConcurrentInstances:
             page_cache=PageCacheConfig(periodic_flushing=False),
             trace_interval=None,
         ))
-        sim.create_single_node_platform()
+        sim.create_cluster_platform(1, with_nfs_server=False)
         svc = sim.create_storage_service("node1", "/local")
         instances = make_instances(3, 1 * GB)
         stage_and_submit_instances(sim, instances, host="node1", storage=svc)

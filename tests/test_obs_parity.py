@@ -28,7 +28,7 @@ def _run_single_node(observe):
     simulation = Simulation(
         config=SimulationConfig(cache_mode="writeback"), observe=observe
     )
-    simulation.create_single_node_platform()
+    simulation.create_cluster_platform(1, with_nfs_server=False)
     service = simulation.create_storage_service("node1", "/local")
     app = synthetic_workflow(input_size=2 * GB)
     simulation.stage_file(app.input_files()[0], service)

@@ -78,7 +78,7 @@ def _three_file_chain():
                                    chunk_size=1 * MB),
         trace_interval=None,
     ))
-    sim.create_single_node_platform(memory_size=64 * GiB)
+    sim.create_cluster_platform(1, with_nfs_server=False, memory_size=64 * GiB)
     svc = sim.create_storage_service("node1", "/local")
     files = [File(f"f{i}", 1 * GB) for i in range(3)]
     sim.stage_file(files[0], svc)

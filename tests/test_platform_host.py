@@ -1,14 +1,16 @@
-"""Unit tests for CPU, Host and the platform builder."""
+"""Unit tests for CPU, Host, Platform and the paper's cluster."""
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.calibration import TABLE3_BANDWIDTHS
+from repro.experiments.harness import ScenarioConfig, build_simulation
 from repro.platform.cpu import CPU
 from repro.platform.host import Host
 from repro.platform.memory import MemoryDevice
-from repro.platform.platform import Platform, PlatformBuilder, concordia_cluster
+from repro.platform.platform import NETWORK_LATENCY, Platform, concordia_cluster
 from repro.platform.storage import Disk
-from repro.units import GB, GiB, MBps
+from repro.units import GiB, MBps
 
 
 class TestCPU:
@@ -26,15 +28,6 @@ class TestCPU:
             return env.now
 
         assert runner(env, proc(env)) == pytest.approx(4.4)
-
-    def test_compute_seconds_helper(self, env, runner):
-        cpu = CPU(env, cores=1, speed=1e9)
-
-        def proc(env):
-            yield cpu.compute_seconds(2.0)
-            return env.now
-
-        assert runner(env, proc(env)) == pytest.approx(2.0)
 
     def test_tasks_queue_when_cores_busy(self, env):
         cpu = CPU(env, cores=2, speed=1e9)
@@ -81,10 +74,6 @@ class TestCPU:
         assert env.now == 1.0
         assert cpu.busy_cores == 0
 
-    def test_duration_of(self, env):
-        cpu = CPU(env, speed=2e9)
-        assert cpu.duration_of(4e9) == pytest.approx(2.0)
-
 
 class TestHost:
     def test_disk_registration_and_lookup(self, env):
@@ -98,10 +87,9 @@ class TestHost:
             host.add_disk(disk, mount_point="/local")
 
     def test_memory_size_without_memory(self, env):
-        host = Host(env, "node1")
-        assert host.memory_size == 0.0
-        host.set_memory(MemoryDevice.symmetric(env, "ram", 1000 * MBps, size=GiB))
-        assert host.memory_size == GiB
+        assert Host(env, "node1").memory_size == 0.0
+        memory = MemoryDevice.symmetric(env, "ram", 1000 * MBps, size=GiB)
+        assert Host(env, "node2", memory=memory).memory_size == GiB
 
     def test_core_and_speed_properties(self, env):
         host = Host(env, "node1", cores=16, speed=2e9)
@@ -109,48 +97,13 @@ class TestHost:
         assert host.speed == 2e9
 
 
-class TestPlatformBuilder:
+class TestPlatform:
     def test_duplicate_host_rejected(self, env):
-        builder = PlatformBuilder(env).host("node1")
+        platform = Platform(env)
+        platform.add_host(Host(env, "node1"))
         with pytest.raises(ConfigurationError):
-            builder.host("node1")
-
-    def test_memory_requires_bandwidth(self, env):
-        with pytest.raises(ConfigurationError):
-            PlatformBuilder(env).host("node1", memory_size=GiB)
-
-    def test_disk_requires_bandwidth(self, env):
-        builder = PlatformBuilder(env).host("node1")
-        with pytest.raises(ConfigurationError):
-            builder.disk("node1", "ssd")
-
-    def test_route_requires_known_link(self, env):
-        builder = PlatformBuilder(env).host("a").host("b")
-        with pytest.raises(ConfigurationError):
-            builder.route("a", "b", ["missing"])
-
-    def test_full_platform(self, env):
-        platform = (
-            PlatformBuilder(env)
-            .host("node1", cores=32, memory_size=250 * GiB,
-                  memory_bandwidth=4812 * MBps)
-            .disk("node1", "ssd", bandwidth=465 * MBps, capacity=450 * GB,
-                  mount_point="/local")
-            .host("storage1", memory_size=250 * GiB, memory_bandwidth=4812 * MBps)
-            .disk("storage1", "nfs", bandwidth=445 * MBps, mount_point="/export")
-            .link("lan", 3000 * MBps)
-            .route("node1", "storage1", ["lan"])
-            .build()
-        )
-        assert isinstance(platform, Platform)
-        assert len(platform) == 2
-        assert platform.host("node1").disk("/local").read_bandwidth == 465 * MBps
-        assert platform.network.route("storage1", "node1").dst == "node1"
-
-    def test_unknown_host_lookup(self, env):
-        platform = PlatformBuilder(env).host("node1").build()
-        with pytest.raises(ConfigurationError):
-            platform.host("node2")
+            platform.add_host(Host(env, "node1"))
+        assert len(platform) == 1
 
 
 class TestConcordiaCluster:
@@ -186,7 +139,40 @@ class TestConcordiaCluster:
         assert disk.write_bandwidth == pytest.approx(420 * MBps)
         assert disk.read_channel is not disk.write_channel
 
+    def test_calibrated_reference_bandwidths(self):
+        # The calibrated reference passes measured, asymmetric bandwidths
+        # beside symmetric ones; the asymmetric ones win, on two channels.
+        simulation, _ = build_simulation("real", ScenarioConfig(
+            nfs=True, compute_nodes=2))
+        platform = simulation.platform
+        table = TABLE3_BANDWIDTHS
+        devices = [(platform.host(name).memory, table.memory)
+                   for name in ("node1", "node2", "storage1")]
+        devices += [(platform.host(name).disk("/local"), table.local_disk)
+                    for name in ("node1", "node2")]
+        devices.append((platform.host("storage1").disk("/export"),
+                        table.remote_disk))
+        for device, bandwidths in devices:
+            assert device.read_bandwidth == bandwidths.real_read
+            assert device.write_bandwidth == bandwidths.real_write
+            assert device.read_channel is not device.write_channel
+        link = platform.network.links["cluster_net"]
+        assert list(platform.network.links) == ["cluster_net"]
+        assert link.bandwidth == table.network.real_read
+        for name in ("node1", "node2"):
+            for route in (platform.network.route(name, "storage1"),
+                          platform.network.route("storage1", name)):
+                assert route.links == [link]
+                assert route.latency == NETWORK_LATENCY == 100e-6
+
     def test_sharing_flag_propagates(self, env):
-        platform = concordia_cluster(env, with_nfs_server=False, sharing=False)
-        disk = platform.host("node1").disk("/local")
-        assert disk.read_channel.sharing is False
+        platform = concordia_cluster(env, sharing=False)
+        for host in platform.hosts.values():
+            assert host.channels()
+            assert all(not channel.sharing for channel in host.channels())
+        assert platform.network.links["cluster_net"].channel.sharing is False
+
+    def test_unknown_host_lookup(self, env):
+        platform = concordia_cluster(env, with_nfs_server=False)
+        with pytest.raises(ConfigurationError):
+            platform.host("node2")

@@ -13,6 +13,8 @@ import pytest
 from repro.errors import ConfigurationError, SchedulingError
 from repro.filesystem.file import File
 from repro.pagecache.config import PageCacheConfig
+from repro.platform.host import Host
+from repro.platform.platform import Platform
 from repro.simulator.simulation import Simulation, SimulationConfig
 from repro.simulator.workflow import Task, Workflow
 from repro.snapshot import run_experiment
@@ -56,19 +58,15 @@ class TestFacadeWiring:
         platform = simulation.create_cluster_platform(3, with_nfs_server=False)
         assert sorted(platform.host_names()) == ["node1", "node2", "node3"]
 
-    def test_cluster_platform_rejects_conflicting_counts(self):
-        with pytest.raises(ConfigurationError):
-            Simulation().create_cluster_platform(3, compute_nodes=2)
-
     def test_submit_job_requires_a_scheduler(self):
         simulation = Simulation()
-        simulation.create_single_node_platform()
+        simulation.create_cluster_platform(1, with_nfs_server=False)
         with pytest.raises(ConfigurationError):
             simulation.submit_job(compute_workflow("job", 1.0))
 
     def test_stage_file_replicated_requires_a_scheduler(self):
         simulation = Simulation()
-        simulation.create_single_node_platform()
+        simulation.create_cluster_platform(1, with_nfs_server=False)
         with pytest.raises(ConfigurationError):
             simulation.stage_file_replicated(File("f", 1 * MB))
 
@@ -82,6 +80,13 @@ class TestFacadeWiring:
         simulation.create_cluster_platform(2, with_nfs_server=True)
         scheduler = simulation.create_cluster_scheduler()
         assert sorted(node.name for node in scheduler.nodes) == ["node1", "node2"]
+
+    def test_scheduler_needs_a_host_with_a_local_disk(self):
+        simulation = Simulation()
+        platform = simulation.set_platform(Platform(simulation.env))
+        platform.add_host(Host(simulation.env, "node1", cores=4))
+        with pytest.raises(ConfigurationError):
+            simulation.create_cluster_scheduler()
 
     def test_too_wide_job_is_rejected_at_submission(self):
         simulation = make_simulation(cores_per_node=4)

@@ -28,9 +28,8 @@ from repro.units import GiB, MB, MBps
 
 def cached_node(env, name: str, cores: int = 4) -> NodeState:
     """A node with a page cache the tests can populate directly."""
-    host = Host(env, name, cores=cores)
     memory = MemoryDevice.symmetric(env, f"{name}.ram", 4812 * MBps, size=16 * GiB)
-    host.set_memory(memory)
+    host = Host(env, name, cores=cores, memory=memory)
     host.memory_manager = MemoryManager(
         env, memory, PageCacheConfig(periodic_flushing=False), name=f"{name}.mm"
     )

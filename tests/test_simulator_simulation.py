@@ -52,13 +52,13 @@ class TestSimulationSetup:
 
     def test_run_requires_workflow(self):
         sim = Simulation(config=quiet_config())
-        sim.create_single_node_platform()
+        sim.create_cluster_platform(1, with_nfs_server=False)
         with pytest.raises(ConfigurationError):
             sim.run()
 
     def test_run_twice_rejected(self):
         sim = Simulation(config=quiet_config())
-        sim.create_single_node_platform()
+        sim.create_cluster_platform(1, with_nfs_server=False)
         svc = sim.create_storage_service("node1", "/local")
         workflow, input_file = simple_pipeline()
         sim.stage_file(input_file, svc)
@@ -69,13 +69,13 @@ class TestSimulationSetup:
 
     def test_unknown_cache_mode_for_service(self):
         sim = Simulation(config=quiet_config())
-        sim.create_single_node_platform()
+        sim.create_cluster_platform(1, with_nfs_server=False)
         with pytest.raises(ConfigurationError):
             sim.create_storage_service("node1", "/local", cache_mode="bogus")
 
     def test_missing_input_file_detected(self):
         sim = Simulation(config=quiet_config())
-        sim.create_single_node_platform()
+        sim.create_cluster_platform(1, with_nfs_server=False)
         svc = sim.create_storage_service("node1", "/local")
         workflow, input_file = simple_pipeline()
         # Input file intentionally not staged.
@@ -87,10 +87,11 @@ class TestSimulationSetup:
 class TestEndToEndExecution:
     def _run(self, cache_mode):
         sim = Simulation(config=quiet_config(cache_mode=cache_mode))
-        sim.create_single_node_platform(
+        sim.create_cluster_platform(
+            1, with_nfs_server=False,
             memory_size=16 * GiB,
             memory_bandwidth=1000 * MBps,
-            disk_bandwidth=100 * MBps,
+            local_disk_bandwidth=100 * MBps,
         )
         svc = sim.create_storage_service("node1", "/local")
         workflow, input_file = simple_pipeline()
@@ -163,10 +164,11 @@ class TestEndToEndExecution:
 class TestConcurrentWorkflows:
     def test_two_apps_share_the_disk(self):
         sim = Simulation(config=quiet_config(cache_mode="none"))
-        sim.create_single_node_platform(
+        sim.create_cluster_platform(
+            1, with_nfs_server=False,
             memory_size=16 * GiB,
             memory_bandwidth=1000 * MBps,
-            disk_bandwidth=100 * MBps,
+            local_disk_bandwidth=100 * MBps,
         )
         svc = sim.create_storage_service("node1", "/local")
         for index in range(2):
@@ -181,11 +183,12 @@ class TestConcurrentWorkflows:
 
     def test_compute_contention_with_single_core(self):
         sim = Simulation(config=quiet_config(cache_mode="none"))
-        sim.create_single_node_platform(
-            cores=1,
+        sim.create_cluster_platform(
+            1, with_nfs_server=False,
+            cores_per_node=1,
             memory_size=16 * GiB,
             memory_bandwidth=1000 * MBps,
-            disk_bandwidth=1000 * MBps,
+            local_disk_bandwidth=1000 * MBps,
         )
         svc = sim.create_storage_service("node1", "/local")
         compute_heavy = Workflow("hog")
@@ -273,7 +276,7 @@ class TestOneChunkSize:
     @pytest.mark.parametrize("cache_mode", ["writeback", "writethrough"])
     def test_local_app(self, cache_mode):
         sim = self.simulation()
-        sim.create_single_node_platform()
+        sim.create_cluster_platform(1, with_nfs_server=False)
         svc = sim.create_storage_service("node1", "/local",
                                          cache_mode=cache_mode)
         workflow, source = self.one_task_app()
@@ -308,10 +311,11 @@ class TestMemoryTracing:
             page_cache=PageCacheConfig(periodic_flushing=False),
             trace_interval=1.0,
         ))
-        sim.create_single_node_platform(
+        sim.create_cluster_platform(
+            1, with_nfs_server=False,
             memory_size=16 * GiB,
             memory_bandwidth=1000 * MBps,
-            disk_bandwidth=100 * MBps,
+            local_disk_bandwidth=100 * MBps,
         )
         svc = sim.create_storage_service("node1", "/local")
         workflow, input_file = simple_pipeline()
@@ -344,11 +348,12 @@ def scripted_tasks(monkeypatch, script):
 def compute_simulation(*workflows):
     """A four-core node without page cache running ``workflows``."""
     sim = Simulation(config=quiet_config(cache_mode="none"))
-    sim.create_single_node_platform(
-        cores=4,
+    sim.create_cluster_platform(
+        1, with_nfs_server=False,
+        cores_per_node=4,
         memory_size=16 * GiB,
         memory_bandwidth=1000 * MBps,
-        disk_bandwidth=100 * MBps,
+        local_disk_bandwidth=100 * MBps,
     )
     svc = sim.create_storage_service("node1", "/local")
     for workflow in workflows:

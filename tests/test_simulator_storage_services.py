@@ -16,12 +16,11 @@ from repro.units import GB, MBps
 
 
 def make_host(env, name, with_memory=True, memory_size=10 * GB):
-    host = Host(env, name, cores=4)
-    if with_memory:
-        host.set_memory(
-            MemoryDevice.symmetric(env, f"{name}.ram", 1000 * MBps,
-                                   size=memory_size)
-        )
+    memory = (
+        MemoryDevice.symmetric(env, f"{name}.ram", 1000 * MBps, size=memory_size)
+        if with_memory else None
+    )
+    host = Host(env, name, cores=4, memory=memory)
     disk = Disk.symmetric(env, f"{name}.ssd", 100 * MBps, capacity=100 * GB)
     host.add_disk(disk, mount_point="/data")
     return host, disk
