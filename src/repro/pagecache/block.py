@@ -11,15 +11,17 @@ operation or an eviction/flush decision only covers part of a block.
 Since the extent rebuild of the LRU lists, blocks are the *fragments* of
 :class:`~repro.pagecache.extents.ExtentRun` rows: the run — a maximal row
 of consecutive same-file, same-state blocks — is the LRU-list node, and
-each block records the run holding it (``_run``) plus its per-list
-insertion stamp (``_stamp``), which breaks last-access ties in the LRU
-order.  Blocks keep their exact individual sizes inside the run, which is
-what makes run coalescing lossless: joining runs moves fragments around
-without performing any byte arithmetic.
+each block records the run holding it (``_run``).  The per-list insertion
+stamp that breaks last-access ties in the LRU order is not the block's:
+the run keeps it in a stamp row index-aligned with its fragments.  Blocks
+keep their exact individual sizes inside the run, which is what makes run
+coalescing lossless: joining runs moves fragments around without
+performing any byte arithmetic.
 
 A cache holds one block per fragment, hundreds of thousands of them on a
-paper-scale run, so a block carries only the slots above and no id: the
-object is its own identity.
+paper-scale run, so a block carries only the slots above, no id and no
+stamp: the object is its own identity, and a cached chunk costs this one
+object.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ class Block:
     """
 
     __slots__ = ("filename", "size", "entry_time", "last_access", "dirty",
-                 "storage", "_run", "_stamp")
+                 "storage", "_run")
 
     def __init__(self, filename: str, size: float, entry_time: float,
                  last_access: Optional[float] = None, dirty: bool = False,
@@ -62,11 +64,9 @@ class Block:
         self.dirty = bool(dirty)
         self.storage = storage
         # Owned by repro.pagecache.lru.LRUList: the extent run holding the
-        # block (None while uncached) and the per-list insertion stamp that
-        # breaks last-access ties.  A block belongs to at most one run — and
-        # therefore one list — at a time.
+        # block (None while uncached).  A block belongs to at most one run
+        # — and therefore one list — at a time.
         self._run: Any = None
-        self._stamp = 0
 
     # ------------------------------------------------------------------- api
     def touch(self, now: float) -> None:

@@ -8,8 +8,8 @@ heaps and referenced by the per-file index, so the structural cost of
 the cache scales with the number of live (file, state) streams, not with
 ``bytes / chunk_size``.
 
-Ordering is *by key, not by links*.  Every fragment carries its total
-LRU position ``(last_access, stamp)`` — the stamp is a per-list monotone
+Ordering is *by key, not by links*.  Every fragment has a total LRU
+position ``(last_access, stamp)`` — the stamp is a per-list monotone
 counter that breaks last-access ties in insertion order, exactly as the
 historical one-block-per-list-node implementation did.  Since that key
 defines the complete order, the global linked list of the old
@@ -21,6 +21,13 @@ fragment whose key falls inside the row is inserted at its sorted
 position, and consumption carves the front — so a cache holds at most
 ``files x 2`` runs per list no matter how many concurrent streams
 interleave their chunks.
+
+Stamps live in their run.  The fragment keeps its ``last_access``; the
+run keeps the stamps in an ``array("q")`` row index-aligned with the
+fragment row, so a cached chunk costs one object (its
+:class:`~repro.pagecache.block.Block`) and an 8-byte stamp slot instead
+of a block plus an int object.  Every edit of the fragment row edits the
+stamp row at the same index.
 
 Losslessness.  Fragments keep their exact, individually recorded byte
 sizes and metadata; joining a run moves a fragment, it never sums sizes.
@@ -35,14 +42,15 @@ mode).
 
 Consumption model.  All hot-path consumption carves fragments off the
 *front* of runs: ``frags[head]`` with a moving ``head`` cursor and
-periodic compaction, so consuming a fragment is O(1) amortized.  A run
-dies when its last fragment goes and is never reused: its ``_list``
-stays ``None`` for good, which fences every stale reference a heap entry
-or a cursor may still hold.
+periodic compaction of both rows, so consuming a fragment is O(1)
+amortized.  A run dies when its last fragment goes and is never reused:
+its ``_list`` stays ``None`` for good, which fences every stale
+reference a heap entry or a cursor may still hold.
 """
 
 from __future__ import annotations
 
+from array import array
 from heapq import heapify, heappop, heappush
 from typing import FrozenSet, List, Optional, Tuple
 
@@ -58,16 +66,19 @@ class ExtentRun:
 
     The fragment row ``frags[head:]`` holds the live fragments, oldest
     first; slots before ``head`` are consumed (cleared to ``None``) and
-    reclaimed in bulk.  ``_list`` is the owning
-    :class:`~repro.pagecache.lru.LRUList` (``None`` once dead).
+    reclaimed in bulk.  ``stamps`` is the stamp row: ``stamps[i]`` is the
+    per-list insertion stamp of ``frags[i]``, and both rows always have
+    the same length (a consumed slot keeps a stale stamp).  ``_list`` is
+    the owning :class:`~repro.pagecache.lru.LRUList` (``None`` once dead).
     """
 
-    __slots__ = ("filename", "dirty", "frags", "head", "_list")
+    __slots__ = ("filename", "dirty", "frags", "stamps", "head", "_list")
 
     def __init__(self, filename: str, dirty: bool):
         self.filename = filename
         self.dirty = dirty
         self.frags: List[Optional[Block]] = []
+        self.stamps = array("q")
         self.head = 0
         self._list = None
 
@@ -75,6 +86,18 @@ class ExtentRun:
     def fragments(self) -> List[Block]:
         """Snapshot of the live fragments, oldest first."""
         return self.frags[self.head:]
+
+    def keyed(self) -> List[Tuple[Tuple[float, int], Block]]:
+        """Snapshot of the live fragments with their ``(last_access,
+        stamp)`` position keys, oldest first."""
+        frags, stamps = self.frags, self.stamps
+        return [((frags[index].last_access, stamps[index]), frags[index])
+                for index in range(self.head, len(frags))]
+
+    def front_key(self) -> Tuple[float, int]:
+        """Position key of the live front fragment."""
+        head = self.head
+        return (self.frags[head].last_access, self.stamps[head])
 
     def length(self) -> float:
         """Run length in bytes: the left-to-right sum of fragment sizes.
@@ -89,9 +112,11 @@ class ExtentRun:
         return total
 
     def compact(self) -> None:
-        """Reclaim the consumed slots at the front of the fragment row."""
-        if self.head:
-            del self.frags[:self.head]
+        """Reclaim the consumed slots at the front of both rows."""
+        head = self.head
+        if head:
+            del self.frags[:head]
+            del self.stamps[:head]
             self.head = 0
 
     def __repr__(self) -> str:
@@ -142,17 +167,19 @@ class StateHeap:
         run = entry[3]
         if run._list is not self.owner:
             return False
+        head = run.head
         frags = run.frags
-        if run.head >= len(frags):
+        if head >= len(frags):
             return False
-        front = frags[run.head]
-        return front._stamp == entry[1] and front.last_access == entry[0]
+        return (run.stamps[head] == entry[1]
+                and frags[head].last_access == entry[0])
 
     def push(self, run: ExtentRun) -> None:
-        front = run.frags[run.head]
+        head = run.head
         seq = self._seq
         self._seq = seq + 1
-        heappush(self.heap, (front.last_access, front._stamp, seq, run))
+        heappush(self.heap, (run.frags[head].last_access, run.stamps[head],
+                             seq, run))
         # Sweep tombstones once they dominate; keeps the heap O(live).
         if len(self.heap) > 2 * self.live + 64:
             self.heap = [e for e in self.heap if self._is_live(e)]
@@ -214,10 +241,12 @@ class StateCursor:
         heap = self.heap
         run = self.run
         if run is not None:
-            if run._list is heap.owner and run.head < len(run.frags):
-                front = run.frags[run.head]
+            head = run.head
+            if run._list is heap.owner and head < len(run.frags):
+                front = run.frags[head]
                 limit = self.limit
-                if limit is None or (front.last_access, front._stamp) < limit:
+                if (limit is None
+                        or (front.last_access, run.stamps[head]) < limit):
                     return front
                 # Another run's front is older: re-enqueue and switch.
                 heap.push(run)
@@ -274,29 +303,36 @@ class FileCursor:
         self.dirty = index.dirty if index is not None else None
         self.stamp_bound = stamp_bound
 
-    def _front(self, run: Optional[ExtentRun]) -> Optional[Block]:
+    def _front_stamp(self, run: Optional[ExtentRun]) -> Optional[int]:
+        """The stamp of ``run``'s front fragment, or ``None`` when the run
+        is gone, exhausted or fronted by a fragment linked after the
+        cursor's creation."""
         if run is None or run._list is not self.owner:
             return None
-        frags = run.frags
-        if run.head >= len(frags):
+        head = run.head
+        if head >= len(run.frags):
             return None
-        front = frags[run.head]
-        if front._stamp >= self.stamp_bound:
+        stamp = run.stamps[head]
+        if stamp >= self.stamp_bound:
             return None
-        return front
+        return stamp
 
     def next(self) -> Optional[Block]:
-        clean_front = self._front(self.clean)
-        if clean_front is None:
+        clean, dirty = self.clean, self.dirty
+        clean_stamp = self._front_stamp(clean)
+        if clean_stamp is None:
             self.clean = None
-        dirty_front = self._front(self.dirty)
-        if dirty_front is None:
+        dirty_stamp = self._front_stamp(dirty)
+        if dirty_stamp is None:
             self.dirty = None
-        if clean_front is None:
+            if clean_stamp is None:
+                return None
+            return clean.frags[clean.head]
+        dirty_front = dirty.frags[dirty.head]
+        if clean_stamp is None:
             return dirty_front
-        if dirty_front is None:
-            return clean_front
-        if (clean_front.last_access, clean_front._stamp) <= (
-                dirty_front.last_access, dirty_front._stamp):
+        clean_front = clean.frags[clean.head]
+        if (clean_front.last_access, clean_stamp) <= (
+                dirty_front.last_access, dirty_stamp):
             return clean_front
         return dirty_front

@@ -12,8 +12,10 @@ totally ordered by ``(last_access, stamp)`` — the per-list monotone
 pre-extent one-block-per-list-node implementation did (this is the order
 the parity suite in ``tests/test_pagecache_parity.py`` pins).  Storage is
 by :class:`~repro.pagecache.extents.ExtentRun`: one sorted fragment row
-per (file, state), so the structural cost of the cache scales with the
-number of live streams, not with ``bytes / chunk_size``:
+per (file, state), with the fragments' stamps in an index-aligned stamp
+row of the run (a block holds no stamp of its own), so the structural
+cost of the cache scales with the number of live streams, not with
+``bytes / chunk_size``:
 
 * appending a fragment (the sequential read/write hot path) is a list
   append into its file's run — no list-node, index or heap traffic, no
@@ -42,7 +44,8 @@ promotion, demotion and balancing.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from operator import itemgetter
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import CacheConsistencyError
 from repro.pagecache.block import Block
@@ -64,9 +67,10 @@ from repro.pagecache.tolerances import (
 ACTIVE_TO_INACTIVE_RATIO = 2.0
 
 
-def _order_key(block: Block):
-    """Exact LRU-position key of a fragment within its list."""
-    return (block.last_access, block._stamp)
+def _in_key_order(keyed: List[Tuple[Tuple[float, int], Block]]) -> List[Block]:
+    """The fragments of ``(key, fragment)`` pairs, sorted by key."""
+    keyed.sort(key=itemgetter(0))
+    return [frag for _key, frag in keyed]
 
 
 class LRUList:
@@ -138,13 +142,12 @@ class LRUList:
     @property
     def blocks(self) -> List[Block]:
         """The fragments in LRU order (oldest first).  O(n log n) snapshot."""
-        frags: List[Block] = []
+        keyed = []
         for index in self._file_runs.values():
             for run in (index.clean, index.dirty):
                 if run is not None:
-                    frags.extend(run.frags[run.head:])
-        frags.sort(key=_order_key)
-        return frags
+                    keyed.extend(run.keyed())
+        return _in_key_order(keyed)
 
     def runs(self) -> List[ExtentRun]:
         """The live extent runs, ordered by their front key (snapshot)."""
@@ -153,14 +156,19 @@ class LRUList:
             for run in (index.clean, index.dirty):
                 if run is not None:
                     result.append(run)
-        result.sort(key=lambda run: _order_key(run.frags[run.head]))
+        result.sort(key=ExtentRun.front_key)
         return result
 
     # ----------------------------------------------------------- run plumbing
-    def _new_run(self, index: RunIndex, filename: str, dirty: bool) -> ExtentRun:
-        """A fresh run registered for ``filename``."""
-        run = ExtentRun(filename, dirty)
+    def _new_run(self, index: RunIndex, block: Block, stamp: int) -> None:
+        """Found the run of ``block``'s file and state, holding ``block``
+        with ``stamp``, and register it in ``index``."""
+        dirty = block.dirty
+        run = ExtentRun(block.filename, dirty)
         run._list = self
+        run.frags.append(block)
+        run.stamps.append(stamp)
+        block._run = run
         if dirty:
             index.dirty = run
             self._dirty_heap.live += 1
@@ -169,7 +177,6 @@ class LRUList:
             self._clean_heap.live += 1
         self._run_count += 1
         self._pending_repush[run] = None
-        return run
 
     def _kill_run(self, run: ExtentRun) -> None:
         """Retire an exhausted run for good; its heap entries and any
@@ -191,6 +198,7 @@ class LRUList:
         self._pending_repush.pop(run, None)
         if run.frags:
             run.frags.clear()
+            del run.stamps[:]
         run.head = 0
 
     def _flush_pending(self) -> None:
@@ -205,31 +213,35 @@ class LRUList:
         pending.clear()
 
     # ------------------------------------------------------------- insertion
-    def _join_run(self, run: ExtentRun, block: Block, last_access: float,
+    def _join_run(self, run: ExtentRun, block: Block, stamp: int,
                   full_key: bool) -> None:
-        """Insert ``block`` at its sorted position in ``run``'s row.
+        """Insert ``block`` with ``stamp`` at its sorted position in
+        ``run``'s rows.
 
-        With ``full_key=False`` the block carries a fresher stamp than
-        every fragment in the list, so ties on ``last_access`` resolve to
-        "after" and the search compares access times only (the
-        :meth:`append` contract).  With ``full_key=True`` the block
-        keeps an old stamp (a state change moving it between runs) and
-        the search compares the complete ``(last_access, stamp)`` key.
+        With ``full_key=False`` the stamp is fresher than every stamp in
+        the list, so ties on ``last_access`` resolve to "after" and the
+        search compares access times only (the :meth:`append` contract).
+        With ``full_key=True`` the block keeps an old stamp (a state
+        change moving it between runs) and the search compares the
+        complete ``(last_access, stamp)`` key.
         """
         frags = run.frags
-        back = frags[-1]
-        if (last_access > back.last_access
-                or (last_access == back.last_access
-                    and (not full_key or block._stamp > back._stamp))):
+        stamps = run.stamps
+        last_access = block.last_access
+        back_access = frags[-1].last_access
+        if (last_access > back_access
+                or (last_access == back_access
+                    and (not full_key or stamp > stamps[-1]))):
             frags.append(block)
+            stamps.append(stamp)
         else:
-            lo, hi = run.head, len(frags)
+            head = run.head
+            lo, hi = head, len(frags)
             if full_key:
-                key = (last_access, block._stamp)
+                key = (last_access, stamp)
                 while lo < hi:
                     mid = (lo + hi) // 2
-                    entry = frags[mid]
-                    if (entry.last_access, entry._stamp) <= key:
+                    if (frags[mid].last_access, stamps[mid]) <= key:
                         lo = mid + 1
                     else:
                         hi = mid
@@ -240,16 +252,20 @@ class LRUList:
                         lo = mid + 1
                     else:
                         hi = mid
-            if lo == run.head:
+            if lo == head:
                 # New front: reuse a consumed slot when one is available.
-                if run.head:
-                    run.head -= 1
-                    frags[run.head] = block
+                if head:
+                    head -= 1
+                    run.head = head
+                    frags[head] = block
+                    stamps[head] = stamp
                 else:
                     frags.insert(0, block)
+                    stamps.insert(0, stamp)
                 self._pending_repush[run] = None
             else:
                 frags.insert(lo, block)
+                stamps.insert(lo, stamp)
         block._run = run
 
     def append(self, block: Block) -> None:
@@ -264,8 +280,8 @@ class LRUList:
             raise CacheConsistencyError(
                 f"block {block!r} is already in an LRU list"
             )
-        block._stamp = self._next_stamp
-        self._next_stamp += 1
+        stamp = self._next_stamp
+        self._next_stamp = stamp + 1
         dirty = block.dirty
         filename = block.filename
         index = self._file_runs.get(filename)
@@ -273,11 +289,9 @@ class LRUList:
             index = self._file_runs[filename] = RunIndex()
         run = index.dirty if dirty else index.clean
         if run is None:
-            run = self._new_run(index, filename, dirty)
-            run.frags.append(block)
-            block._run = run
+            self._new_run(index, block, stamp)
         else:
-            self._join_run(run, block, block.last_access, False)
+            self._join_run(run, block, stamp, False)
             self.merges += 1
         self._length += 1
         size = block.size
@@ -288,18 +302,21 @@ class LRUList:
         per_file[filename] = per_file.get(filename, 0.0) + size
 
     # --------------------------------------------------------------- removal
-    def _carve_out(self, block: Block) -> None:
-        """Structurally remove ``block`` from its run (no accounting).
+    def _carve_out(self, block: Block) -> int:
+        """Structurally remove ``block`` from its run (no accounting) and
+        return its stamp.
 
         Front removals advance the run's head slot (O(1) amortized, with
         compaction and a deferred heap re-push); back and middle
-        removals edit the row in place; an emptied run is retired.  The
+        removals edit both rows in place; an emptied run is retired.  The
         caller validates ownership and settles the byte accounting.
         """
         run = block._run
         frags = run.frags
+        stamps = run.stamps
         head = run.head
         if frags[head] is block:
+            stamp = stamps[head]
             frags[head] = None
             head += 1
             run.head = head
@@ -311,10 +328,13 @@ class LRUList:
                 self._pending_repush[run] = None
         elif frags[-1] is block:
             frags.pop()
+            stamp = stamps.pop()
         else:
             idx = frags.index(block, head + 1, len(frags) - 1)
             del frags[idx]
+            stamp = stamps.pop(idx)
         block._run = None
+        return stamp
 
     def remove(self, block: Block) -> None:
         """Remove ``block`` from the list (O(1) at a run boundary)."""
@@ -399,19 +419,17 @@ class LRUList:
         # Carve out of the dirty run (no byte accounting: the bytes stay
         # cached) and rejoin the clean run at the same position key (the
         # stamp is old, so the search uses the complete key).
-        self._carve_out(block)
+        stamp = self._carve_out(block)
         filename = block.filename
         index = self._file_runs.get(filename)
         if index is None:
             index = self._file_runs[filename] = RunIndex()
         clean = index.clean
         if clean is None:
-            clean = self._new_run(index, filename, False)
-            clean.frags.append(block)
-            block._run = clean
+            self._new_run(index, block, stamp)
         else:
             # A state change, not a coalescing event: `merges` unchanged.
-            self._join_run(clean, block, block.last_access, True)
+            self._join_run(clean, block, stamp, True)
 
     # --------------------------------------------------------------- queries
     def cached_of_file(self, filename: str) -> float:
@@ -427,15 +445,11 @@ class LRUList:
         index = self._file_runs.get(filename)
         if index is None:
             return []
-        clean = index.clean.fragments() if index.clean is not None else []
-        dirty = index.dirty.fragments() if index.dirty is not None else []
-        if not dirty:
-            return clean
-        if not clean:
-            return dirty
-        merged = clean + dirty
-        merged.sort(key=_order_key)
-        return merged
+        if index.dirty is None:
+            return index.clean.fragments()
+        if index.clean is None:
+            return index.dirty.fragments()
+        return _in_key_order(index.clean.keyed() + index.dirty.keyed())
 
     def expired_blocks(self, now: float, expiration: float) -> List[Block]:
         """Dirty fragments at least ``expiration`` seconds old, in LRU order.
@@ -445,15 +459,14 @@ class LRUList:
         keeps its entry time), so no prefix of the dirty order holds all
         the expired fragments.
         """
-        blocks: List[Block] = []
+        keyed = []
         for index in self._file_runs.values():
             run = index.dirty
             if run is not None:
-                for frag in run.frags[run.head:]:
+                for key, frag in run.keyed():
                     if (now - frag.entry_time) >= expiration:
-                        blocks.append(frag)
-        blocks.sort(key=_order_key)
-        return blocks
+                        keyed.append((key, frag))
+        return _in_key_order(keyed)
 
     # --------------------------------------------------------------- cursors
     def clean_cursor(self, exclude_files: Iterable[str] = ()) -> StateCursor:
@@ -516,8 +529,14 @@ class LRUList:
                     raise CacheConsistencyError(
                         f"empty run {run!r} stored in LRU list {self.name!r}"
                     )
+                if len(run.stamps) != len(frags):
+                    raise CacheConsistencyError(
+                        f"run {run!r} of {self.name!r} has {len(run.stamps)} "
+                        f"stamps for {len(frags)} fragment slots"
+                    )
                 previous_key = None
-                for frag in frags[run.head:]:
+                for slot in range(run.head, len(frags)):
+                    frag = frags[slot]
                     if frag is None or frag._run is not run:
                         raise CacheConsistencyError(
                             f"fragment ownership violation in run {run!r} "
@@ -534,7 +553,7 @@ class LRUList:
                             f"non-positive fragment size in {self.name!r}: "
                             f"{frag!r}"
                         )
-                    key = (frag.last_access, frag._stamp)
+                    key = (frag.last_access, run.stamps[slot])
                     if previous_key is not None and key <= previous_key:
                         raise CacheConsistencyError(
                             f"run {run!r} of {self.name!r} out of order at "

@@ -483,7 +483,10 @@ class MemoryManager:
         """
         now = self.env.now
         remaining = amount
-        merged_clean_size = 0.0
+        # The sum of the clean sizes starts at the first one, so a hit
+        # that consumes one clean fragment keeps that fragment's size
+        # float (the same value as ``0.0 + size``, without a new object).
+        merged_clean_size: Optional[float] = None
         merged_entry_time = now
         merged_storage = None
 
@@ -520,12 +523,15 @@ class MemoryManager:
                 else:
                     if block.entry_time < merged_entry_time:
                         merged_entry_time = block.entry_time
-                    merged_clean_size += taken
+                    if merged_clean_size is None:
+                        merged_clean_size = taken
+                    else:
+                        merged_clean_size += taken
                     if block.storage is not None:
                         merged_storage = block.storage
                 remaining -= taken
 
-        if merged_clean_size > 0:
+        if merged_clean_size is not None:
             merged = Block(
                 filename,
                 merged_clean_size,

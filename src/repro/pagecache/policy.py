@@ -243,9 +243,7 @@ class LRUPolicy(EvictionPolicy):
         files = self._evictable_files(lru, excluded)
 
         def front_key(name: str) -> Tuple[float, int]:
-            run = lru._file_runs[name].clean
-            front = run.frags[run.head]
-            return (front.last_access, front._stamp)
+            return lru._file_runs[name].clean.front_key()
 
         files.sort(key=front_key)
         return files

@@ -9,8 +9,25 @@ on for simulating concurrent applications.
 
 The channel recomputes the remaining work of every active flow whenever a
 flow starts or completes, and schedules a single "next completion" waker
-process.  The cost of the model is therefore proportional to the number of
+timeout.  The cost of the model is therefore proportional to the number of
 flow arrivals/departures, not to the amount of data transferred.
+
+Event budget.  A transfer that finds its channel idle schedules its
+completion waker at once.  The waker thereby takes its queue position at
+the arrival rather than at the end of the arrival's event cascade: when
+the completion ties with an event scheduled later in that cascade for the
+same instant, the waker now comes first.  Arrivals on a busy channel queue one
+same-instant sentinel (urgent priority, zero delay) that recomputes the
+next completion after every arrival of the instant, so a burst of ``n``
+concurrent transfers costs one completion scan instead of ``n``.  A
+wake-up that completes exactly one flow holds that flow's completion
+event back and, once the channel has rescheduled, runs its callbacks
+right there when no other event is due at the same instant; a pushed
+event would have been the next one popped, so every event keeps its
+order and only the queue round trip is saved.  Otherwise (another event
+due now, or two or more flows finishing together) the completions are
+pushed in flow order.  An uncontended transfer therefore costs one queue
+entry, its waker.
 
 A channel can also be configured with ``sharing=False``, in which case each
 transfer proceeds at the full bandwidth regardless of contention.  This
@@ -96,6 +113,11 @@ class FairShareChannel:
         #: completion once, at the end of the cascade, instead of once per
         #: arrival.
         self._resched_queued = False
+        #: Set during a wake-up while its completions may still be held:
+        #: the first completion goes to ``_held`` instead of the queue,
+        #: and a second one pushes both (see :meth:`_on_wake`).
+        self._hold = False
+        self._held: Optional[Event] = None
         # Statistics
         self.total_transferred = 0.0
         self.total_flows = 0
@@ -150,24 +172,32 @@ class FairShareChannel:
         flow = Flow(amount, done, now, label=label)
         if self._busy_since is None:
             self._busy_since = now
-        self._flows.append(flow)
+        flows = self._flows
+        idle = not flows
+        flows.append(flow)
         self.total_flows += 1
+        if self._resched_queued:
+            return done
+        if idle:
+            # Schedule the completion at once; a second arrival in this
+            # instant tombstones the waker and queues the sentinel.
+            self._reschedule()
+            return done
         # Defer the reschedule to the end of the current event cascade: a
         # sentinel event at the same instant (urgent priority, zero
         # delay) fires after every same-time arrival has been added, so a
         # burst of n concurrent transfers costs one completion scan and
         # one waker timeout instead of n.  No simulated time can pass
         # before the sentinel runs.
-        if not self._resched_queued:
-            self._resched_queued = True
-            waker = self._waker_timeout
-            if waker is not None:
-                waker._defunct = True
-                self._waker_timeout = None
-            sentinel = Event(env)
-            sentinel._ok = True
-            sentinel.callbacks.append(self._on_deferred_reschedule)
-            env.schedule(sentinel, priority=URGENT)
+        self._resched_queued = True
+        waker = self._waker_timeout
+        if waker is not None:
+            waker._defunct = True
+            self._waker_timeout = None
+        sentinel = Event(env)
+        sentinel._ok = True
+        sentinel.callbacks.append(self._on_deferred_reschedule)
+        env.schedule(sentinel, priority=URGENT)
         return done
 
     def _on_deferred_reschedule(self, _event: Event) -> None:
@@ -275,11 +305,26 @@ class FairShareChannel:
                 kept.append(flow)
         if finished:
             self._flows = kept
-            now = self.env._now
-            observer = self.env.observer
+            env = self.env
+            now = env._now
+            observer = env.observer
             for flow in finished:
                 flow.remaining = 0.0
-                flow.event.succeed(now - flow.start_time)
+                done = flow.event
+                if not self._hold:
+                    done.succeed(now - flow.start_time)
+                elif self._held is None:
+                    # The wake-up's first completion: held back.
+                    done._ok = True
+                    done._value = now - flow.start_time
+                    self._held = done
+                else:
+                    # A second completion: the wake-up pushes all of its
+                    # completions, in flow order.
+                    env.schedule(self._held)
+                    self._held = None
+                    self._hold = False
+                    done.succeed(now - flow.start_time)
                 if observer is not None:
                     observer.complete(
                         flow.label or "transfer", "flow",
@@ -335,8 +380,24 @@ class FairShareChannel:
     def _on_wake(self, _event: Event) -> None:
         self._waker_timeout = None
         self._update_progress()
+        self._hold = True
         self._complete_finished_flows()
         self._reschedule()
+        self._hold = False
+        done = self._held
+        if done is None:
+            return
+        self._held = None
+        env = self.env
+        if env.peek() > env._now:
+            # Pushed, ``done`` would be the next event popped: run its
+            # callbacks now, as the event loop would, and save the queue
+            # round trip.
+            callbacks, done.callbacks = done.callbacks, None
+            for callback in callbacks:
+                callback(done)
+        else:
+            env.schedule(done)
 
     def __repr__(self) -> str:
         return (

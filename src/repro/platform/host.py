@@ -28,19 +28,17 @@ class Host:
     name:
         Unique host name.
     cores:
-        Number of CPU cores.
-    speed:
-        Per-core speed in flops/s.
+        Number of CPU cores.  Each starts at ``CPU.DEFAULT_SPEED``;
+        stragglers change it with ``host.cpu.set_speed``.
     memory:
         The host's :class:`~repro.platform.memory.MemoryDevice`.
     """
 
     def __init__(self, env: Environment, name: str, *, cores: int = 1,
-                 speed: float = CPU.DEFAULT_SPEED,
                  memory: Optional[MemoryDevice] = None):
         self.env = env
         self.name = name
-        self.cpu = CPU(env, cores=cores, speed=speed, name=f"{name}.cpu")
+        self.cpu = CPU(env, cores=cores, name=f"{name}.cpu")
         self.memory = memory
         self.disks: Dict[str, Disk] = {}
         #: Set by the simulator layer when page caching is enabled.
@@ -50,14 +48,14 @@ class Host:
         self.up = True
 
     # -------------------------------------------------------------- building
-    def add_disk(self, disk: Disk, mount_point: Optional[str] = None) -> Disk:
-        """Attach a disk under ``mount_point`` (defaults to the disk name)."""
-        key = mount_point or disk.name
-        if key in self.disks:
+    def add_disk(self, disk: Disk, mount_point: str) -> Disk:
+        """Attach a disk under ``mount_point``."""
+        if mount_point in self.disks:
             raise ConfigurationError(
-                f"host {self.name!r} already has a disk mounted at {key!r}"
+                f"host {self.name!r} already has a disk mounted at "
+                f"{mount_point!r}"
             )
-        self.disks[key] = disk
+        self.disks[mount_point] = disk
         return disk
 
     def disk(self, mount_point: str) -> Disk:

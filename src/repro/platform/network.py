@@ -71,8 +71,8 @@ class Route:
 class Network:
     """Registry of links and host-to-host routes.
 
-    Routes are symmetric by default: registering a route from ``a`` to ``b``
-    also registers the reverse route unless ``symmetric=False``.
+    Routes are symmetric: registering a route from ``a`` to ``b`` also
+    registers the reverse route over the same links.
     """
 
     def __init__(self, env: Environment):
@@ -89,13 +89,11 @@ class Network:
         self.links[name] = link
         return link
 
-    def add_route(self, src: str, dst: str, links: List[Link],
-                  symmetric: bool = True) -> Route:
-        """Register a route between two hosts."""
+    def add_route(self, src: str, dst: str, links: List[Link]) -> Route:
+        """Register a route between two hosts, in both directions."""
         route = Route(src, dst, links)
         self._routes[(src, dst)] = route
-        if symmetric:
-            self._routes[(dst, src)] = Route(dst, src, list(reversed(links)))
+        self._routes[(dst, src)] = Route(dst, src, list(reversed(links)))
         return route
 
     def route(self, src: str, dst: str) -> Route:

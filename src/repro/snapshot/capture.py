@@ -135,9 +135,8 @@ def _capture_lru(lru) -> Dict[str, Any]:
                 "file": run.filename,
                 "dirty": bool(run.dirty),
                 "fragments": [
-                    [block.size, block.entry_time, block.last_access,
-                     block._stamp]
-                    for block in run.fragments()
+                    [block.size, block.entry_time, block.last_access, stamp]
+                    for (_access, stamp), block in run.keyed()
                 ],
             }
             for run in lru.runs()

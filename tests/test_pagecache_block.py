@@ -103,4 +103,7 @@ class TestFragmentFootprint:
         finally:
             tracemalloc.stop()
         assert (lists.fragment_count, lists.run_count) == (3000, 3)
-        assert growth / lists.fragment_count <= 180
+        # About 139-141 bytes on Python 3.9-3.13: the block and its share
+        # of the run's fragment and stamp rows (the stamp is an 8-byte
+        # array slot, not an int object of the block's).
+        assert growth / lists.fragment_count <= 150

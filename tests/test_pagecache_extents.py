@@ -201,6 +201,17 @@ class TestZeroLengthInvariants:
         with pytest.raises(CacheConsistencyError):
             lru.assert_consistent()
 
+    def test_assert_consistent_rejects_a_misaligned_stamp_row(self):
+        lru = LRUList()
+        block = make_block("f", 10.0)
+        lru.append(block)
+        lru.append(make_block("f", 10.0, access=1.0))
+        lru.assert_consistent()
+        # One stamp per fragment slot, consumed slots included.
+        block._run.stamps.append(99)
+        with pytest.raises(CacheConsistencyError):
+            lru.assert_consistent()
+
     def test_fragment_sizes_must_stay_positive(self):
         lru = LRUList()
         block = make_block("f", 10.0)

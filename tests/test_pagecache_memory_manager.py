@@ -323,6 +323,17 @@ class TestCacheReads:
         assert len(active_blocks) + len(inactive_blocks) <= 2
         assert mm.cached_amount("f") == pytest.approx(1 * GB)
 
+    def test_one_fragment_hit_keeps_the_fragment_size(self, setup):
+        _, mm, disk = setup
+        mm.add_to_cache("f", 0.5 * GB, disk)
+        size = mm.lists.inactive.blocks_of_file("f")[0].size
+        mm.lists.balance_enabled = False
+        mm.take_from_cache("f", 0.5 * GB)
+        # The merged block of a hit on one clean fragment holds that
+        # fragment's own size float, not a fresh ``0.0 + size``.
+        (merged,) = mm.lists.active.blocks_of_file("f")
+        assert merged.size is size
+
     def test_read_moves_dirty_blocks_individually(self, setup):
         _, mm, disk = setup
         mm.put_to_cache("f", 0.5 * GB, disk)

@@ -92,8 +92,10 @@ class TestHost:
         assert Host(env, "node2", memory=memory).memory_size == GiB
 
     def test_core_and_speed_properties(self, env):
-        host = Host(env, "node1", cores=16, speed=2e9)
+        host = Host(env, "node1", cores=16)
         assert host.cores == 16
+        assert host.speed == CPU.DEFAULT_SPEED
+        host.cpu.set_speed(2e9)
         assert host.speed == 2e9
 
 

@@ -46,14 +46,6 @@ class TestNetwork:
         assert network.route("client", "server").dst == "server"
         assert network.route("server", "client").dst == "client"
 
-    def test_asymmetric_route_registration(self, env):
-        network = Network(env)
-        link = network.add_link("lan", 100 * MBps)
-        network.add_route("a", "b", [link], symmetric=False)
-        assert network.route("a", "b").links == [link]
-        with pytest.raises(ConfigurationError):
-            network.route("b", "a")
-
     def test_missing_route_raises(self, env):
         network = Network(env)
         with pytest.raises(ConfigurationError):

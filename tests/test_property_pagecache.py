@@ -19,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 from repro.des import Environment
 from repro.pagecache.block import Block
 from repro.pagecache.config import PageCacheConfig
-from repro.pagecache.lru import PageCacheLists
+from repro.pagecache.extents import _COMPACT_THRESHOLD
+from repro.pagecache.lru import LRUList, PageCacheLists
 from repro.pagecache.memory_manager import MemoryManager
 from repro.platform.memory import MemoryDevice
 from repro.platform.storage import Disk
@@ -75,6 +76,148 @@ def test_lru_lists_invariants_under_random_operations(operations):
     # The two-list balance invariant holds after the final balance call.
     lists.balance()
     assert lists.active.size <= 2 * lists.inactive.size + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Stamp rows
+# ---------------------------------------------------------------------------
+
+class _StampedList:
+    """An :class:`LRUList` checked against a model of its position keys.
+
+    The model gives every appended fragment the next stamp, keeps it
+    through state changes and forgets it on removal; after each step the
+    list must hold exactly the model's fragments, in key order, and every
+    run's stamp row must carry the model's stamps.
+    """
+
+    def __init__(self):
+        self.lru = LRUList()
+        self.keys = {}
+        self.next_stamp = 0
+
+    def append(self, block):
+        self.lru.append(block)
+        self.keys[block] = (block.last_access, self.next_stamp)
+        self.next_stamp += 1
+
+    def remove(self, block):
+        self.lru.remove(block)
+        del self.keys[block]
+
+    def mark_clean(self, block):
+        self.lru.mark_clean(block)
+
+    def run_of(self, filename, dirty):
+        index = self.lru._file_runs.get(filename)
+        if index is None:
+            return None
+        return index.dirty if dirty else index.clean
+
+    def check(self):
+        self.lru.assert_consistent()
+        keys = self.keys
+        assert self.lru.blocks == sorted(keys, key=keys.get)
+        for run in self.lru.runs():
+            assert len(run.stamps) == len(run.frags)
+            for key, block in run.keyed():
+                assert keys[block] == key
+
+
+def _play(model, operations):
+    clock = 0.0
+    for operation in operations:
+        kind, file_index, arg = operation
+        filename = f"file{file_index}"
+        if kind in ("append", "append-dirty"):
+            # arg < 0 inserts behind the newest access time: a sorted
+            # insert, a new front (head-slot reuse) or a tie.
+            clock += 1.0
+            model.append(Block(filename, 10.0, entry_time=clock,
+                               last_access=clock + min(arg, 0) * 2.5,
+                               dirty=kind == "append-dirty"))
+        elif kind == "burst":
+            for _ in range(arg):
+                clock += 1.0
+                model.append(Block(filename, 10.0, entry_time=clock))
+        else:
+            kind, _, state = kind.partition("-")
+            run = model.run_of(filename, kind == "clean" or state == "dirty")
+            if run is not None:
+                live = run.fragments()
+                if kind == "carve":
+                    # Front carves: past the compaction threshold for
+                    # long runs, and the whole run (its death) for short.
+                    for block in live[:arg]:
+                        model.remove(block)
+                elif kind == "remove":
+                    model.remove(live[arg % len(live)])
+                else:
+                    model.mark_clean(live[arg % len(live)])
+        model.check()
+
+
+stamp_operation = st.one_of(
+    st.tuples(st.sampled_from(["append", "append-dirty"]), st.integers(0, 2),
+              st.integers(-3, 1)),
+    st.tuples(st.just("burst"), st.integers(0, 2),
+              st.integers(1, 2 * _COMPACT_THRESHOLD + 8)),
+    st.tuples(st.sampled_from(["carve", "carve-dirty"]), st.integers(0, 2),
+              st.integers(1, 2 * _COMPACT_THRESHOLD + 8)),
+    st.tuples(st.sampled_from(["remove", "remove-dirty", "clean"]),
+              st.integers(0, 2), st.integers(0, 100)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(operations=st.lists(stamp_operation, min_size=1, max_size=30))
+def test_stamp_rows_follow_every_row_edit(operations):
+    _play(_StampedList(), operations)
+
+
+def test_stamp_rows_scripted_edits():
+    """Each row edit, forced once, with the rows checked after every step."""
+    model = _StampedList()
+    # Tail appends, then front carves past the compaction threshold.
+    _play(model, [("burst", 0, 2 * _COMPACT_THRESHOLD + 4)])
+    run = model.run_of("file0", False)
+    _play(model, [("carve", 0, _COMPACT_THRESHOLD + 2)])
+    assert run.head == 0 and len(run.frags) == _COMPACT_THRESHOLD + 2
+    # A front carve, then an insert older than the new front reuses the
+    # consumed head slot.
+    _play(model, [("carve", 0, 1)])
+    assert run.head == 1
+    front = run.frags[1]
+    block = Block("file0", 10.0, entry_time=0.0,
+                  last_access=front.last_access - 0.5)
+    model.append(block)
+    model.check()
+    assert run.head == 0 and run.frags[0] is block
+    # A sorted insert into the middle, a middle removal and a back pop.
+    middle = run.frags[5]
+    block = Block("file0", 10.0, entry_time=0.0,
+                  last_access=middle.last_access - 0.5)
+    model.append(block)
+    model.check()
+    assert run.frags[5] is block
+    model.remove(run.frags[7])
+    model.check()
+    model.remove(run.frags[-1])
+    model.check()
+    # mark_clean of dirty fragments in the middle, at the back and at the
+    # front of their run: each rejoins the clean run with its old stamp.
+    _play(model, [("append-dirty", 0, 0) for _ in range(5)])
+    dirty = model.run_of("file0", True)
+    model.mark_clean(dirty.frags[dirty.head + 2])
+    model.check()
+    model.mark_clean(dirty.frags[-1])
+    model.check()
+    model.mark_clean(dirty.frags[dirty.head])
+    model.check()
+    # Run death: carving every fragment of the dirty run retires it.
+    _play(model, [("carve-dirty", 0, 10)])
+    assert model.run_of("file0", True) is None
+    assert dirty._list is None and len(dirty.stamps) == len(dirty.frags) == 0
 
 
 # ---------------------------------------------------------------------------
