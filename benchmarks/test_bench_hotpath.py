@@ -276,11 +276,11 @@ def test_perf_extent_streams(benchmark):
         cursor = lists.inactive.clean_cursor()
         try:
             while True:
-                block = cursor.next()
-                if block is None:
+                run = cursor.next()
+                if run is None:
                     break
-                lists.inactive.remove(block)
-                drained += block.size
+                drained += run.row[run.head]
+                lists.inactive.take(run, run.head)
         finally:
             cursor.close()
         return drained

@@ -111,10 +111,10 @@ def _drain(lru, make_cursor) -> float:
         cursor = make_cursor()
         try:
             while True:
-                block = cursor.next()
-                if block is None:
+                run = cursor.next()
+                if run is None:
                     break
-                lru.remove(block)
+                lru.take(run, run.head)
         finally:
             cursor.close()
         return time.process_time() - start

@@ -4,9 +4,11 @@ The model follows Section III of the paper:
 
 * :class:`~repro.pagecache.block.Block` — the *data block* abstraction: a
   set of file pages cached by a single I/O operation, carrying the file
-  name, size, entry time, last access time and dirty flag (Figure 2).
+  name, size, entry time, last access time and dirty flag (Figure 2);
+  the value type of the list API and a handle on a cached fragment.
 * :class:`~repro.pagecache.extents.ExtentRun` — the storage unit of the
-  LRU lists: a maximal row of consecutive same-file, same-state blocks,
+  LRU lists: one file's fragments in one state, packed as numbers in one
+  row (size, entry time, last access and stamp per fragment) and
   coalesced losslessly (fragments keep their exact sizes; joining runs
   performs no byte arithmetic).
 * :class:`~repro.pagecache.lru.LRUList` and

@@ -8,20 +8,24 @@ its size, its entry (creation) time in the cache, its last access time and
 whether it is dirty.  Blocks may be split into smaller blocks when an I/O
 operation or an eviction/flush decision only covers part of a block.
 
-Since the extent rebuild of the LRU lists, blocks are the *fragments* of
-:class:`~repro.pagecache.extents.ExtentRun` rows: the run — a maximal row
-of consecutive same-file, same-state blocks — is the LRU-list node, and
-each block records the run holding it (``_run``).  The per-list insertion
-stamp that breaks last-access ties in the LRU order is not the block's:
-the run keeps it in a stamp row index-aligned with its fragments.  Blocks
-keep their exact individual sizes inside the run, which is what makes run
-coalescing lossless: joining runs moves fragments around without
-performing any byte arithmetic.
+Since the extent rebuild of the LRU lists, the cache does not store blocks:
+a cached block is a *fragment*, four numbers (size, entry time, last access
+and the per-list insertion stamp) in the packed row of an
+:class:`~repro.pagecache.extents.ExtentRun`, the run of one file's
+fragments in one state.  Filename, state and storage are the run's.  A
+cached chunk therefore costs 32 bytes of row, not an object.
 
-A cache holds one block per fragment, hundreds of thousands of them on a
-paper-scale run, so a block carries only the slots above, no id and no
-stamp: the object is its own identity, and a cached chunk costs this one
-object.
+:class:`Block` is the value type of the list API and a *handle* on a
+cached fragment.  A handle exists only while something holds it: the
+list API (:meth:`~repro.pagecache.lru.LRUList.append`, ``blocks``,
+``blocks_of_file``, ``peek_lru``, ``pop_lru``, ``expired_blocks``) hands
+them out, and the periodic flusher keeps its expiry snapshot as handles
+across its writes.  A held handle is registered (weakly) with its run
+under its stamp; every row move carries it, so it keeps following its
+fragment through promotion, demotion and ``mark_clean``, and it stops
+being "in" a list once its fragment is split, evicted or invalidated.
+While registered, ``_run`` and ``_stamp`` locate the fragment and the
+other fields mirror its row.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ class Block:
     """
 
     __slots__ = ("filename", "size", "entry_time", "last_access", "dirty",
-                 "storage", "_run")
+                 "storage", "_run", "_stamp", "__weakref__")
 
     def __init__(self, filename: str, size: float, entry_time: float,
                  last_access: Optional[float] = None, dirty: bool = False,
@@ -63,10 +67,11 @@ class Block:
         self.last_access = float(entry_time if last_access is None else last_access)
         self.dirty = bool(dirty)
         self.storage = storage
-        # Owned by repro.pagecache.lru.LRUList: the extent run holding the
-        # block (None while uncached).  A block belongs to at most one run
-        # — and therefore one list — at a time.
+        # Owned by repro.pagecache.extents.ExtentRun: the run holding the
+        # fragment this handle is registered for, and the fragment's
+        # stamp (both None while the block is not cached).
         self._run: Any = None
+        self._stamp: Optional[float] = None
 
     # ------------------------------------------------------------------- api
     def touch(self, now: float) -> None:

@@ -1,11 +1,10 @@
 """Extent runs: the storage representation of the page-cache LRU lists.
 
-An :class:`ExtentRun` is the row of *fragments*
-(:class:`~repro.pagecache.block.Block` objects) one file keeps in one
-state (dirty or clean) in one LRU list, sorted by LRU position.  The run
-— not the fragment — is the unit enqueued in the flush/eviction state
-heaps and referenced by the per-file index, so the structural cost of
-the cache scales with the number of live (file, state) streams, not with
+An :class:`ExtentRun` holds the *fragments* one file keeps in one state
+(dirty or clean) in one LRU list, sorted by LRU position.  The run — not
+the fragment — is the unit enqueued in the flush/eviction state heaps and
+referenced by the per-file index, so the structural cost of the cache
+scales with the number of live (file, state) streams, not with
 ``bytes / chunk_size``.
 
 Ordering is *by key, not by links*.  Every fragment has a total LRU
@@ -22,12 +21,17 @@ position, and consumption carves the front — so a cache holds at most
 ``files x 2`` runs per list no matter how many concurrent streams
 interleave their chunks.
 
-Stamps live in their run.  The fragment keeps its ``last_access``; the
-run keeps the stamps in an ``array("q")`` row index-aligned with the
-fragment row, so a cached chunk costs one object (its
-:class:`~repro.pagecache.block.Block`) and an 8-byte stamp slot instead
-of a block plus an int object.  Every edit of the fragment row edits the
-stamp row at the same index.
+Fragments are numbers.  A run keeps its fragments in one packed
+``array("d")`` row of :data:`WIDTH` doubles each — size, entry time,
+last access and stamp — and holds the filename, the state and the
+backing storage once for all of them, so a cached chunk costs 32 bytes
+of row and no object.  Stamps are exact in a double below 2**53.  The
+hot paths work on run fronts and row offsets; a
+:class:`~repro.pagecache.block.Block` exists only as a *handle* that
+something holds (the list API and the periodic flusher's snapshot).  A
+held handle is registered in the run's ``handles`` dict under its stamp
+through a weak reference, so it costs nothing once dropped; every row
+move carries it along.
 
 Losslessness.  Fragments keep their exact, individually recorded byte
 sizes and metadata; joining a run moves a fragment, it never sums sizes.
@@ -41,8 +45,8 @@ to default off while this representation is default-on (and the only
 mode).
 
 Consumption model.  All hot-path consumption carves fragments off the
-*front* of runs: ``frags[head]`` with a moving ``head`` cursor and
-periodic compaction of both rows, so consuming a fragment is O(1)
+*front* of runs: the ``head`` offset moves past the consumed fragment and
+the row is compacted periodically, so consuming a fragment is O(1)
 amortized.  A run dies when its last fragment goes and is never reused:
 its ``_list`` stays ``None`` for good, which fences every stale
 reference a heap entry or a cursor may still hold.
@@ -52,52 +56,72 @@ from __future__ import annotations
 
 from array import array
 from heapq import heapify, heappop, heappush
-from typing import FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from weakref import ref
 
+from repro.errors import CacheConsistencyError
 from repro.pagecache.block import Block
 
-#: Compact a run's fragment row once this many consumed slots accumulate
-#: at its front (and they outnumber the live fragments).
+#: Doubles per fragment in a run's row: size, entry time, last access and
+#: stamp, at offsets 0 to 3 from the fragment's offset.
+WIDTH = 4
+
+#: Compact a run's row once this many consumed fragments accumulate at its
+#: front (and they outnumber the live fragments).
 _COMPACT_THRESHOLD = 32
+
+
+class HandleRef(ref):
+    """A run's weak reference to a held handle, with the handle's place."""
+
+    __slots__ = ("run", "stamp")
+
+
+def _forget(entry: HandleRef) -> None:
+    """Drop a handle that nothing holds any more from its run's registry."""
+    run = entry.run
+    handles = run.handles
+    if handles is not None and handles.get(entry.stamp) is entry:
+        del handles[entry.stamp]
+        if not handles:
+            run.handles = None
 
 
 class ExtentRun:
     """One file's fragments in one state, sorted by LRU position.
 
-    The fragment row ``frags[head:]`` holds the live fragments, oldest
-    first; slots before ``head`` are consumed (cleared to ``None``) and
-    reclaimed in bulk.  ``stamps`` is the stamp row: ``stamps[i]`` is the
-    per-list insertion stamp of ``frags[i]``, and both rows always have
-    the same length (a consumed slot keeps a stale stamp).  ``_list`` is
-    the owning :class:`~repro.pagecache.lru.LRUList` (``None`` once dead).
+    ``row[head:]`` holds the live fragments, oldest first, :data:`WIDTH`
+    doubles each: the fragment at offset ``p`` has size ``row[p]``, entry
+    time ``row[p + 1]``, last access ``row[p + 2]`` and stamp
+    ``row[p + 3]``.  The doubles before ``head`` are consumed and reclaimed
+    in bulk.  ``storage`` is the backing device of every fragment (a cache
+    keeps one storage per file).  ``handles`` maps the stamps of held
+    fragments to their :class:`HandleRef` and is ``None`` while empty.
+    ``_list`` is the owning :class:`~repro.pagecache.lru.LRUList`
+    (``None`` once dead).
     """
 
-    __slots__ = ("filename", "dirty", "frags", "stamps", "head", "_list")
+    __slots__ = ("filename", "dirty", "storage", "row", "head", "handles",
+                 "_list")
 
-    def __init__(self, filename: str, dirty: bool):
+    def __init__(self, filename: str, dirty: bool, storage: Any, row: array):
         self.filename = filename
         self.dirty = dirty
-        self.frags: List[Optional[Block]] = []
-        self.stamps = array("q")
+        self.storage = storage
+        self.row = row
         self.head = 0
+        self.handles: Optional[Dict[float, HandleRef]] = None
         self._list = None
 
     # ------------------------------------------------------------------ views
-    def fragments(self) -> List[Block]:
-        """Snapshot of the live fragments, oldest first."""
-        return self.frags[self.head:]
+    def offsets(self) -> range:
+        """Row offsets of the live fragments, oldest first."""
+        return range(self.head, len(self.row), WIDTH)
 
-    def keyed(self) -> List[Tuple[Tuple[float, int], Block]]:
-        """Snapshot of the live fragments with their ``(last_access,
-        stamp)`` position keys, oldest first."""
-        frags, stamps = self.frags, self.stamps
-        return [((frags[index].last_access, stamps[index]), frags[index])
-                for index in range(self.head, len(frags))]
-
-    def front_key(self) -> Tuple[float, int]:
+    def front_key(self) -> Tuple[float, float]:
         """Position key of the live front fragment."""
-        head = self.head
-        return (self.frags[head].last_access, self.stamps[head])
+        row, head = self.row, self.head
+        return (row[head + 2], row[head + 3])
 
     def length(self) -> float:
         """Run length in bytes: the left-to-right sum of fragment sizes.
@@ -106,24 +130,90 @@ class ExtentRun:
         run covers; unit tests assert the list totals are exactly the sum
         of run lengths on integer-sized workloads.
         """
+        row = self.row
         total = 0.0
-        for index in range(self.head, len(self.frags)):
-            total += self.frags[index].size
+        for offset in range(self.head, len(row), WIDTH):
+            total += row[offset]
         return total
 
     def compact(self) -> None:
-        """Reclaim the consumed slots at the front of both rows."""
+        """Reclaim the consumed doubles at the front of the row."""
         head = self.head
         if head:
-            del self.frags[:head]
-            del self.stamps[:head]
+            del self.row[:head]
             self.head = 0
+
+    # ---------------------------------------------------------------- handles
+    def block(self, offset: int) -> Block:
+        """The handle of the fragment at ``offset``, registered while held."""
+        row = self.row
+        stamp = row[offset + 3]
+        handles = self.handles
+        if handles is not None:
+            entry = handles.get(stamp)
+            if entry is not None:
+                block = entry()
+                if block is not None:
+                    return block
+        block = Block(self.filename, row[offset], row[offset + 1],
+                      row[offset + 2], self.dirty, self.storage)
+        self.attach(block, stamp)
+        return block
+
+    def attach(self, block: Block, stamp: float) -> None:
+        """Register ``block`` as the handle of this run's fragment ``stamp``."""
+        entry = HandleRef(block, _forget)
+        entry.run = self
+        entry.stamp = stamp
+        handles = self.handles
+        if handles is None:
+            self.handles = handles = {}
+        handles[stamp] = entry
+        block._run = self
+        block._stamp = stamp
+
+    def release(self, stamp: float) -> Optional[Block]:
+        """Unregister the handle of fragment ``stamp`` (which is leaving
+        this run) and return it detached, if one is held."""
+        handles = self.handles
+        if handles is None:
+            return None
+        entry = handles.pop(stamp, None)
+        if not handles:
+            self.handles = None
+        block = None if entry is None else entry()
+        if block is not None:
+            block._run = None
+            block._stamp = None
+        return block
+
+    def offset_of(self, block: Block) -> int:
+        """Row offset of the fragment ``block`` is the handle of."""
+        row = self.row
+        head = self.head
+        if row[head + 3] == block._stamp:
+            return head
+        key = (block.last_access, block._stamp)
+        lo, hi = head // WIDTH, len(row) // WIDTH
+        while lo < hi:
+            mid = (lo + hi) // 2
+            offset = mid * WIDTH
+            if (row[offset + 2], row[offset + 3]) < key:
+                lo = mid + 1
+            else:
+                hi = mid
+        offset = lo * WIDTH
+        if offset >= len(row) or row[offset + 3] != block._stamp:
+            raise CacheConsistencyError(
+                f"handle {block!r} is out of step with its run {self!r}"
+            )
+        return offset
 
     def __repr__(self) -> str:
         state = "dirty" if self.dirty else "clean"
         return (
             f"<ExtentRun {self.filename!r} {state} "
-            f"frags={len(self.frags) - self.head}>"
+            f"frags={(len(self.row) - self.head) // WIDTH}>"
         )
 
 
@@ -159,33 +249,31 @@ class StateHeap:
 
     def __init__(self, owner):
         self.owner = owner
-        self.heap: List[Tuple[float, int, int, ExtentRun]] = []
+        self.heap: List[Tuple[float, float, int, ExtentRun]] = []
         self.live = 0
         self._seq = 0
 
-    def _is_live(self, entry: Tuple[float, int, int, ExtentRun]) -> bool:
+    def _is_live(self, entry: Tuple[float, float, int, ExtentRun]) -> bool:
         run = entry[3]
         if run._list is not self.owner:
             return False
         head = run.head
-        frags = run.frags
-        if head >= len(frags):
+        row = run.row
+        if head >= len(row):
             return False
-        return (run.stamps[head] == entry[1]
-                and frags[head].last_access == entry[0])
+        return row[head + 3] == entry[1] and row[head + 2] == entry[0]
 
     def push(self, run: ExtentRun) -> None:
-        head = run.head
+        row, head = run.row, run.head
         seq = self._seq
         self._seq = seq + 1
-        heappush(self.heap, (run.frags[head].last_access, run.stamps[head],
-                             seq, run))
+        heappush(self.heap, (row[head + 2], row[head + 3], seq, run))
         # Sweep tombstones once they dominate; keeps the heap O(live).
         if len(self.heap) > 2 * self.live + 64:
             self.heap = [e for e in self.heap if self._is_live(e)]
             heapify(self.heap)
 
-    def skim(self) -> Optional[Tuple[float, int, int, ExtentRun]]:
+    def skim(self) -> Optional[Tuple[float, float, int, ExtentRun]]:
         """The live minimum entry, leaving it in the heap (dead entries
         at the top are discarded along the way)."""
         heap = self.heap
@@ -209,16 +297,17 @@ class StateHeap:
 class StateCursor:
     """Consuming cursor over one state's fragments in exact LRU order.
 
-    ``next()`` returns the globally least recently used live fragment of
-    the state whose file is not excluded; the caller must *consume* the
-    fragment — remove it, flip its state or split it out — before asking
-    for the next one.  The cursor keeps carving the same run while its
-    front remains the state's minimum, so a sequential stream costs no
-    per-fragment heap traffic; when another run's front becomes older
-    (interleaved streams), the cursor re-enqueues the current run and
-    switches — the same per-fragment heap cost the one-block-per-node
-    implementation paid on every block.  Excluded runs are held aside
-    and returned to the heap on ``close()``.
+    ``next()`` returns the run whose *front* fragment is the globally
+    least recently used live fragment of the state whose file is not
+    excluded; the caller must *consume* that fragment — remove it, flip
+    its state or split it out — before asking for the next one.  The
+    cursor keeps returning the same run while its front remains the
+    state's minimum, so a sequential stream costs no per-fragment heap
+    traffic; when another run's front becomes older (interleaved
+    streams), the cursor re-enqueues the current run and switches — the
+    same per-fragment heap cost the one-block-per-node implementation paid
+    on every block.  Excluded runs are held aside and returned to the heap
+    on ``close()``.
     """
 
     __slots__ = ("heap", "excluded", "held", "run", "limit")
@@ -235,19 +324,18 @@ class StateCursor:
         #: front advances go to the owner's pending set (flushed only at
         #: cursor creation), and the split/re-insert paths end the
         #: caller's loop by contract.
-        self.limit: Optional[Tuple[float, int]] = None
+        self.limit: Optional[Tuple[float, float]] = None
 
-    def next(self) -> Optional[Block]:
+    def next(self) -> Optional[ExtentRun]:
         heap = self.heap
         run = self.run
         if run is not None:
             head = run.head
-            if run._list is heap.owner and head < len(run.frags):
-                front = run.frags[head]
+            row = run.row
+            if run._list is heap.owner and head < len(row):
                 limit = self.limit
-                if (limit is None
-                        or (front.last_access, run.stamps[head]) < limit):
-                    return front
+                if limit is None or (row[head + 2], row[head + 3]) < limit:
+                    return run
                 # Another run's front is older: re-enqueue and switch.
                 heap.push(run)
             self.run = None
@@ -262,18 +350,18 @@ class StateCursor:
             self.run = run
             top = heap.skim()
             self.limit = None if top is None else (top[0], top[1])
-            return run.frags[run.head]
+            return run
 
     def close(self) -> None:
         heap = self.heap
         pending = heap.owner._pending_repush
         for run in self.held:
-            if run._list is heap.owner and run.head < len(run.frags):
+            if run._list is heap.owner and run.head < len(run.row):
                 pending[run] = None
         self.held = []
         run = self.run
         if run is not None:
-            if run._list is heap.owner and run.head < len(run.frags):
+            if run._list is heap.owner and run.head < len(run.row):
                 pending[run] = None
             self.run = None
 
@@ -284,15 +372,16 @@ class FileCursor:
     Replays the semantics of iterating a snapshot of the file's blocks
     (the pre-extent read path) at O(fragments touched) cost: the file
     holds at most one clean and one dirty run per list, and the cursor
-    merges the two rows by front key.  A stamp bound captured from the
-    owning list excludes fragments linked after creation — a fragment
-    appended, promoted or re-inserted *while* the cursor is draining is
-    invisible to it, exactly as it was invisible to the old eager
-    snapshot.
+    merges the two rows by front key, returning the run whose front
+    fragment comes next.  A stamp bound captured from the owning list
+    excludes fragments linked after creation — a fragment appended,
+    promoted or re-inserted *while* the cursor is draining is invisible to
+    it, exactly as it was invisible to the old eager snapshot.
 
-    The caller must consume each returned fragment before requesting the
-    next one, and must stop iterating after re-inserting a split
-    remainder (the read path's "partial last block" case always does).
+    The caller must consume each returned front fragment before
+    requesting the next one, and must stop iterating after re-inserting a
+    split remainder (the read path's "partial last block" case always
+    does).
     """
 
     __slots__ = ("owner", "clean", "dirty", "stamp_bound")
@@ -303,21 +392,22 @@ class FileCursor:
         self.dirty = index.dirty if index is not None else None
         self.stamp_bound = stamp_bound
 
-    def _front_stamp(self, run: Optional[ExtentRun]) -> Optional[int]:
+    def _front_stamp(self, run: Optional[ExtentRun]) -> Optional[float]:
         """The stamp of ``run``'s front fragment, or ``None`` when the run
         is gone, exhausted or fronted by a fragment linked after the
         cursor's creation."""
         if run is None or run._list is not self.owner:
             return None
         head = run.head
-        if head >= len(run.frags):
+        row = run.row
+        if head >= len(row):
             return None
-        stamp = run.stamps[head]
+        stamp = row[head + 3]
         if stamp >= self.stamp_bound:
             return None
         return stamp
 
-    def next(self) -> Optional[Block]:
+    def next(self) -> Optional[ExtentRun]:
         clean, dirty = self.clean, self.dirty
         clean_stamp = self._front_stamp(clean)
         if clean_stamp is None:
@@ -327,12 +417,10 @@ class FileCursor:
             self.dirty = None
             if clean_stamp is None:
                 return None
-            return clean.frags[clean.head]
-        dirty_front = dirty.frags[dirty.head]
+            return clean
         if clean_stamp is None:
-            return dirty_front
-        clean_front = clean.frags[clean.head]
-        if (clean_front.last_access, clean_stamp) <= (
-                dirty_front.last_access, dirty_stamp):
-            return clean_front
-        return dirty_front
+            return dirty
+        if (clean.row[clean.head + 2], clean_stamp) <= (
+                dirty.row[dirty.head + 2], dirty_stamp):
+            return clean
+        return dirty

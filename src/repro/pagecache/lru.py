@@ -6,28 +6,36 @@ to the *active* list; the active list is kept at most twice the size of the
 inactive list by demoting its least recently used entries.  Only clean data
 on the inactive list is eligible for eviction.
 
-:class:`LRUList` keeps :class:`~repro.pagecache.block.Block` fragments
-totally ordered by ``(last_access, stamp)`` — the per-list monotone
-*stamp* breaks last-access ties in insertion order, exactly as the
-pre-extent one-block-per-list-node implementation did (this is the order
-the parity suite in ``tests/test_pagecache_parity.py`` pins).  Storage is
-by :class:`~repro.pagecache.extents.ExtentRun`: one sorted fragment row
-per (file, state), with the fragments' stamps in an index-aligned stamp
-row of the run (a block holds no stamp of its own), so the structural
-cost of the cache scales with the number of live streams, not with
-``bytes / chunk_size``:
+:class:`LRUList` keeps cached fragments totally ordered by
+``(last_access, stamp)`` — the per-list monotone *stamp* breaks
+last-access ties in insertion order, exactly as the pre-extent
+one-block-per-list-node implementation did (this is the order the parity
+suite in ``tests/test_pagecache_parity.py`` pins).  Storage is by
+:class:`~repro.pagecache.extents.ExtentRun`: one sorted, packed row of
+numbers per (file, state) — size, entry time, last access and stamp per
+fragment — so a cached chunk is 32 bytes of row and no object, and the
+structural cost of the cache scales with the number of live streams, not
+with ``bytes / chunk_size``:
 
-* appending a fragment (the sequential read/write hot path) is a list
-  append into its file's run — no list-node, index or heap traffic, no
-  matter how many concurrent streams interleave their chunks;
-* the flush/eviction cursors carve fragments off run fronts, switching
-  runs through the state heaps only when streams genuinely interleave in
-  LRU order (where the old implementation paid a heap operation on every
-  block regardless);
+* appending a fragment (the sequential read/write hot path,
+  :meth:`LRUList.push`) extends its file's row — no object, list-node,
+  index or heap traffic, no matter how many concurrent streams
+  interleave their chunks;
+* the flush/eviction cursors hand out run fronts, switching runs through
+  the state heaps only when streams genuinely interleave in LRU order
+  (where the old implementation paid a heap operation on every block
+  regardless), and the consumers carve them off with :meth:`LRUList.take`
+  and :meth:`LRUList.clean`;
 * the read path walks only the touched file's two runs through a merging
   cursor (:meth:`LRUList.file_cursor`), so a chunked re-read of a cached
   file costs the fragments it consumes instead of a per-chunk snapshot of
   every cached block of the file.
+
+The :class:`~repro.pagecache.block.Block` API (``append``, ``remove``,
+``mark_clean``, ``blocks``, ``blocks_of_file``, ``peek_lru``,
+``pop_lru``, ``expired_blocks``) works on handles: a handle the list
+hands out stays registered with its fragment while it is held and follows
+it through every move.
 
 Losslessness.  Runs coalesce by *moving fragments between sorted rows*,
 never by summing their sizes.  Fragment sizes — and therefore every byte
@@ -44,13 +52,15 @@ promotion, demotion and balancing.
 
 from __future__ import annotations
 
+from array import array
 from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import CacheConsistencyError
 from repro.pagecache.block import Block
 from repro.pagecache.extents import (
     _COMPACT_THRESHOLD,
+    WIDTH,
     ExtentRun,
     FileCursor,
     RunIndex,
@@ -66,11 +76,24 @@ from repro.pagecache.tolerances import (
 #: The kernel keeps the active list at most twice the inactive list.
 ACTIVE_TO_INACTIVE_RATIO = 2.0
 
+#: A run's row is compacted once its head offset reaches this many doubles.
+_COMPACT_HEAD = _COMPACT_THRESHOLD * WIDTH
 
-def _in_key_order(keyed: List[Tuple[Tuple[float, int], Block]]) -> List[Block]:
-    """The fragments of ``(key, fragment)`` pairs, sorted by key."""
+#: ``((last_access, stamp), run, offset)``: one fragment and its position.
+Keyed = Tuple[Tuple[float, float], ExtentRun, int]
+
+
+def _keyed(run: ExtentRun, into: List[Keyed]) -> None:
+    """Append each live fragment of ``run`` with its position key."""
+    row = run.row
+    for offset in range(run.head, len(row), WIDTH):
+        into.append(((row[offset + 2], row[offset + 3]), run, offset))
+
+
+def _handles_in_key_order(keyed: List[Keyed]) -> List[Block]:
+    """The handles of ``keyed``'s fragments, sorted by position key."""
     keyed.sort(key=itemgetter(0))
-    return [frag for _key, frag in keyed]
+    return [run.block(offset) for _key, run, offset in keyed]
 
 
 class LRUList:
@@ -142,12 +165,12 @@ class LRUList:
     @property
     def blocks(self) -> List[Block]:
         """The fragments in LRU order (oldest first).  O(n log n) snapshot."""
-        keyed = []
+        keyed: List[Keyed] = []
         for index in self._file_runs.values():
             for run in (index.clean, index.dirty):
                 if run is not None:
-                    keyed.extend(run.keyed())
-        return _in_key_order(keyed)
+                    _keyed(run, keyed)
+        return _handles_in_key_order(keyed)
 
     def runs(self) -> List[ExtentRun]:
         """The live extent runs, ordered by their front key (snapshot)."""
@@ -160,15 +183,14 @@ class LRUList:
         return result
 
     # ----------------------------------------------------------- run plumbing
-    def _new_run(self, index: RunIndex, block: Block, stamp: int) -> None:
-        """Found the run of ``block``'s file and state, holding ``block``
-        with ``stamp``, and register it in ``index``."""
-        dirty = block.dirty
-        run = ExtentRun(block.filename, dirty)
+    def _new_run(self, index: RunIndex, filename: str, dirty: bool,
+                 storage: Any, size: float, entry_time: float,
+                 last_access: float, stamp: float) -> ExtentRun:
+        """Found the run of ``filename`` in state ``dirty``, holding one
+        fragment, and register it in ``index``."""
+        run = ExtentRun(filename, dirty, storage,
+                        array("d", (size, entry_time, last_access, stamp)))
         run._list = self
-        run.frags.append(block)
-        run.stamps.append(stamp)
-        block._run = run
         if dirty:
             index.dirty = run
             self._dirty_heap.live += 1
@@ -177,6 +199,7 @@ class LRUList:
             self._clean_heap.live += 1
         self._run_count += 1
         self._pending_repush[run] = None
+        return run
 
     def _kill_run(self, run: ExtentRun) -> None:
         """Retire an exhausted run for good; its heap entries and any
@@ -196,9 +219,8 @@ class LRUList:
         heap = self._dirty_heap if run.dirty else self._clean_heap
         heap.live -= 1
         self._pending_repush.pop(run, None)
-        if run.frags:
-            run.frags.clear()
-            del run.stamps[:]
+        if run.row:
+            del run.row[:]
         run.head = 0
 
     def _flush_pending(self) -> None:
@@ -208,148 +230,153 @@ class LRUList:
             return
         dirty_heap, clean_heap = self._dirty_heap, self._clean_heap
         for run in pending:
-            if run._list is self and run.head < len(run.frags):
+            if run._list is self and run.head < len(run.row):
                 (dirty_heap if run.dirty else clean_heap).push(run)
         pending.clear()
 
     # ------------------------------------------------------------- insertion
-    def _join_run(self, run: ExtentRun, block: Block, stamp: int,
+    def _join_run(self, run: ExtentRun, storage: Any, size: float,
+                  entry_time: float, last_access: float, stamp: float,
                   full_key: bool) -> None:
-        """Insert ``block`` with ``stamp`` at its sorted position in
-        ``run``'s rows.
+        """Insert a fragment with ``stamp`` at its sorted position in
+        ``run``'s row.
 
         With ``full_key=False`` the stamp is fresher than every stamp in
         the list, so ties on ``last_access`` resolve to "after" and the
-        search compares access times only (the :meth:`append` contract).
-        With ``full_key=True`` the block keeps an old stamp (a state
+        search compares access times only (the :meth:`push` contract).
+        With ``full_key=True`` the fragment keeps an old stamp (a state
         change moving it between runs) and the search compares the
         complete ``(last_access, stamp)`` key.
         """
-        frags = run.frags
-        stamps = run.stamps
-        last_access = block.last_access
-        back_access = frags[-1].last_access
+        if storage is not run.storage:
+            raise CacheConsistencyError(
+                f"fragment of {run.filename!r} backed by {storage!r} cannot "
+                f"join {run!r}, backed by {run.storage!r}"
+            )
+        row = run.row
+        back_access = row[-2]
         if (last_access > back_access
                 or (last_access == back_access
-                    and (not full_key or stamp > stamps[-1]))):
-            frags.append(block)
-            stamps.append(stamp)
-        else:
-            head = run.head
-            lo, hi = head, len(frags)
-            if full_key:
-                key = (last_access, stamp)
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if (frags[mid].last_access, stamps[mid]) <= key:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-            else:
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if frags[mid].last_access <= last_access:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-            if lo == head:
-                # New front: reuse a consumed slot when one is available.
-                if head:
-                    head -= 1
-                    run.head = head
-                    frags[head] = block
-                    stamps[head] = stamp
+                    and (not full_key or stamp > row[-1]))):
+            row.extend((size, entry_time, last_access, stamp))
+            return
+        head = run.head
+        lo, hi = head // WIDTH, len(row) // WIDTH
+        if full_key:
+            key = (last_access, stamp)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                offset = mid * WIDTH
+                if (row[offset + 2], row[offset + 3]) <= key:
+                    lo = mid + 1
                 else:
-                    frags.insert(0, block)
-                    stamps.insert(0, stamp)
-                self._pending_repush[run] = None
+                    hi = mid
+        else:
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if row[mid * WIDTH + 2] <= last_access:
+                    lo = mid + 1
+                else:
+                    hi = mid
+        offset = lo * WIDTH
+        if offset == head:
+            # New front: reuse a consumed slot when one is available.
+            if head:
+                head -= WIDTH
+                run.head = head
+                row[head] = size
+                row[head + 1] = entry_time
+                row[head + 2] = last_access
+                row[head + 3] = stamp
             else:
-                frags.insert(lo, block)
-                stamps.insert(lo, stamp)
-        block._run = run
+                row[0:0] = array("d", (size, entry_time, last_access, stamp))
+            self._pending_repush[run] = None
+        else:
+            row[offset:offset] = array(
+                "d", (size, entry_time, last_access, stamp))
 
-    def append(self, block: Block) -> None:
-        """Add ``block`` at its ordered position (O(1) at its run's tail).
+    def push(self, filename: str, dirty: bool, storage: Any, size: float,
+             entry_time: float, last_access: float,
+             handle: Optional[Block] = None) -> None:
+        """Add a fragment at its ordered position (O(1) at its run's tail).
 
-        The block lands after every fragment with ``last_access`` less
+        The fragment lands after every fragment with ``last_access`` less
         than or equal to its own (ties resolve to insertion order).  This
         is the hottest structural operation of the simulator: continuing
-        a stream is a single list append into the file's run.
+        a stream extends the file's row.  A ``handle`` (a detached
+        :class:`Block` whose fragment this is) is registered with it and
+        takes its ``last_access``.
         """
-        if block._run is not None:
-            raise CacheConsistencyError(
-                f"block {block!r} is already in an LRU list"
-            )
         stamp = self._next_stamp
         self._next_stamp = stamp + 1
-        dirty = block.dirty
-        filename = block.filename
         index = self._file_runs.get(filename)
         if index is None:
             index = self._file_runs[filename] = RunIndex()
         run = index.dirty if dirty else index.clean
         if run is None:
-            self._new_run(index, block, stamp)
+            run = self._new_run(index, filename, dirty, storage, size,
+                                entry_time, last_access, stamp)
         else:
-            self._join_run(run, block, stamp, False)
+            self._join_run(run, storage, size, entry_time, last_access,
+                           stamp, False)
             self.merges += 1
         self._length += 1
-        size = block.size
         self._size += size
         if dirty:
             self._dirty += size
         per_file = self._per_file
         per_file[filename] = per_file.get(filename, 0.0) + size
+        if handle is not None:
+            handle.last_access = last_access
+            run.attach(handle, stamp)
+
+    def append(self, block: Block) -> None:
+        """Add ``block``'s fragment at its ordered position; ``block``
+        becomes its handle."""
+        if block._run is not None:
+            raise CacheConsistencyError(
+                f"block {block!r} is already in an LRU list"
+            )
+        self.push(block.filename, block.dirty, block.storage, block.size,
+                  block.entry_time, block.last_access, block)
 
     # --------------------------------------------------------------- removal
-    def _carve_out(self, block: Block) -> int:
-        """Structurally remove ``block`` from its run (no accounting) and
-        return its stamp.
+    def _carve(self, run: ExtentRun, offset: int) -> Optional[Block]:
+        """Structurally remove the fragment at ``offset`` from ``run`` (no
+        accounting) and return its handle, detached, if one is held.
 
-        Front removals advance the run's head slot (O(1) amortized, with
-        compaction and a deferred heap re-push); back and middle
-        removals edit both rows in place; an emptied run is retired.  The
-        caller validates ownership and settles the byte accounting.
+        Front removals advance the run's head (O(1) amortized, with
+        compaction and a deferred heap re-push); back and middle removals
+        edit the row in place; an emptied run is retired.
         """
-        run = block._run
-        frags = run.frags
-        stamps = run.stamps
+        row = run.row
+        stamp = row[offset + 3]
         head = run.head
-        if frags[head] is block:
-            stamp = stamps[head]
-            frags[head] = None
-            head += 1
+        if offset == head:
+            head += WIDTH
             run.head = head
-            if head >= len(frags):
+            if head >= len(row):
                 self._kill_run(run)
             else:
-                if head >= _COMPACT_THRESHOLD and head * 2 >= len(frags):
+                if head >= _COMPACT_HEAD and head * 2 >= len(row):
                     run.compact()
                 self._pending_repush[run] = None
-        elif frags[-1] is block:
-            frags.pop()
-            stamp = stamps.pop()
         else:
-            idx = frags.index(block, head + 1, len(frags) - 1)
-            del frags[idx]
-            stamp = stamps.pop(idx)
-        block._run = None
-        return stamp
+            del row[offset:offset + WIDTH]
+        if run.handles is None:
+            return None
+        return run.release(stamp)
 
-    def remove(self, block: Block) -> None:
-        """Remove ``block`` from the list (O(1) at a run boundary)."""
-        run = block._run
-        if run is None or run._list is not self:
-            raise CacheConsistencyError(
-                f"block {block!r} is not in LRU list {self.name!r}"
-            )
-        self._carve_out(block)
+    def take(self, run: ExtentRun, offset: int) -> Optional[Block]:
+        """Remove the fragment at ``offset`` of ``run``, settling the
+        accounting; return its handle, detached, if one is held."""
+        size = run.row[offset]
+        handle = self._carve(run, offset)
         self._length -= 1
-        size = block.size
         self._size -= size
-        if block.dirty:
+        if run.dirty:
             self._dirty -= size
-        filename = block.filename
+        filename = run.filename
         per_file = self._per_file
         remaining = per_file.get(filename, 0.0) - size
         if remaining <= BYTE_EPSILON:
@@ -364,72 +391,98 @@ class LRUList:
             )
         self._size = max(0.0, self._size)
         self._dirty = max(0.0, self._dirty)
+        return handle
 
-    def _front_entry(self):
-        """The live global-minimum heap entry, or ``None`` when empty."""
+    def _locate(self, block: Block) -> Tuple[ExtentRun, int]:
+        """The run and row offset of the fragment ``block`` is the handle
+        of, which must be in this list."""
+        run = block._run
+        if run is None or run._list is not self:
+            raise CacheConsistencyError(
+                f"block {block!r} is not in LRU list {self.name!r}"
+            )
+        return run, run.offset_of(block)
+
+    def remove(self, block: Block) -> None:
+        """Remove ``block``'s fragment from the list (O(1) at a run front)."""
+        self.take(*self._locate(block))
+
+    def front_run(self) -> Optional[ExtentRun]:
+        """The run fronted by the least recently used fragment, if any."""
         self._flush_pending()
         dirty = self._dirty_heap.skim()
         clean = self._clean_heap.skim()
         if dirty is None:
-            return clean
-        if clean is None:
-            return dirty
-        if (dirty[0], dirty[1]) < (clean[0], clean[1]):
-            return dirty
-        return clean
+            return None if clean is None else clean[3]
+        if clean is None or (dirty[0], dirty[1]) < (clean[0], clean[1]):
+            return dirty[3]
+        return clean[3]
 
     def pop_lru(self) -> Block:
         """Remove and return the least recently used fragment."""
-        entry = self._front_entry()
-        if entry is None:
+        run = self.front_run()
+        if run is None:
             raise CacheConsistencyError(f"LRU list {self.name!r} is empty")
-        run = entry[3]
-        block = run.frags[run.head]
-        self.remove(block)
-        return block
+        head = run.head
+        row = run.row
+        size, entry_time, last_access = row[head], row[head + 1], row[head + 2]
+        filename, dirty, storage = run.filename, run.dirty, run.storage
+        handle = self.take(run, head)
+        if handle is None:
+            handle = Block(filename, size, entry_time, last_access, dirty,
+                           storage)
+        return handle
 
     def peek_lru(self) -> Block:
         """The least recently used fragment, without removing it."""
-        entry = self._front_entry()
-        if entry is None:
+        run = self.front_run()
+        if run is None:
             raise CacheConsistencyError(f"LRU list {self.name!r} is empty")
-        run = entry[3]
-        return run.frags[run.head]
+        return run.block(run.head)
 
     # ---------------------------------------------------------- state change
-    def mark_clean(self, block: Block) -> None:
-        """Clear the dirty flag of ``block``, fixing the dirty accounting.
+    def clean(self, run: ExtentRun, offset: int) -> None:
+        """Clear the dirty state of the fragment at ``offset`` of the dirty
+        ``run``, fixing the dirty accounting.
 
         The fragment keeps its exact position key in the LRU order —
         only its state changes.  Structurally it moves from its file's
         dirty run into the file's clean run (founding it if needed) at
         its sorted position; a flusher cleaning dirty data front to back
         therefore grows one clean extent instead of shredding the cache
-        into per-block nodes.
+        into per-block nodes.  Its handle, if one is held, moves with it.
         """
-        run = block._run
-        if run is None or run._list is not self:
-            raise CacheConsistencyError(
-                f"block {block!r} is not in LRU list {self.name!r}"
-            )
-        if not block.dirty:
-            return
-        block.dirty = False
-        self._dirty = max(0.0, self._dirty - block.size)
+        row = run.row
+        size = row[offset]
+        entry_time = row[offset + 1]
+        last_access = row[offset + 2]
+        stamp = row[offset + 3]
+        self._dirty = max(0.0, self._dirty - size)
         # Carve out of the dirty run (no byte accounting: the bytes stay
         # cached) and rejoin the clean run at the same position key (the
         # stamp is old, so the search uses the complete key).
-        stamp = self._carve_out(block)
-        filename = block.filename
+        handle = self._carve(run, offset)
+        filename = run.filename
         index = self._file_runs.get(filename)
         if index is None:
             index = self._file_runs[filename] = RunIndex()
         clean = index.clean
         if clean is None:
-            self._new_run(index, block, stamp)
+            clean = self._new_run(index, filename, False, run.storage, size,
+                                  entry_time, last_access, stamp)
         else:
             # A state change, not a coalescing event: `merges` unchanged.
-            self._join_run(clean, block, stamp, True)
+            self._join_run(clean, run.storage, size, entry_time,
+                           last_access, stamp, True)
+        if handle is not None:
+            handle.dirty = False
+            clean.attach(handle, stamp)
+
+    def mark_clean(self, block: Block) -> None:
+        """Clear the dirty flag of ``block``'s fragment (see :meth:`clean`)."""
+        run, offset = self._locate(block)
+        if run.dirty:
+            self.clean(run, offset)
 
     # --------------------------------------------------------------- queries
     def cached_of_file(self, filename: str) -> float:
@@ -445,11 +498,11 @@ class LRUList:
         index = self._file_runs.get(filename)
         if index is None:
             return []
-        if index.dirty is None:
-            return index.clean.fragments()
-        if index.clean is None:
-            return index.dirty.fragments()
-        return _in_key_order(index.clean.keyed() + index.dirty.keyed())
+        keyed: List[Keyed] = []
+        for run in (index.clean, index.dirty):
+            if run is not None:
+                _keyed(run, keyed)
+        return _handles_in_key_order(keyed)
 
     def expired_blocks(self, now: float, expiration: float) -> List[Block]:
         """Dirty fragments at least ``expiration`` seconds old, in LRU order.
@@ -459,22 +512,25 @@ class LRUList:
         keeps its entry time), so no prefix of the dirty order holds all
         the expired fragments.
         """
-        keyed = []
+        keyed: List[Keyed] = []
         for index in self._file_runs.values():
             run = index.dirty
             if run is not None:
-                for key, frag in run.keyed():
-                    if (now - frag.entry_time) >= expiration:
-                        keyed.append((key, frag))
-        return _in_key_order(keyed)
+                row = run.row
+                for offset in range(run.head, len(row), WIDTH):
+                    if (now - row[offset + 1]) >= expiration:
+                        keyed.append(((row[offset + 2], row[offset + 3]),
+                                      run, offset))
+        return _handles_in_key_order(keyed)
 
     # --------------------------------------------------------------- cursors
     def clean_cursor(self, exclude_files: Iterable[str] = ()) -> StateCursor:
         """Consuming cursor over clean fragments in LRU order (eviction).
 
-        Every fragment the cursor returns must be removed from the list
-        (or re-inserted after a split) before requesting the next one;
-        call ``close()`` when done so excluded runs return to the heap.
+        ``next()`` returns the run whose front fragment comes next; it
+        must be removed from the list (or re-inserted after a split)
+        before requesting the next one.  Call ``close()`` when done so
+        excluded runs return to the heap.
         """
         self._flush_pending()
         return StateCursor(self._clean_heap, frozenset(exclude_files))
@@ -498,7 +554,8 @@ class LRUList:
 
     # ------------------------------------------------------------ validation
     def assert_consistent(self) -> None:
-        """Validate accounting, run structure, indexes and heap liveness."""
+        """Validate accounting, run structure, handles, indexes and heap
+        liveness."""
         total = 0.0
         dirty = 0.0
         per_file: Dict[str, float] = {}
@@ -524,40 +581,30 @@ class LRUList:
                         f"run {run!r} filed under {filename!r} in "
                         f"{self.name!r}"
                     )
-                frags = run.frags
-                if run.head >= len(frags):
+                row = run.row
+                if len(row) % WIDTH or run.head % WIDTH:
+                    raise CacheConsistencyError(
+                        f"run {run!r} of {self.name!r} holds {len(row)} "
+                        f"doubles from offset {run.head}, not whole "
+                        f"fragments of {WIDTH}"
+                    )
+                if run.head >= len(row):
                     raise CacheConsistencyError(
                         f"empty run {run!r} stored in LRU list {self.name!r}"
                     )
-                if len(run.stamps) != len(frags):
-                    raise CacheConsistencyError(
-                        f"run {run!r} of {self.name!r} has {len(run.stamps)} "
-                        f"stamps for {len(frags)} fragment slots"
-                    )
                 previous_key = None
-                for slot in range(run.head, len(frags)):
-                    frag = frags[slot]
-                    if frag is None or frag._run is not run:
+                for offset in run.offsets():
+                    size = row[offset]
+                    if size <= 0:
                         raise CacheConsistencyError(
-                            f"fragment ownership violation in run {run!r} "
-                            f"of {self.name!r}"
+                            f"non-positive fragment size {size} in run "
+                            f"{run!r} of {self.name!r}"
                         )
-                    if (frag.filename != filename
-                            or frag.dirty is not run.dirty):
-                        raise CacheConsistencyError(
-                            f"non-homogeneous run {run!r} in {self.name!r}: "
-                            f"{frag!r}"
-                        )
-                    if frag.size <= 0:
-                        raise CacheConsistencyError(
-                            f"non-positive fragment size in {self.name!r}: "
-                            f"{frag!r}"
-                        )
-                    key = (frag.last_access, run.stamps[slot])
+                    key = (row[offset + 2], row[offset + 3])
                     if previous_key is not None and key <= previous_key:
                         raise CacheConsistencyError(
                             f"run {run!r} of {self.name!r} out of order at "
-                            f"{frag!r}"
+                            f"key {key}"
                         )
                     if key in keys:
                         raise CacheConsistencyError(
@@ -565,11 +612,12 @@ class LRUList:
                         )
                     keys.add(key)
                     previous_key = key
-                    total += frag.size
-                    if frag.dirty:
-                        dirty += frag.size
-                    per_file[filename] = per_file.get(filename, 0.0) + frag.size
+                    total += size
+                    if run.dirty:
+                        dirty += size
+                    per_file[filename] = per_file.get(filename, 0.0) + size
                     count += 1
+                self._check_handles(run)
                 run_count += 1
                 if run.dirty:
                     dirty_runs += 1
@@ -614,6 +662,35 @@ class LRUList:
             if abs(self._per_file.get(filename, 0.0) - expected) > DRIFT_TOLERANCE:
                 raise CacheConsistencyError(
                     f"LRU list {self.name!r} per-file drift on {filename!r}"
+                )
+
+    def _check_handles(self, run: ExtentRun) -> None:
+        """Every handle registered with ``run`` mirrors its fragment."""
+        if run.handles is None:
+            return
+        if not run.handles:
+            raise CacheConsistencyError(
+                f"run {run!r} of {self.name!r} keeps an empty handle registry"
+            )
+        row = run.row
+        offsets = {row[offset + 3]: offset for offset in run.offsets()}
+        for stamp, entry in list(run.handles.items()):
+            block = entry()
+            if block is None:
+                continue
+            offset = offsets.get(stamp)
+            if (offset is None or entry.run is not run
+                    or entry.stamp != stamp or block._run is not run
+                    or block._stamp != stamp
+                    or block.filename != run.filename
+                    or block.dirty is not run.dirty
+                    or block.storage is not run.storage
+                    or block.size != row[offset]
+                    or block.entry_time != row[offset + 1]
+                    or block.last_access != row[offset + 2]):
+                raise CacheConsistencyError(
+                    f"handle {block!r} out of step with its fragment in "
+                    f"run {run!r} of {self.name!r}"
                 )
 
     def __repr__(self) -> str:
@@ -719,7 +796,7 @@ class PageCacheLists:
         """Demote LRU active data until active <= ratio x inactive.
 
         The ratio is :data:`ACTIVE_TO_INACTIVE_RATIO`.  Exactly the excess
-        is demoted (the last demoted block is split if needed), so the
+        is demoted (the last demoted fragment is split if needed), so the
         structural invariant ``active <= ratio x inactive``
         holds after every cache update, matching the kernel's steady state
         where the active list is kept at most twice the inactive list.
@@ -727,25 +804,36 @@ class PageCacheLists:
         """
         if not self.balance_enabled:
             return 0.0
+        active, inactive = self.active, self.inactive
         ratio = ACTIVE_TO_INACTIVE_RATIO
-        excess = self.active._size - ratio * self.inactive._size
+        excess = active._size - ratio * inactive._size
         if excess <= BYTE_EPSILON:
             return 0.0
         # Demoting x bytes must yield active - x <= ratio * (inactive + x).
         to_demote = excess / (1.0 + ratio)
         demoted = 0.0
-        while demoted < to_demote - BYTE_EPSILON and len(self.active) > 0:
-            block = self.active.peek_lru()
+        while demoted < to_demote - BYTE_EPSILON and active._length > 0:
+            run = active.front_run()
+            head = run.head
+            row = run.row
+            size = row[head]
+            entry_time = row[head + 1]
+            last_access = row[head + 2]
+            filename, dirty, storage = run.filename, run.dirty, run.storage
             needed = to_demote - demoted
-            if block.size <= needed + BYTE_EPSILON:
-                self.active.remove(block)
-                self.inactive.append(block)
-                demoted += block.size
+            if size <= needed + BYTE_EPSILON:
+                handle = active.take(run, head)
+                inactive.push(filename, dirty, storage, size, entry_time,
+                              last_access, handle)
+                demoted += size
             else:
-                self.active.remove(block)
-                demoted_part, kept_part = block.split(needed)
-                self.inactive.append(demoted_part)
-                self.active.append(kept_part)
+                # Demote the fragment's first ``needed`` bytes; both parts
+                # keep its metadata.
+                active.take(run, head)
+                inactive.push(filename, dirty, storage, needed, entry_time,
+                              last_access)
+                active.push(filename, dirty, storage, size - needed,
+                            entry_time, last_access)
                 demoted += needed
         return demoted
 

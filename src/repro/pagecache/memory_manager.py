@@ -318,37 +318,42 @@ class MemoryManager:
         for lru in lists:
             if evicted >= amount - _EPSILON:
                 break
-            # A consuming cursor hands out the evictable blocks in the
-            # policy's victim order (for the default LRU policy: straight
-            # from the clean heap): cost is proportional to the blocks
-            # touched, not the cache size.
+            # A consuming cursor hands out the runs fronted by the
+            # evictable fragments in the policy's victim order (for the
+            # default LRU policy: straight from the clean heap): cost is
+            # proportional to the fragments touched, not the cache size.
             cursor = policy.clean_cursor(lru, excluded)
             try:
                 while evicted < amount - _EPSILON:
-                    block = cursor.next()
-                    if block is None:
+                    run = cursor.next()
+                    if run is None:
                         break
+                    head = run.head
+                    row = run.row
+                    size = row[head]
                     needed = amount - evicted
-                    if block.size <= needed + _EPSILON:
-                        lru.remove(block)
-                        evicted += block.size
-                        self._free += block.size
+                    if size <= needed + _EPSILON:
+                        lru.take(run, head)
+                        evicted += size
+                        self._free += size
                         if notify:
                             policy.on_evicted(
-                                block.filename, block.size,
-                                self.lists.cached_of_file(block.filename),
+                                run.filename, size,
+                                self.lists.cached_of_file(run.filename),
                             )
                     else:
-                        kept_size = block.size - needed
-                        lru.remove(block)
-                        kept, _gone = block.split(kept_size)
-                        lru.append(kept)
+                        # Evict the fragment's last ``needed`` bytes: its
+                        # first part stays, with its metadata.
+                        entry_time, last_access = row[head + 1], row[head + 2]
+                        lru.take(run, head)
+                        lru.push(run.filename, False, run.storage,
+                                 size - needed, entry_time, last_access)
                         evicted += needed
                         self._free += needed
                         if notify:
                             policy.on_evicted(
-                                block.filename, needed,
-                                self.lists.cached_of_file(block.filename),
+                                run.filename, needed,
+                                self.lists.cached_of_file(run.filename),
                             )
             finally:
                 cursor.close()
@@ -366,14 +371,14 @@ class MemoryManager:
                      ) -> Tuple[Dict[object, float], float]:
         """Selection half of :meth:`flush` (no simulated time).
 
-        Picks LRU dirty blocks totalling ``amount`` bytes, inactive list
-        first, and marks them clean (splitting the last block if needed).
+        Picks LRU dirty fragments totalling ``amount`` bytes, inactive list
+        first, and marks them clean (splitting the last one if needed).
         Returns the per-device write amounts (in selection order) plus the
-        total selected.  ``mark_clean`` moves each fragment from its dirty
-        run into the bordering clean run (or a clean run of its own)
-        without touching its size, so cleaning a run front to back grows
-        one clean extent.  The selection is synchronous so that a
-        concurrent flusher never picks the same blocks twice.
+        total selected.  :meth:`LRUList.clean` moves each fragment from
+        its dirty run into the file's clean run (or a clean run of its
+        own) without touching its size, so cleaning a run front to back
+        grows one clean extent.  The selection is synchronous so that a
+        concurrent flusher never picks the same fragments twice.
         """
         per_device: Dict[object, float] = {}
         total = 0.0
@@ -383,24 +388,28 @@ class MemoryManager:
             cursor = lru.dirty_cursor(exclude_file)
             try:
                 while total < amount - _EPSILON:
-                    block = cursor.next()
-                    if block is None:
+                    run = cursor.next()
+                    if run is None:
                         break
+                    head = run.head
+                    row = run.row
+                    size = row[head]
+                    storage = run.storage
                     needed = amount - total
-                    if block.size <= needed + _EPSILON:
-                        size = block.size
-                        lru.mark_clean(block)
+                    if size <= needed + _EPSILON:
+                        lru.clean(run, head)
                     else:
                         # Split into a flushed part and a part that stays
                         # dirty.
-                        lru.remove(block)
-                        block, dirty_part = block.split(needed)
-                        block.dirty = False
-                        size = block.size
-                        lru.append(block)
-                        lru.append(dirty_part)
+                        entry_time, last_access = row[head + 1], row[head + 2]
+                        lru.take(run, head)
+                        filename = run.filename
+                        lru.push(filename, False, storage, needed, entry_time,
+                                 last_access)
+                        lru.push(filename, True, storage, size - needed,
+                                 entry_time, last_access)
+                        size = needed
                     total += size
-                    storage = block.storage
                     if storage is not None:
                         if storage in per_device:
                             per_device[storage] += size
@@ -434,36 +443,27 @@ class MemoryManager:
 
     # ------------------------------------------------------ cache operations
     def add_to_cache(self, filename: str, amount: float, storage,
-                     dirty: bool = False) -> Optional[Block]:
-        """Insert freshly read (or written) data as a new block.
+                     dirty: bool = False) -> None:
+        """Insert freshly read (or written) data as a new fragment.
 
         Newly cached data always enters the inactive list, as in the kernel.
         Accounting only; the disk or memory transfer time is simulated by
         the caller.
         """
         if amount <= 0:
-            return None
+            return
         now = self.env.now
-        block = Block(
-            filename,
-            amount,
-            entry_time=now,
-            last_access=now,
-            dirty=dirty,
-            storage=storage,
-        )
         lists = self.lists
-        lists.inactive.append(block)
+        lists.inactive.push(filename, dirty, storage, float(amount), now, now)
         lists.balance()
         self._free -= amount
         if self._policy_events:
             self.policy.on_insert(filename, amount, now)
-        return block
 
     def put_to_cache(self, filename: str, amount: float, storage) -> None:
         """Write ``amount`` bytes of ``filename`` into the cache (dirty).
 
-        Accounting only: creates a dirty block in the inactive list (writes
+        Accounting only: creates a dirty fragment in the inactive list (writes
         are assumed to target uncached data, as in the paper) and counts
         the written bytes; the caller charges the memory-write transfer.
         """
@@ -475,74 +475,71 @@ class MemoryManager:
 
         The cache-hit path of Algorithm 2, accounting only: data is taken
         from the inactive list first, then from the active list; clean
-        blocks are merged into a single re-accessed block appended to the
-        active list, dirty blocks are promoted individually so they keep
-        their entry time.  Records the hit and returns the number of bytes
-        served (bounded by the amount of the file actually cached); the
-        caller charges the memory-read transfer for them.
+        fragments are merged into a single re-accessed fragment appended to
+        the active list, dirty fragments are promoted individually so they
+        keep their entry time.  Records the hit and returns the number of
+        bytes served (bounded by the amount of the file actually cached);
+        the caller charges the memory-read transfer for them.
         """
         now = self.env.now
         remaining = amount
-        # The sum of the clean sizes starts at the first one, so a hit
-        # that consumes one clean fragment keeps that fragment's size
-        # float (the same value as ``0.0 + size``, without a new object).
+        # The sum of the clean sizes starts at the first one, the same
+        # value as ``0.0 + size``.
         merged_clean_size: Optional[float] = None
         merged_entry_time = now
         merged_storage = None
+        lists = self.lists
+        active = lists.active
 
-        for lru in (self.lists.inactive, self.lists.active):
+        for lru in (lists.inactive, active):
             if remaining <= _EPSILON:
                 break
             # Only this file's fragments, in LRU order — the lazy file
             # cursor walks the file's extent runs and costs only the
             # fragments actually consumed, not a per-chunk snapshot of
-            # every cached block of the file.
-            cursor = lru.file_cursor(filename)
-            cursor_next = cursor.next
-            remove = lru.remove
-            active = self.lists.active
+            # every cached fragment of the file.
+            cursor_next = lru.file_cursor(filename).next
+            take = lru.take
             while remaining > _EPSILON:
-                block = cursor_next()
-                if block is None:
+                run = cursor_next()
+                if run is None:
                     break
-                if block.size > remaining + _EPSILON:
-                    # Only part of the block is accessed: split and re-access
-                    # the first part only.
-                    remove(block)
-                    accessed, rest = block.split(remaining)
-                    lru.append(rest)
-                    block = accessed
+                head = run.head
+                row = run.row
+                taken = row[head]
+                entry_time = row[head + 1]
+                if taken > remaining + _EPSILON:
+                    # Only part of the fragment is accessed: its rest stays
+                    # in place, and the first part only is re-accessed.
+                    last_access = row[head + 2]
+                    take(run, head)
+                    lru.push(filename, run.dirty, run.storage,
+                             taken - remaining, entry_time, last_access)
+                    taken = float(remaining)
+                    handle = None
                 else:
-                    remove(block)
-                taken = block.size
-                if block.dirty:
-                    # Dirty blocks are moved independently to preserve their
-                    # entry time (needed for expiration).
-                    block.last_access = now
-                    active.append(block)
+                    handle = take(run, head)
+                if run.dirty:
+                    # Dirty fragments are moved independently to preserve
+                    # their entry time (needed for expiration).
+                    active.push(filename, True, run.storage, taken,
+                                entry_time, now, handle)
                 else:
-                    if block.entry_time < merged_entry_time:
-                        merged_entry_time = block.entry_time
+                    if entry_time < merged_entry_time:
+                        merged_entry_time = entry_time
                     if merged_clean_size is None:
                         merged_clean_size = taken
                     else:
                         merged_clean_size += taken
-                    if block.storage is not None:
-                        merged_storage = block.storage
+                    if run.storage is not None:
+                        merged_storage = run.storage
                 remaining -= taken
 
         if merged_clean_size is not None:
-            merged = Block(
-                filename,
-                merged_clean_size,
-                entry_time=merged_entry_time,
-                last_access=now,
-                dirty=False,
-                storage=merged_storage,
-            )
-            self.lists.active.append(merged)
+            active.push(filename, False, merged_storage, merged_clean_size,
+                        merged_entry_time, now)
 
-        self.lists.balance()
+        lists.balance()
         served = amount - max(0.0, remaining)
         if served > 0:
             self.stats.record_hit(filename, served)
@@ -560,12 +557,14 @@ class MemoryManager:
         removed = 0.0
         for lru in (self.lists.inactive, self.lists.active):
             cursor = lru.file_cursor(filename)
-            block = cursor.next()
-            while block is not None:
-                lru.remove(block)
-                removed += block.size
-                self._free += block.size
-                block = cursor.next()
+            run = cursor.next()
+            while run is not None:
+                head = run.head
+                size = run.row[head]
+                lru.take(run, head)
+                removed += size
+                self._free += size
+                run = cursor.next()
         if removed > 0:
             self.lists.balance()
             if self._policy_events:
@@ -602,34 +601,51 @@ class MemoryManager:
         interval = self.config.writeback_interval
         while self._running:
             start = self.env.now
-            blocks = self.expired_blocks()
-            flushed = 0.0
-            for block in blocks:
-                # Mark clean before the write so foreground flushing does
-                # not pick the same fragment while this process waits on
-                # the storage device.
-                size = block.size
-                if block in self.lists.inactive:
-                    self.lists.inactive.mark_clean(block)
-                elif block in self.lists.active:
-                    self.lists.active.mark_clean(block)
-                else:
-                    continue
-                flushed += size
-                if block.storage is not None:
-                    try:
-                        yield block.storage.write(size, label=self._label_bg_flush)
-                    except FlowAborted:
-                        # The device crashed mid-flush (fault injection).
-                        # The whole cache is about to be invalidated, so
-                        # just skip the write and keep the flusher alive
-                        # for after the repair.
-                        flushed -= size
+            flushed = yield from self._flush_expired()
             if flushed > 0:
                 self.stats.background_flushed_bytes += flushed
             flushing_time = self.env.now - start
             if flushing_time < interval:
                 yield self.env.timeout(interval - flushing_time)
+
+    def _flush_expired(self):
+        """One pass of the flusher: write the expired dirty fragments.
+
+        The pass holds a snapshot of handles across its writes.  A handle
+        follows its fragment when a read promotes it, ``balance`` demotes
+        it or a foreground flush cleans it; one whose fragment was split,
+        evicted or invalidated meanwhile is in no list and is skipped.  A
+        fragment a foreground flush already cleaned is written again.
+        Each handle is dropped once reached, so the snapshot costs only
+        the fragments still ahead.  Returns the bytes written.
+        """
+        inactive, active = self.lists.inactive, self.lists.active
+        flushed = 0.0
+        blocks = self.expired_blocks()
+        blocks.reverse()
+        while blocks:
+            block = blocks.pop()
+            # Mark clean before the write so foreground flushing does
+            # not pick the same fragment while this process waits on
+            # the storage device.
+            size = block.size
+            if block in inactive:
+                inactive.mark_clean(block)
+            elif block in active:
+                active.mark_clean(block)
+            else:
+                continue
+            flushed += size
+            if block.storage is not None:
+                try:
+                    yield block.storage.write(size, label=self._label_bg_flush)
+                except FlowAborted:
+                    # The device crashed mid-flush (fault injection).
+                    # The whole cache is about to be invalidated, so
+                    # just skip the write and keep the flusher alive
+                    # for after the repair.
+                    flushed -= size
+        return flushed
 
     def stop(self) -> None:
         """Stop the background flusher at its next wake-up."""

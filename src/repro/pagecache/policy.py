@@ -47,7 +47,7 @@ import math
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.pagecache.block import Block
+from repro.pagecache.extents import ExtentRun
 from repro.pagecache.lru import LRUList
 from repro.pagecache.stats import EvictionPolicyStats
 
@@ -56,14 +56,14 @@ class ScoredCursor:
     """Consuming cursor over clean fragments in a policy's victim order.
 
     Satisfies the same contract as :class:`~repro.pagecache.extents.
-    StateCursor`: the caller must remove (or split-and-reinsert) each
-    returned fragment before requesting the next one.  The cursor snapshots
-    the *file* order at creation and re-fetches each file's live clean run
-    on every step, so consuming a fragment (which may advance the run's
-    head, kill the run, or re-pool the run object) can never leave the
-    cursor holding a stale reference.  Within a file, fragments come out in
-    exact LRU order (the run row is sorted); across files, the policy's
-    ranking applies.
+    StateCursor`: ``next()`` returns the run whose front fragment is the
+    next victim, and the caller must remove (or split-and-reinsert) that
+    fragment before requesting the next one.  The cursor snapshots the
+    *file* order at creation and re-fetches each file's live clean run on
+    every step, so consuming a fragment (which may advance the run's head
+    or kill the run) can never leave the cursor holding a stale
+    reference.  Within a file, fragments come out in exact LRU order (the
+    run row is sorted); across files, the policy's ranking applies.
     """
 
     __slots__ = ("_lru", "_order", "_index")
@@ -73,17 +73,17 @@ class ScoredCursor:
         self._order = ordered_files
         self._index = 0
 
-    def next(self) -> Optional[Block]:
+    def next(self) -> Optional[ExtentRun]:
         lru = self._lru
         file_runs = lru._file_runs
         order = self._order
         while self._index < len(order):
             index = file_runs.get(order[self._index])
             run = index.clean if index is not None else None
-            if run is None or run._list is not lru or run.head >= len(run.frags):
+            if run is None or run._list is not lru or run.head >= len(run.row):
                 self._index += 1
                 continue
-            return run.frags[run.head]
+            return run
         return None
 
     def close(self) -> None:
@@ -242,7 +242,7 @@ class LRUPolicy(EvictionPolicy):
         # forecast).
         files = self._evictable_files(lru, excluded)
 
-        def front_key(name: str) -> Tuple[float, int]:
+        def front_key(name: str) -> Tuple[float, float]:
             return lru._file_runs[name].clean.front_key()
 
         files.sort(key=front_key)

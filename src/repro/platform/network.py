@@ -44,7 +44,13 @@ class Link:
 
 
 class Route:
-    """An ordered sequence of links between two hosts."""
+    """An ordered sequence of links between two hosts.
+
+    ``latency`` (the sum of the links' latencies) and ``bottleneck`` (the
+    slowest link) are computed once: a link's bandwidth and latency do not
+    change after construction (stragglers rescale the bottleneck's channel
+    through :meth:`FairShareChannel.set_bandwidth`, not the link).
+    """
 
     def __init__(self, src: str, dst: str, links: List[Link]):
         if not links:
@@ -52,16 +58,8 @@ class Route:
         self.src = src
         self.dst = dst
         self.links = list(links)
-
-    @property
-    def latency(self) -> float:
-        """Sum of the latencies of all links on the route."""
-        return sum(link.latency for link in self.links)
-
-    @property
-    def bottleneck(self) -> Link:
-        """The slowest link of the route."""
-        return min(self.links, key=lambda link: link.bandwidth)
+        self.latency = sum(link.latency for link in self.links)
+        self.bottleneck = min(self.links, key=lambda link: link.bandwidth)
 
     def __repr__(self) -> str:
         names = "->".join(link.name for link in self.links)
@@ -107,10 +105,11 @@ class Network:
                  label: Optional[str] = None) -> Event:
         """Transfer ``amount`` bytes from ``src`` to ``dst``.
 
-        Local transfers (``src == dst``) complete immediately.
+        Local transfers (``src == dst``) and empty ones complete
+        immediately.
         """
-        done_now = Event(self.env)
         if src == dst or amount <= 0:
+            done_now = Event(self.env)
             done_now.succeed(0.0)
             return done_now
         route = self.route(src, dst)
@@ -118,7 +117,8 @@ class Network:
                                 name=f"net-{src}-{dst}")
 
     def _transfer(self, route: Route, amount: float, label: Optional[str]):
-        if route.latency > 0:
-            yield self.env.timeout(route.latency)
+        latency = route.latency
+        if latency > 0:
+            yield self.env.timeout(latency)
         elapsed = yield route.bottleneck.channel.transfer(amount, label=label)
-        return route.latency + elapsed
+        return latency + elapsed

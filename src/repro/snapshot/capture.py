@@ -8,7 +8,8 @@ ordered data:
   entry, tombstones included (cancelled-but-unpopped timeouts are real
   state: a replay must carry the same tombstones);
 * every host's page cache — extent runs of both LRU lists in LRU order,
-  with each fragment's ``(size, entry_time, last_access, stamp)`` key,
+  with each fragment's ``(size, entry_time, last_access, stamp)`` row
+  (the stamp as an int),
   plus the memory-manager accounting and cache statistics;
 * in-flight transfers — the remaining bytes of every flow on every
   channel (mid-transfer snapshots are legal and pinned);
@@ -134,14 +135,21 @@ def _capture_lru(lru) -> Dict[str, Any]:
             {
                 "file": run.filename,
                 "dirty": bool(run.dirty),
-                "fragments": [
-                    [block.size, block.entry_time, block.last_access, stamp]
-                    for (_access, stamp), block in run.keyed()
-                ],
+                "fragments": _capture_fragments(run),
             }
             for run in lru.runs()
         ],
     }
+
+
+def _capture_fragments(run) -> List[List[float]]:
+    """A run's fragments, oldest first: size, entry time, last access and
+    the stamp as an int."""
+    row = run.row
+    return [
+        [row[offset], row[offset + 1], row[offset + 2], int(row[offset + 3])]
+        for offset in run.offsets()
+    ]
 
 
 def _capture_scheduler(scheduler) -> Dict[str, Any]:

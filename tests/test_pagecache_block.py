@@ -5,10 +5,14 @@ import tracemalloc
 import pytest
 
 from repro import File, Simulation, SimulationConfig
+from repro.des import Environment
+from repro.pagecache import MemoryManager
 from repro.pagecache.block import Block
 from repro.pagecache.config import PageCacheConfig
+from repro.platform.memory import MemoryDevice
+from repro.platform.storage import Disk
 from repro.simulator.workflow import chain_workflow
-from repro.units import GB, MB, GiB
+from repro.units import GB, MB, GiB, MBps
 
 
 class TestBlockConstruction:
@@ -103,7 +107,42 @@ class TestFragmentFootprint:
         finally:
             tracemalloc.stop()
         assert (lists.fragment_count, lists.run_count) == (3000, 3)
-        # About 139-141 bytes on Python 3.9-3.13: the block and its share
-        # of the run's fragment and stamp rows (the stamp is an 8-byte
-        # array slot, not an int object of the block's).
-        assert growth / lists.fragment_count <= 150
+        # About 36.5-37.3 bytes on Python 3.9-3.13: the fragment's four
+        # doubles in its run's packed row and the row's over-allocation
+        # (139-141 bytes when each fragment was a Block in a row of
+        # objects).
+        assert growth / lists.fragment_count <= 42
+
+    def test_bytes_per_one_fragment_run(self):
+        # Many files of one chunk each, the shape of sched-dispatch's
+        # small inputs: every cached file is a run holding one fragment,
+        # so the run and its index entries cost more than the fragment.
+        # A first, untraced pass warms the interpreter as above.
+        def fill():
+            env = Environment()
+            memory = MemoryDevice.symmetric(env, "ram", 1000 * MBps,
+                                            size=64 * GiB)
+            disk = Disk.symmetric(env, "ssd", 100 * MBps)
+            mm = MemoryManager(env, memory,
+                               PageCacheConfig(periodic_flushing=False))
+            names = [f"file{index}" for index in range(2000)]
+            return mm, disk, names
+
+        mm, disk, names = fill()
+        for name in names:
+            mm.add_to_cache(name, 16 * MB, disk)
+        mm, disk, names = fill()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for name in names:
+                mm.add_to_cache(name, 16 * MB, disk)
+            growth = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        lists = mm.lists
+        assert (lists.fragment_count, lists.run_count) == (2000, 2000)
+        # About 360-382 bytes on Python 3.9-3.13: the run, its one-fragment
+        # row and the per-file index entries (553-575 bytes when the run
+        # also held a row of objects, a stamp array and the Block).
+        assert growth / lists.fragment_count <= 400

@@ -196,7 +196,7 @@ class TestZeroLengthInvariants:
         lru.append(block)
         run = block._run
         # Corrupt the run behind the list's back.
-        run.frags.clear()
+        del run.row[:]
         run.head = 0
         with pytest.raises(CacheConsistencyError):
             lru.assert_consistent()
@@ -207,8 +207,9 @@ class TestZeroLengthInvariants:
         lru.append(block)
         lru.append(make_block("f", 10.0, access=1.0))
         lru.assert_consistent()
-        # One stamp per fragment slot, consumed slots included.
-        block._run.stamps.append(99)
+        # Whole fragments of four doubles, consumed slots included: a
+        # stray double shifts every stamp after it.
+        block._run.row.append(99.0)
         with pytest.raises(CacheConsistencyError):
             lru.assert_consistent()
 
@@ -216,7 +217,7 @@ class TestZeroLengthInvariants:
         lru = LRUList()
         block = make_block("f", 10.0)
         lru.append(block)
-        block.size = 0.0
+        block._run.row[block._run.head] = 0.0
         with pytest.raises(CacheConsistencyError):
             lru.assert_consistent()
 
@@ -268,7 +269,7 @@ class TestRunPooling:
         run = block._run
         lru.remove(block)
         assert run._list is None
-        assert run.frags == [] and run.head == 0  # the row is cleared
+        assert len(run.row) == 0 and run.head == 0  # the row is cleared
         again = make_block("a", 5.0, access=1.0)
         lru.append(again)
         other = make_block("b", 5.0, access=2.0)
@@ -292,7 +293,8 @@ class TestRunPooling:
         lru.append(first)
         cursor = lru.file_cursor("a")
         lru.append(make_block("a", 20.0, access=1.0))
-        assert cursor.next() is first
+        run = cursor.next()
+        assert run.block(run.head) is first
         lru.remove(first)
         # The second fragment was linked after the snapshot bound.
         assert cursor.next() is None
@@ -331,3 +333,39 @@ class TestBalanceAcrossRuns:
         total = lists.inactive.size + lists.active.size
         assert total == pytest.approx(180.0)
         lists.assert_consistent()
+
+
+class TestPackedRows:
+    """Fragments are numbers in their run's row; handles are held."""
+
+    def test_a_fragment_is_four_doubles_of_its_run_row(self, mm_setup):
+        env, mm, disk = mm_setup
+        for step in range(3):
+            env._now = float(step)
+            mm.add_to_cache("f", 10.0 * (step + 1), disk, dirty=True)
+        (run,) = mm.lists.inactive.runs()
+        assert (run.filename, run.dirty, run.storage) == ("f", True, disk)
+        assert list(run.row) == [10.0, 0.0, 0.0, 0.0,
+                                 20.0, 1.0, 1.0, 1.0,
+                                 30.0, 2.0, 2.0, 2.0]
+        assert run.handles is None  # nothing holds a fragment
+
+    def test_a_handle_is_registered_only_while_held(self):
+        lru = LRUList()
+        lru.append(make_block("f", 10.0))  # the caller keeps no reference
+        (run,) = lru.runs()
+        assert run.handles is None
+        block = lru.peek_lru()
+        assert block in lru and lru.peek_lru() is block
+        assert run.handles is not None
+        lru.assert_consistent()
+        del block
+        assert run.handles is None
+
+    def test_a_file_keeps_one_storage_per_cache(self, mm_setup):
+        env, mm, disk = mm_setup
+        other = Disk.symmetric(env, "other", 100 * MBps)
+        mm.add_to_cache("f", 10.0, disk)
+        with pytest.raises(CacheConsistencyError):
+            mm.add_to_cache("f", 10.0, other)
+        mm.lists.assert_consistent()

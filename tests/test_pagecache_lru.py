@@ -14,7 +14,8 @@ def make_block(filename="f", size=10.0, entry=0.0, access=None, dirty=False):
 def first_of(cursor):
     """The first fragment a state cursor hands out (none consumed)."""
     try:
-        return cursor.next()
+        run = cursor.next()
+        return None if run is None else run.block(run.head)
     finally:
         cursor.close()
 

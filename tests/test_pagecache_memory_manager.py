@@ -81,8 +81,10 @@ class TestAnonymousMemory:
 class TestCacheAccounting:
     def test_add_to_cache_creates_inactive_clean_block(self, setup):
         _, mm, disk = setup
-        block = mm.add_to_cache("f", 1 * GB, disk)
+        assert mm.add_to_cache("f", 1 * GB, disk) is None
+        (block,) = mm.lists.inactive.blocks_of_file("f")
         assert block in mm.lists.inactive
+        assert block.size == 1 * GB
         assert not block.dirty
         assert mm.cached == 1 * GB
         assert mm.free_mem == 9 * GB
@@ -147,7 +149,8 @@ class TestCacheAccounting:
 class TestEviction:
     def test_evicts_clean_inactive_blocks_lru_first(self, setup):
         env, mm, disk = setup
-        first = mm.add_to_cache("a", 1 * GB, disk)
+        mm.add_to_cache("a", 1 * GB, disk)
+        (first,) = mm.lists.inactive.blocks_of_file("a")
         env.run(until=1.0)
         mm.add_to_cache("b", 1 * GB, disk)
         evicted = mm.evict(1 * GB)
@@ -329,10 +332,13 @@ class TestCacheReads:
         size = mm.lists.inactive.blocks_of_file("f")[0].size
         mm.lists.balance_enabled = False
         mm.take_from_cache("f", 0.5 * GB)
-        # The merged block of a hit on one clean fragment holds that
-        # fragment's own size float, not a fresh ``0.0 + size``.
+        # The merged fragment of a hit on one clean fragment holds that
+        # fragment's size: the same double, packed in the active list's
+        # row (a cached size is no float object of its own).
+        (run,) = mm.lists.active.runs()
+        assert run.row[run.head] == size
         (merged,) = mm.lists.active.blocks_of_file("f")
-        assert merged.size is size
+        assert merged.size == size
 
     def test_read_moves_dirty_blocks_individually(self, setup):
         _, mm, disk = setup
@@ -446,7 +452,135 @@ class TestPeriodicFlushing:
         mm = MemoryManager(env, memory, PageCacheConfig(periodic_flushing=False,
                                                         dirty_expire=5.0))
         mm.add_to_cache("clean", 1 * GB, disk)
-        dirty_block = mm.add_to_cache("dirty", 1 * GB, disk, dirty=True)
+        mm.add_to_cache("dirty", 1 * GB, disk, dirty=True)
+        (dirty_block,) = mm.lists.inactive.blocks_of_file("dirty")
         env.timeout(10.0)
         env.run()
         assert mm.expired_blocks() == [dirty_block]
+
+
+class TestFlusherSnapshot:
+    """The periodic flusher holds its expiry snapshot across its writes.
+
+    At t = 10 the flusher's pass snapshots two expired dirty fragments,
+    ``a`` then ``b``, marks ``a`` clean and writes it for one second.
+    Meanwhile something happens to ``b``; these tests pin what the
+    flusher then does with the fragment it still holds.
+    """
+
+    @staticmethod
+    def make(env):
+        memory = MemoryDevice.symmetric(env, "ram", 1000 * MBps, size=10 * GB)
+        disk = Disk.symmetric(env, "ssd", 100 * MBps)
+        mm = MemoryManager(env, memory, PageCacheConfig(
+            dirty_expire=10.0, writeback_interval=5.0))
+        return mm, disk
+
+    @staticmethod
+    def play(env, mm, setup, meddle, until=14.0):
+        """Run ``setup`` at t = 0 and ``meddle`` at t = 10.5, then stop at
+        ``until``, before the flusher's next pass."""
+
+        def scenario(env):
+            yield from setup()
+            yield env.timeout(10.5 - env.now)
+            yield from meddle()
+
+        env.process(scenario(env))
+        env.run(until=until)
+        mm.stop()
+
+    def test_promoted_fragment_is_flushed_from_the_active_list(self, env):
+        mm, disk = self.make(env)
+
+        def setup():
+            mm.put_to_cache("a", 100 * MB, disk)
+            mm.put_to_cache("b", 100 * MB, disk)
+            yield env.timeout(0)
+
+        def meddle():
+            # A read promotes b's dirty fragment to the active list.
+            assert mm.take_from_cache("b", 100 * MB) == 100 * MB
+            assert mm.lists.active.dirty_size == 100 * MB
+            yield env.timeout(0)
+
+        self.play(env, mm, setup, meddle)
+        assert mm.dirty == 0.0
+        assert mm.lists.active.cached_of_file("b") == 100 * MB
+        assert mm.stats.background_flushed_bytes == 200 * MB
+        assert disk.bytes_written == 200 * MB
+        mm.assert_consistent()
+
+    def test_demoted_fragment_is_flushed_from_the_inactive_list(self, env):
+        mm, disk = self.make(env)
+
+        def setup():
+            mm.lists.balance_enabled = False
+            mm.put_to_cache("a", 100 * MB, disk)
+            mm.put_to_cache("b", 100 * MB, disk)
+            yield env.timeout(1.0)
+            mm.take_from_cache("b", 100 * MB)
+            yield env.timeout(1.0)
+            mm.add_to_cache("d", 500 * MB, disk)
+            mm.take_from_cache("d", 500 * MB)
+            assert mm.lists.active.dirty_size == 100 * MB
+
+        def meddle():
+            # Balancing demotes b's whole fragment (the active list's
+            # oldest) and part of d's.
+            mm.lists.balance_enabled = True
+            mm.lists.balance()
+            assert mm.lists.active.dirty_size == 0.0
+            assert mm.lists.inactive.dirty_size == 100 * MB
+            yield env.timeout(0)
+
+        self.play(env, mm, setup, meddle)
+        assert mm.dirty == 0.0
+        assert mm.lists.inactive.cached_of_file("b") == 100 * MB
+        assert mm.stats.background_flushed_bytes == 200 * MB
+        assert disk.bytes_written == 200 * MB
+        mm.assert_consistent()
+
+    def test_fragment_split_by_a_foreground_flush_is_skipped(self, env):
+        mm, disk = self.make(env)
+
+        def setup():
+            mm.put_to_cache("a", 100 * MB, disk)
+            mm.put_to_cache("b", 100 * MB, disk)
+            yield env.timeout(0)
+
+        def meddle():
+            # A foreground flush writes half of b: the fragment is split.
+            flushed = yield from mm.flush(50 * MB)
+            assert flushed == 50 * MB
+
+        self.play(env, mm, setup, meddle)
+        # The flusher wrote a only; b's dirty half waits for the next pass.
+        assert mm.dirty == 50 * MB
+        assert mm.stats.background_flushed_bytes == 100 * MB
+        assert mm.stats.flushed_bytes == 50 * MB
+        assert disk.bytes_written == 150 * MB
+        mm.assert_consistent()
+
+    def test_fragment_cleaned_by_a_foreground_flush_is_written_again(self,
+                                                                    env):
+        mm, disk = self.make(env)
+
+        def setup():
+            mm.put_to_cache("a", 100 * MB, disk)
+            mm.put_to_cache("b", 100 * MB, disk)
+            yield env.timeout(0)
+
+        def meddle():
+            # A foreground flush cleans b's whole fragment before the
+            # flusher reaches it.
+            flushed = yield from mm.flush(100 * MB)
+            assert flushed == 100 * MB
+
+        self.play(env, mm, setup, meddle)
+        # The flusher still holds b and writes it a second time.
+        assert mm.dirty == 0.0
+        assert mm.stats.flushed_bytes == 100 * MB
+        assert mm.stats.background_flushed_bytes == 200 * MB
+        assert disk.bytes_written == 300 * MB
+        mm.assert_consistent()

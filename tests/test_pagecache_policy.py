@@ -51,7 +51,8 @@ def next_victim(mm, lru):
     """The fragment the policy would evict next from ``lru`` (not removed)."""
     cursor = mm.policy.clean_cursor(lru)
     try:
-        return cursor.next()
+        run = cursor.next()
+        return None if run is None else run.block(run.head)
     finally:
         cursor.close()
 
@@ -328,7 +329,8 @@ class TestVictimCursor:
         assert peeked is not None
         before = mm.lists.cached_of_file(peeked.filename)
         cursor = mm.policy.clean_cursor(lru)
-        popped = cursor.next()
+        run = cursor.next()
+        popped = run.block(run.head)
         lru.remove(popped)
         cursor.close()
         assert popped is peeked
@@ -341,11 +343,11 @@ class TestVictimCursor:
         read(env, io, disk, "b", 64 * MB)
         cursor = mm.policy.clean_cursor(mm.lists.inactive, ["a"])
         seen = set()
-        block = cursor.next()
-        while block is not None:
-            seen.add(block.filename)
-            mm.lists.inactive.remove(block)
-            block = cursor.next()
+        run = cursor.next()
+        while run is not None:
+            seen.add(run.filename)
+            mm.lists.inactive.take(run, run.head)
+            run = cursor.next()
         assert seen == {"b"}
 
     def test_empty_cache_yields_no_victim(self):

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.des import Environment
 from repro.pagecache.block import Block
 from repro.pagecache.config import PageCacheConfig
-from repro.pagecache.extents import _COMPACT_THRESHOLD
+from repro.pagecache.extents import _COMPACT_THRESHOLD, WIDTH
 from repro.pagecache.lru import LRUList, PageCacheLists
 from repro.pagecache.memory_manager import MemoryManager
 from repro.platform.memory import MemoryDevice
@@ -79,7 +79,7 @@ def test_lru_lists_invariants_under_random_operations(operations):
 
 
 # ---------------------------------------------------------------------------
-# Stamp rows
+# Packed rows
 # ---------------------------------------------------------------------------
 
 class _StampedList:
@@ -88,7 +88,8 @@ class _StampedList:
     The model gives every appended fragment the next stamp, keeps it
     through state changes and forgets it on removal; after each step the
     list must hold exactly the model's fragments, in key order, and every
-    run's stamp row must carry the model's stamps.
+    run's row must hold whole fragments whose keys are the model's.  The
+    model holds every handle, so each row edit must carry them along.
     """
 
     def __init__(self):
@@ -119,9 +120,16 @@ class _StampedList:
         keys = self.keys
         assert self.lru.blocks == sorted(keys, key=keys.get)
         for run in self.lru.runs():
-            assert len(run.stamps) == len(run.frags)
-            for key, block in run.keyed():
-                assert keys[block] == key
+            row = run.row
+            assert len(row) % WIDTH == 0
+            for offset in run.offsets():
+                block = run.block(offset)
+                assert keys[block] == (row[offset + 2], row[offset + 3])
+
+
+def fragments(run):
+    """The handles of ``run``'s live fragments, oldest first."""
+    return [run.block(offset) for offset in run.offsets()]
 
 
 def _play(model, operations):
@@ -144,7 +152,7 @@ def _play(model, operations):
             kind, _, state = kind.partition("-")
             run = model.run_of(filename, kind == "clean" or state == "dirty")
             if run is not None:
-                live = run.fragments()
+                live = fragments(run)
                 if kind == "carve":
                     # Front carves: past the compaction threshold for
                     # long runs, and the whole run (its death) for short.
@@ -182,42 +190,43 @@ def test_stamp_rows_scripted_edits():
     _play(model, [("burst", 0, 2 * _COMPACT_THRESHOLD + 4)])
     run = model.run_of("file0", False)
     _play(model, [("carve", 0, _COMPACT_THRESHOLD + 2)])
-    assert run.head == 0 and len(run.frags) == _COMPACT_THRESHOLD + 2
+    assert run.head == 0
+    assert len(run.row) == (_COMPACT_THRESHOLD + 2) * WIDTH
     # A front carve, then an insert older than the new front reuses the
     # consumed head slot.
     _play(model, [("carve", 0, 1)])
-    assert run.head == 1
-    front = run.frags[1]
+    assert run.head == WIDTH
+    front = run.block(WIDTH)
     block = Block("file0", 10.0, entry_time=0.0,
                   last_access=front.last_access - 0.5)
     model.append(block)
     model.check()
-    assert run.head == 0 and run.frags[0] is block
+    assert run.head == 0 and run.block(0) is block
     # A sorted insert into the middle, a middle removal and a back pop.
-    middle = run.frags[5]
+    middle = run.block(5 * WIDTH)
     block = Block("file0", 10.0, entry_time=0.0,
                   last_access=middle.last_access - 0.5)
     model.append(block)
     model.check()
-    assert run.frags[5] is block
-    model.remove(run.frags[7])
+    assert run.block(5 * WIDTH) is block
+    model.remove(run.block(7 * WIDTH))
     model.check()
-    model.remove(run.frags[-1])
+    model.remove(run.block(len(run.row) - WIDTH))
     model.check()
     # mark_clean of dirty fragments in the middle, at the back and at the
     # front of their run: each rejoins the clean run with its old stamp.
     _play(model, [("append-dirty", 0, 0) for _ in range(5)])
     dirty = model.run_of("file0", True)
-    model.mark_clean(dirty.frags[dirty.head + 2])
+    model.mark_clean(dirty.block(dirty.head + 2 * WIDTH))
     model.check()
-    model.mark_clean(dirty.frags[-1])
+    model.mark_clean(dirty.block(len(dirty.row) - WIDTH))
     model.check()
-    model.mark_clean(dirty.frags[dirty.head])
+    model.mark_clean(dirty.block(dirty.head))
     model.check()
     # Run death: carving every fragment of the dirty run retires it.
     _play(model, [("carve-dirty", 0, 10)])
     assert model.run_of("file0", True) is None
-    assert dirty._list is None and len(dirty.stamps) == len(dirty.frags) == 0
+    assert dirty._list is None and len(dirty.row) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import Any
 
 import pytest
@@ -193,6 +197,63 @@ class TestStepUntil:
         sim.step_until(5.0)
         with pytest.raises(ConfigurationError):
             sim.step_until(1.0)
+
+
+#: Captures of two small runs stopped mid-flight, pinned byte for byte:
+#: exp1 at t = 110 holds clean and dirty runs in both LRU lists, exp6 at
+#: t = 20 holds four hosts' caches.  A change of the cache's storage that
+#: moved a capture would break every snapshot written before it.
+PINNED_CAPTURES = {
+    "exp1": (dict(simulator="wrench-cache", file_size=20 * GB), 110.0,
+             "0596135b33a55fb7c3e75612ae4c78ce3e4f64f549493fe278c335b21c9e9db2"),
+    "exp6": (dict(n_jobs=40, n_nodes=4), 20.0,
+             "3931c83736d0d0e47c3c98eefbca9e47874970d105b29444d9af6c6b535e3e38"),
+}
+
+
+class TestPinnedCapture:
+    def test_mid_run_captures_are_pinned(self):
+        for name, (params, t, expected) in PINNED_CAPTURES.items():
+            sim = build_experiment(name, **params)
+            sim.step_until(t)
+            state = capture_state(sim)
+            assert state["capture_version"] == 2
+            assert fingerprint(state) == expected, name
+
+    def test_exp1_capture_holds_both_states_in_both_lists(self):
+        params, t, _ = PINNED_CAPTURES["exp1"]
+        sim = build_experiment("exp1", **params)
+        sim.step_until(t)
+        assert not sim.completed
+        kinds = {(name, run["dirty"])
+                 for host in capture_state(sim)["hosts"].values()
+                 if "cache" in host
+                 for name, lru in host["cache"]["lists"].items()
+                 for run in lru["runs"]}
+        assert kinds == {("inactive", False), ("inactive", True),
+                         ("active", False), ("active", True)}
+
+    def test_pinned_captures_do_not_depend_on_the_hash_seed(self):
+        cases = sorted((name, params, t) for name, (params, t, _)
+                       in PINNED_CAPTURES.items())
+        code = (
+            "from repro.snapshot import build_experiment, capture_state, "
+            "fingerprint\n"
+            f"for name, params, t in {cases!r}:\n"
+            "    sim = build_experiment(name, **params)\n"
+            "    sim.step_until(t)\n"
+            "    print(name, fingerprint(capture_state(sim)))\n"
+        )
+        expected = "".join(f"{name} {PINNED_CAPTURES[name][2]}\n"
+                           for name, _, _ in cases)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        for seed in ("0", "1", "4242"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            out = subprocess.run([sys.executable, "-c", code], env=env,
+                                 capture_output=True, text=True, check=True)
+            assert out.stdout == expected, seed
 
 
 # ---------------------------------------------------------- file format
