@@ -24,7 +24,7 @@ from conftest import fastest_of, paper_scale
 from repro.des import Environment
 from repro.experiments.exp5_scaling import run_scaling, scaling_regressions
 from repro.experiments.exp7_trace_replay import default_trace_path
-from repro.pagecache.block import Block
+from repro.pagecache.extents import Mark
 from repro.pagecache.lru import PageCacheLists
 from repro.scheduler.swf import SWFRecord, SWFTrace, load_swf
 from repro.snapshot import run_experiment
@@ -218,30 +218,51 @@ def test_perf_lru_churn(benchmark):
 
     Measures the page-cache data structure alone (no simulated time): a
     workload of appends, promotions via removal+re-insertion, per-file
-    queries and LRU pops over a few thousand live blocks.
+    queries and LRU pops over a few thousand live fragments.  A promotion
+    finds its fragment through a mark, as the periodic flusher does, and
+    carries the mark to the active list.
     """
 
     def churn():
         lists = PageCacheLists()
+        inactive, active = lists.inactive, lists.active
         n_files, blocks_per_file = 20, 100
         clock = 0.0
         for index in range(n_files * blocks_per_file):
             clock += 1.0
-            lists.add_to_inactive(
-                Block(f"f{index % n_files}", 1 * MB, clock, dirty=index % 3 == 0)
-            )
-        # Re-access half of each file's bytes (promote to the active list).
+            inactive.push(f"f{index % n_files}", index % 3 == 0, None,
+                          1 * MB, clock, clock)
+            lists.balance()
+        # Re-access half of each file's bytes (promote to the active list):
+        # mark every other fragment of the file in LRU order, then move
+        # each marked fragment.
         for index in range(n_files):
             name = f"f{index}"
-            for block in list(lists.inactive.blocks_of_file(name))[::2]:
+            keyed = sorted(((run.row[offset + 2], run.row[offset + 3]), run)
+                           for run in inactive.runs() if run.filename == name
+                           for offset in run.offsets())
+            marks = []
+            for (last_access, stamp), run in keyed[::2]:
+                mark = Mark(run, stamp, last_access)
+                run.register(mark, stamp)
+                marks.append(mark)
+            for mark in marks:
                 clock += 1.0
-                lists.promote(block, clock)
-        # Pop everything back out in LRU order.
+                run = mark.run
+                offset = run.offset_of(mark)
+                row = run.row
+                size, entry_time = row[offset], row[offset + 1]
+                inactive.take(run, offset)
+                active.push(name, run.dirty, None, size, entry_time, clock,
+                            mark)
+                lists.balance()
+        # Take everything back out in LRU order.
         drained = 0
-        while len(lists.inactive):
-            drained += lists.inactive.pop_lru().size
-        while len(lists.active):
-            drained += lists.active.pop_lru().size
+        for lru in (inactive, active):
+            while len(lru):
+                run = lru.front_run()
+                drained += run.row[run.head]
+                lru.take(run, run.head)
         lists.assert_consistent()
         return drained
 
@@ -260,15 +281,14 @@ def test_perf_extent_streams(benchmark):
     """
 
     def churn():
-        lists = PageCacheLists(balance=False)
+        lists = PageCacheLists()
         n_streams, frags_per_stream = 8, 400
         clock = 0.0
         for round_index in range(frags_per_stream):
             for stream in range(n_streams):
                 clock += 1.0
-                lists.add_to_inactive(
-                    Block(f"s{stream}", 1 * MB, clock, dirty=False)
-                )
+                lists.inactive.push(f"s{stream}", False, None, 1 * MB, clock,
+                                    clock)
         # The interleaved streams must still coalesce to one run each.
         assert lists.run_count == n_streams
         lists.assert_consistent()

@@ -31,7 +31,6 @@ from repro.experiments.exp8_policy_ablation import (
     exp8_report,
     run_skewed,
 )
-from repro.pagecache.block import Block
 from repro.pagecache.lru import PageCacheLists
 from repro.pagecache.policy import LRUPolicy
 from repro.units import MB
@@ -88,12 +87,13 @@ def test_bench_policy_ablation_table(benchmark, report):
 
 # ----------------------------------------------------------------- LRU gate
 def _build_clean_lists() -> PageCacheLists:
-    lists = PageCacheLists(balance=False)
+    lists = PageCacheLists()
     clock = 0.0
     for frag in range(GATE_FRAGS_PER_FILE):
         for index in range(GATE_FILES):
             clock += 1.0
-            lists.add_to_inactive(Block(f"f{index}", 1 * MB, clock, dirty=False))
+            lists.inactive.push(f"f{index}", False, None, 1 * MB, clock,
+                                clock)
     return lists
 
 

@@ -16,8 +16,9 @@ The package is organised in layers:
     Hardware models: disks, memory devices and network links with
     fair-sharing bandwidth models, grouped into hosts and platforms.
 ``repro.pagecache``
-    The paper's primary contribution: data blocks, two-list LRU, the
-    Memory Manager and the I/O Controller (Algorithms 1-3).
+    The paper's primary contribution: data blocks (each one a fragment
+    row of an extent run), two-list LRU, the Memory Manager and the I/O
+    Controller (Algorithms 1-3).
 ``repro.filesystem``
     Files and the registry of their locations.
 ``repro.simulator``
@@ -51,7 +52,6 @@ from repro.simulator import (
     SimulationConfig,
 )
 from repro.pagecache import (
-    Block,
     LRUList,
     PageCacheConfig,
     MemoryManager,
@@ -79,7 +79,6 @@ __all__ = [
     "Workflow",
     "Simulation",
     "SimulationConfig",
-    "Block",
     "LRUList",
     "PageCacheConfig",
     "MemoryManager",

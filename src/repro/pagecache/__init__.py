@@ -2,15 +2,13 @@
 
 The model follows Section III of the paper:
 
-* :class:`~repro.pagecache.block.Block` — the *data block* abstraction: a
-  set of file pages cached by a single I/O operation, carrying the file
-  name, size, entry time, last access time and dirty flag (Figure 2);
-  the value type of the list API and a handle on a cached fragment.
 * :class:`~repro.pagecache.extents.ExtentRun` — the storage unit of the
   LRU lists: one file's fragments in one state, packed as numbers in one
-  row (size, entry time, last access and stamp per fragment) and
-  coalesced losslessly (fragments keep their exact sizes; joining runs
-  performs no byte arithmetic).
+  row and coalesced losslessly (fragments keep their exact sizes; joining
+  runs performs no byte arithmetic).  A fragment — four doubles of its
+  run's row: size, entry time, last access and stamp, with the file name,
+  dirty flag and storage kept once per run — is the paper's *data block*,
+  a set of file pages cached by a single I/O operation (Figure 2).
 * :class:`~repro.pagecache.lru.LRUList` and
   :class:`~repro.pagecache.lru.PageCacheLists` — the kernel's two-list
   (active/inactive) LRU structure, balanced so that the active list never
@@ -27,7 +25,6 @@ The model follows Section III of the paper:
   plus the writethrough write path.
 """
 
-from repro.pagecache.block import Block
 from repro.pagecache.config import PageCacheConfig
 from repro.pagecache.extents import ExtentRun
 from repro.pagecache.lru import LRUList, PageCacheLists
@@ -51,7 +48,6 @@ from repro.pagecache.stats import (
 )
 
 __all__ = [
-    "Block",
     "ExtentRun",
     "PageCacheConfig",
     "LRUList",

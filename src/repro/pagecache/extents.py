@@ -25,13 +25,13 @@ Fragments are numbers.  A run keeps its fragments in one packed
 ``array("d")`` row of :data:`WIDTH` doubles each — size, entry time,
 last access and stamp — and holds the filename, the state and the
 backing storage once for all of them, so a cached chunk costs 32 bytes
-of row and no object.  Stamps are exact in a double below 2**53.  The
-hot paths work on run fronts and row offsets; a
-:class:`~repro.pagecache.block.Block` exists only as a *handle* that
-something holds (the list API and the periodic flusher's snapshot).  A
-held handle is registered in the run's ``handles`` dict under its stamp
-through a weak reference, so it costs nothing once dropped; every row
-move carries it along.
+of row and no object.  Stamps are exact in a double below 2**53.  This
+row *is* the paper's data block: every path reads and edits the lists
+through run fronts and row offsets.  The one thing that holds a place in
+a row across simulated time is the periodic flusher's snapshot: a
+:class:`Mark` (run, stamp and last access) registered in its run's
+``marks`` dict under its stamp.  The row edits that move a fragment
+whole carry its mark along; every other removal drops it.
 
 Losslessness.  Fragments keep their exact, individually recorded byte
 sizes and metadata; joining a run moves a fragment, it never sums sizes.
@@ -57,10 +57,8 @@ from __future__ import annotations
 from array import array
 from heapq import heapify, heappop, heappush
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
-from weakref import ref
 
 from repro.errors import CacheConsistencyError
-from repro.pagecache.block import Block
 
 #: Doubles per fragment in a run's row: size, entry time, last access and
 #: stamp, at offsets 0 to 3 from the fragment's offset.
@@ -71,20 +69,22 @@ WIDTH = 4
 _COMPACT_THRESHOLD = 32
 
 
-class HandleRef(ref):
-    """A run's weak reference to a held handle, with the handle's place."""
+class Mark:
+    """The place of one fragment that a flusher pass holds.
 
-    __slots__ = ("run", "stamp")
+    ``run`` is the run holding the fragment, ``stamp`` its stamp and
+    ``last_access`` its last access, so ``(last_access, stamp)`` is its
+    position key.  While ``run`` is set the mark is registered in
+    ``run.marks``; ``run`` is ``None`` once the fragment was split,
+    evicted or invalidated, or the flusher released the mark.
+    """
 
+    __slots__ = ("run", "stamp", "last_access")
 
-def _forget(entry: HandleRef) -> None:
-    """Drop a handle that nothing holds any more from its run's registry."""
-    run = entry.run
-    handles = run.handles
-    if handles is not None and handles.get(entry.stamp) is entry:
-        del handles[entry.stamp]
-        if not handles:
-            run.handles = None
+    def __init__(self, run: ExtentRun, stamp: float, last_access: float):
+        self.run: Optional[ExtentRun] = run
+        self.stamp = stamp
+        self.last_access = last_access
 
 
 class ExtentRun:
@@ -95,13 +95,13 @@ class ExtentRun:
     time ``row[p + 1]``, last access ``row[p + 2]`` and stamp
     ``row[p + 3]``.  The doubles before ``head`` are consumed and reclaimed
     in bulk.  ``storage`` is the backing device of every fragment (a cache
-    keeps one storage per file).  ``handles`` maps the stamps of held
-    fragments to their :class:`HandleRef` and is ``None`` while empty.
+    keeps one storage per file).  ``marks`` maps the stamps of marked
+    fragments to their :class:`Mark` and is ``None`` while empty.
     ``_list`` is the owning :class:`~repro.pagecache.lru.LRUList`
     (``None`` once dead).
     """
 
-    __slots__ = ("filename", "dirty", "storage", "row", "head", "handles",
+    __slots__ = ("filename", "dirty", "storage", "row", "head", "marks",
                  "_list")
 
     def __init__(self, filename: str, dirty: bool, storage: Any, row: array):
@@ -110,7 +110,7 @@ class ExtentRun:
         self.storage = storage
         self.row = row
         self.head = 0
-        self.handles: Optional[Dict[float, HandleRef]] = None
+        self.marks: Optional[Dict[float, Mark]] = None
         self._list = None
 
     # ------------------------------------------------------------------ views
@@ -143,57 +143,37 @@ class ExtentRun:
             del self.row[:head]
             self.head = 0
 
-    # ---------------------------------------------------------------- handles
-    def block(self, offset: int) -> Block:
-        """The handle of the fragment at ``offset``, registered while held."""
-        row = self.row
-        stamp = row[offset + 3]
-        handles = self.handles
-        if handles is not None:
-            entry = handles.get(stamp)
-            if entry is not None:
-                block = entry()
-                if block is not None:
-                    return block
-        block = Block(self.filename, row[offset], row[offset + 1],
-                      row[offset + 2], self.dirty, self.storage)
-        self.attach(block, stamp)
-        return block
+    # ------------------------------------------------------------------ marks
+    def register(self, mark: Mark, stamp: float) -> None:
+        """Register ``mark`` for this run's fragment ``stamp``."""
+        mark.run = self
+        mark.stamp = stamp
+        marks = self.marks
+        if marks is None:
+            self.marks = marks = {}
+        marks[stamp] = mark
 
-    def attach(self, block: Block, stamp: float) -> None:
-        """Register ``block`` as the handle of this run's fragment ``stamp``."""
-        entry = HandleRef(block, _forget)
-        entry.run = self
-        entry.stamp = stamp
-        handles = self.handles
-        if handles is None:
-            self.handles = handles = {}
-        handles[stamp] = entry
-        block._run = self
-        block._stamp = stamp
-
-    def release(self, stamp: float) -> Optional[Block]:
-        """Unregister the handle of fragment ``stamp`` (which is leaving
-        this run) and return it detached, if one is held."""
-        handles = self.handles
-        if handles is None:
+    def unregister(self, stamp: float) -> Optional[Mark]:
+        """Unregister the mark of fragment ``stamp``, if one is held, and
+        return it detached."""
+        marks = self.marks
+        if marks is None:
             return None
-        entry = handles.pop(stamp, None)
-        if not handles:
-            self.handles = None
-        block = None if entry is None else entry()
-        if block is not None:
-            block._run = None
-            block._stamp = None
-        return block
+        mark = marks.pop(stamp, None)
+        if not marks:
+            self.marks = None
+        if mark is not None:
+            mark.run = None
+        return mark
 
-    def offset_of(self, block: Block) -> int:
-        """Row offset of the fragment ``block`` is the handle of."""
+    def offset_of(self, mark: Mark) -> int:
+        """Row offset of the fragment ``mark`` holds the place of."""
         row = self.row
         head = self.head
-        if row[head + 3] == block._stamp:
+        stamp = mark.stamp
+        if row[head + 3] == stamp:
             return head
-        key = (block.last_access, block._stamp)
+        key = (mark.last_access, stamp)
         lo, hi = head // WIDTH, len(row) // WIDTH
         while lo < hi:
             mid = (lo + hi) // 2
@@ -203,9 +183,9 @@ class ExtentRun:
             else:
                 hi = mid
         offset = lo * WIDTH
-        if offset >= len(row) or row[offset + 3] != block._stamp:
+        if offset >= len(row) or row[offset + 3] != stamp:
             raise CacheConsistencyError(
-                f"handle {block!r} is out of step with its run {self!r}"
+                f"mark of stamp {stamp} is out of step with its run {self!r}"
             )
         return offset
 

@@ -31,11 +31,16 @@ with ``bytes / chunk_size``:
   file costs the fragments it consumes instead of a per-chunk snapshot of
   every cached block of the file.
 
-The :class:`~repro.pagecache.block.Block` API (``append``, ``remove``,
-``mark_clean``, ``blocks``, ``blocks_of_file``, ``peek_lru``,
-``pop_lru``, ``expired_blocks``) works on handles: a handle the list
-hands out stays registered with its fragment while it is held and follows
-it through every move.
+The rows are the only API: :meth:`LRUList.push` adds a fragment,
+:meth:`LRUList.take` removes one and :meth:`LRUList.clean` changes its
+state, each addressed by its run and row offset, and the state, file and
+policy cursors, :meth:`LRUList.front_run` and :meth:`LRUList.runs` say
+which run to address.  The periodic flusher's expiry scan,
+:meth:`LRUList.expired_blocks`, is the one reader that holds fragments
+across simulated time: it returns a :class:`~repro.pagecache.extents.Mark`
+per expired fragment, and the three edits that move a fragment whole (a
+read promoting it, ``balance`` demoting it and :meth:`LRUList.clean`)
+carry its mark along.
 
 Losslessness.  Runs coalesce by *moving fragments between sorted rows*,
 never by summing their sizes.  Fragment sizes — and therefore every byte
@@ -46,23 +51,24 @@ re-associated float additions and could flip discrete scheduling
 decisions at paper scale; that mode is gone, and the run representation
 is default-on because there is no arithmetic to lose.
 
-:class:`PageCacheLists` pairs an inactive and an active list and implements
-promotion, demotion and balancing.
+:class:`PageCacheLists` pairs an inactive and an active list and
+implements the balancing demotion (a read's promotion is
+:meth:`~repro.pagecache.memory_manager.MemoryManager.take_from_cache`).
 """
 
 from __future__ import annotations
 
 from array import array
-from operator import itemgetter
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from operator import attrgetter
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.errors import CacheConsistencyError
-from repro.pagecache.block import Block
 from repro.pagecache.extents import (
     _COMPACT_THRESHOLD,
     WIDTH,
     ExtentRun,
     FileCursor,
+    Mark,
     RunIndex,
     StateCursor,
     StateHeap,
@@ -79,32 +85,16 @@ ACTIVE_TO_INACTIVE_RATIO = 2.0
 #: A run's row is compacted once its head offset reaches this many doubles.
 _COMPACT_HEAD = _COMPACT_THRESHOLD * WIDTH
 
-#: ``((last_access, stamp), run, offset)``: one fragment and its position.
-Keyed = Tuple[Tuple[float, float], ExtentRun, int]
-
-
-def _keyed(run: ExtentRun, into: List[Keyed]) -> None:
-    """Append each live fragment of ``run`` with its position key."""
-    row = run.row
-    for offset in range(run.head, len(row), WIDTH):
-        into.append(((row[offset + 2], row[offset + 3]), run, offset))
-
-
-def _handles_in_key_order(keyed: List[Keyed]) -> List[Block]:
-    """The handles of ``keyed``'s fragments, sorted by position key."""
-    keyed.sort(key=itemgetter(0))
-    return [run.block(offset) for _key, run, offset in keyed]
-
 
 class LRUList:
     """An LRU-ordered collection of data-block fragments in extent runs.
 
-    Appending a fragment with a monotonically increasing access time is
+    Pushing a fragment with a monotonically increasing access time is
     O(1); an out-of-order insertion (e.g. a demotion from the active
-    list) binary-searches its file's run.  Removal of a run-front
-    fragment is O(1) amortized; LRU pops and the flush/eviction paths
-    interleave the runs through lazy-deletion state heaps; per-file and
-    clean/dirty queries return their answers in exact LRU order.
+    list) binary-searches its file's run.  Taking a run-front fragment
+    is O(1) amortized; the flush/eviction paths interleave the runs
+    through lazy-deletion state heaps, and the file cursor merges one
+    file's two runs, each in exact LRU order.
     """
 
     __slots__ = ("name", "merges", "_length", "_size", "_dirty", "_per_file",
@@ -157,20 +147,6 @@ class LRUList:
 
     def __len__(self) -> int:
         return self._length
-
-    def __contains__(self, block: object) -> bool:
-        run = getattr(block, "_run", None)
-        return run is not None and run._list is self
-
-    @property
-    def blocks(self) -> List[Block]:
-        """The fragments in LRU order (oldest first).  O(n log n) snapshot."""
-        keyed: List[Keyed] = []
-        for index in self._file_runs.values():
-            for run in (index.clean, index.dirty):
-                if run is not None:
-                    _keyed(run, keyed)
-        return _handles_in_key_order(keyed)
 
     def runs(self) -> List[ExtentRun]:
         """The live extent runs, ordered by their front key (snapshot)."""
@@ -297,15 +273,15 @@ class LRUList:
 
     def push(self, filename: str, dirty: bool, storage: Any, size: float,
              entry_time: float, last_access: float,
-             handle: Optional[Block] = None) -> None:
+             mark: Optional[Mark] = None) -> None:
         """Add a fragment at its ordered position (O(1) at its run's tail).
 
         The fragment lands after every fragment with ``last_access`` less
         than or equal to its own (ties resolve to insertion order).  This
         is the hottest structural operation of the simulator: continuing
-        a stream extends the file's row.  A ``handle`` (a detached
-        :class:`Block` whose fragment this is) is registered with it and
-        takes its ``last_access``.
+        a stream extends the file's row.  A ``mark`` (detached by the
+        :meth:`take` of this fragment) is registered with it and takes its
+        stamp and ``last_access``.
         """
         stamp = self._next_stamp
         self._next_stamp = stamp + 1
@@ -326,24 +302,14 @@ class LRUList:
             self._dirty += size
         per_file = self._per_file
         per_file[filename] = per_file.get(filename, 0.0) + size
-        if handle is not None:
-            handle.last_access = last_access
-            run.attach(handle, stamp)
-
-    def append(self, block: Block) -> None:
-        """Add ``block``'s fragment at its ordered position; ``block``
-        becomes its handle."""
-        if block._run is not None:
-            raise CacheConsistencyError(
-                f"block {block!r} is already in an LRU list"
-            )
-        self.push(block.filename, block.dirty, block.storage, block.size,
-                  block.entry_time, block.last_access, block)
+        if mark is not None:
+            mark.last_access = last_access
+            run.register(mark, stamp)
 
     # --------------------------------------------------------------- removal
-    def _carve(self, run: ExtentRun, offset: int) -> Optional[Block]:
+    def _carve(self, run: ExtentRun, offset: int) -> Optional[Mark]:
         """Structurally remove the fragment at ``offset`` from ``run`` (no
-        accounting) and return its handle, detached, if one is held.
+        accounting) and return its mark, detached, if one is held.
 
         Front removals advance the run's head (O(1) amortized, with
         compaction and a deferred heap re-push); back and middle removals
@@ -363,15 +329,17 @@ class LRUList:
                 self._pending_repush[run] = None
         else:
             del row[offset:offset + WIDTH]
-        if run.handles is None:
+        if run.marks is None:
             return None
-        return run.release(stamp)
+        return run.unregister(stamp)
 
-    def take(self, run: ExtentRun, offset: int) -> Optional[Block]:
+    def take(self, run: ExtentRun, offset: int) -> Optional[Mark]:
         """Remove the fragment at ``offset`` of ``run``, settling the
-        accounting; return its handle, detached, if one is held."""
+        accounting; return its mark, detached, if one is held (a caller
+        that moves the fragment whole carries it to :meth:`push`; any
+        other caller drops it)."""
         size = run.row[offset]
-        handle = self._carve(run, offset)
+        mark = self._carve(run, offset)
         self._length -= 1
         self._size -= size
         if run.dirty:
@@ -391,21 +359,7 @@ class LRUList:
             )
         self._size = max(0.0, self._size)
         self._dirty = max(0.0, self._dirty)
-        return handle
-
-    def _locate(self, block: Block) -> Tuple[ExtentRun, int]:
-        """The run and row offset of the fragment ``block`` is the handle
-        of, which must be in this list."""
-        run = block._run
-        if run is None or run._list is not self:
-            raise CacheConsistencyError(
-                f"block {block!r} is not in LRU list {self.name!r}"
-            )
-        return run, run.offset_of(block)
-
-    def remove(self, block: Block) -> None:
-        """Remove ``block``'s fragment from the list (O(1) at a run front)."""
-        self.take(*self._locate(block))
+        return mark
 
     def front_run(self) -> Optional[ExtentRun]:
         """The run fronted by the least recently used fragment, if any."""
@@ -418,28 +372,6 @@ class LRUList:
             return dirty[3]
         return clean[3]
 
-    def pop_lru(self) -> Block:
-        """Remove and return the least recently used fragment."""
-        run = self.front_run()
-        if run is None:
-            raise CacheConsistencyError(f"LRU list {self.name!r} is empty")
-        head = run.head
-        row = run.row
-        size, entry_time, last_access = row[head], row[head + 1], row[head + 2]
-        filename, dirty, storage = run.filename, run.dirty, run.storage
-        handle = self.take(run, head)
-        if handle is None:
-            handle = Block(filename, size, entry_time, last_access, dirty,
-                           storage)
-        return handle
-
-    def peek_lru(self) -> Block:
-        """The least recently used fragment, without removing it."""
-        run = self.front_run()
-        if run is None:
-            raise CacheConsistencyError(f"LRU list {self.name!r} is empty")
-        return run.block(run.head)
-
     # ---------------------------------------------------------- state change
     def clean(self, run: ExtentRun, offset: int) -> None:
         """Clear the dirty state of the fragment at ``offset`` of the dirty
@@ -450,7 +382,7 @@ class LRUList:
         dirty run into the file's clean run (founding it if needed) at
         its sorted position; a flusher cleaning dirty data front to back
         therefore grows one clean extent instead of shredding the cache
-        into per-block nodes.  Its handle, if one is held, moves with it.
+        into per-block nodes.  Its mark, if one is held, moves with it.
         """
         row = run.row
         size = row[offset]
@@ -461,7 +393,7 @@ class LRUList:
         # Carve out of the dirty run (no byte accounting: the bytes stay
         # cached) and rejoin the clean run at the same position key (the
         # stamp is old, so the search uses the complete key).
-        handle = self._carve(run, offset)
+        mark = self._carve(run, offset)
         filename = run.filename
         index = self._file_runs.get(filename)
         if index is None:
@@ -474,15 +406,8 @@ class LRUList:
             # A state change, not a coalescing event: `merges` unchanged.
             self._join_run(clean, run.storage, size, entry_time,
                            last_access, stamp, True)
-        if handle is not None:
-            handle.dirty = False
-            clean.attach(handle, stamp)
-
-    def mark_clean(self, block: Block) -> None:
-        """Clear the dirty flag of ``block``'s fragment (see :meth:`clean`)."""
-        run, offset = self._locate(block)
-        if run.dirty:
-            self.clean(run, offset)
+        if mark is not None:
+            clean.register(mark, stamp)
 
     # --------------------------------------------------------------- queries
     def cached_of_file(self, filename: str) -> float:
@@ -493,35 +418,30 @@ class LRUList:
         """Mapping ``filename -> cached bytes`` for this list."""
         return dict(self._per_file)
 
-    def blocks_of_file(self, filename: str) -> List[Block]:
-        """Fragments of ``filename``, in LRU order (O(k) in the answer)."""
-        index = self._file_runs.get(filename)
-        if index is None:
-            return []
-        keyed: List[Keyed] = []
-        for run in (index.clean, index.dirty):
-            if run is not None:
-                _keyed(run, keyed)
-        return _handles_in_key_order(keyed)
-
-    def expired_blocks(self, now: float, expiration: float) -> List[Block]:
-        """Dirty fragments at least ``expiration`` seconds old, in LRU order.
+    def expired_blocks(self, now: float, expiration: float) -> List[Mark]:
+        """Mark the dirty fragments at least ``expiration`` seconds old;
+        return their marks in LRU order.
 
         A full scan of the dirty runs: entry time is not monotone in LRU
         order (re-reading a dirty fragment moves it to the recent end but
         keeps its entry time), so no prefix of the dirty order holds all
-        the expired fragments.
+        the expired fragments.  Each mark is registered in its run until
+        its fragment is split, evicted or invalidated, or the holder
+        unregisters it.
         """
-        keyed: List[Keyed] = []
+        marks: List[Mark] = []
         for index in self._file_runs.values():
             run = index.dirty
             if run is not None:
                 row = run.row
                 for offset in range(run.head, len(row), WIDTH):
                     if (now - row[offset + 1]) >= expiration:
-                        keyed.append(((row[offset + 2], row[offset + 3]),
-                                      run, offset))
-        return _handles_in_key_order(keyed)
+                        stamp = row[offset + 3]
+                        mark = Mark(run, stamp, row[offset + 2])
+                        run.register(mark, stamp)
+                        marks.append(mark)
+        marks.sort(key=attrgetter("last_access", "stamp"))
+        return marks
 
     # --------------------------------------------------------------- cursors
     def clean_cursor(self, exclude_files: Iterable[str] = ()) -> StateCursor:
@@ -554,7 +474,7 @@ class LRUList:
 
     # ------------------------------------------------------------ validation
     def assert_consistent(self) -> None:
-        """Validate accounting, run structure, handles, indexes and heap
+        """Validate accounting, run structure, marks, indexes and heap
         liveness."""
         total = 0.0
         dirty = 0.0
@@ -592,6 +512,8 @@ class LRUList:
                     raise CacheConsistencyError(
                         f"empty run {run!r} stored in LRU list {self.name!r}"
                     )
+                marks = run.marks
+                marked = 0
                 previous_key = None
                 for offset in run.offsets():
                     size = row[offset]
@@ -612,12 +534,25 @@ class LRUList:
                         )
                     keys.add(key)
                     previous_key = key
+                    mark = None if marks is None else marks.get(key[1])
+                    if mark is not None:
+                        if (mark.run is not run or mark.stamp != key[1]
+                                or mark.last_access != key[0]):
+                            raise CacheConsistencyError(
+                                f"mark at {key} out of step with its "
+                                f"fragment in run {run!r} of {self.name!r}"
+                            )
+                        marked += 1
                     total += size
                     if run.dirty:
                         dirty += size
                     per_file[filename] = per_file.get(filename, 0.0) + size
                     count += 1
-                self._check_handles(run)
+                if marks is not None and (not marks or marked != len(marks)):
+                    raise CacheConsistencyError(
+                        f"run {run!r} of {self.name!r} registers "
+                        f"{len(marks)} marks for {marked} of its fragments"
+                    )
                 run_count += 1
                 if run.dirty:
                     dirty_runs += 1
@@ -664,35 +599,6 @@ class LRUList:
                     f"LRU list {self.name!r} per-file drift on {filename!r}"
                 )
 
-    def _check_handles(self, run: ExtentRun) -> None:
-        """Every handle registered with ``run`` mirrors its fragment."""
-        if run.handles is None:
-            return
-        if not run.handles:
-            raise CacheConsistencyError(
-                f"run {run!r} of {self.name!r} keeps an empty handle registry"
-            )
-        row = run.row
-        offsets = {row[offset + 3]: offset for offset in run.offsets()}
-        for stamp, entry in list(run.handles.items()):
-            block = entry()
-            if block is None:
-                continue
-            offset = offsets.get(stamp)
-            if (offset is None or entry.run is not run
-                    or entry.stamp != stamp or block._run is not run
-                    or block._stamp != stamp
-                    or block.filename != run.filename
-                    or block.dirty is not run.dirty
-                    or block.storage is not run.storage
-                    or block.size != row[offset]
-                    or block.entry_time != row[offset + 1]
-                    or block.last_access != row[offset + 2]):
-                raise CacheConsistencyError(
-                    f"handle {block!r} out of step with its fragment in "
-                    f"run {run!r} of {self.name!r}"
-                )
-
     def __repr__(self) -> str:
         return (
             f"<LRUList {self.name!r} fragments={self._length} "
@@ -704,12 +610,11 @@ class LRUList:
 class PageCacheLists:
     """The paired inactive/active LRU lists with kernel-style balancing."""
 
-    __slots__ = ("inactive", "active", "balance_enabled")
+    __slots__ = ("inactive", "active")
 
-    def __init__(self, balance: bool = True):
+    def __init__(self):
         self.inactive = LRUList("inactive")
         self.active = LRUList("active")
-        self.balance_enabled = balance
 
     # ----------------------------------------------------------------- sizes
     @property
@@ -771,27 +676,6 @@ class PageCacheLists:
         return merged
 
     # ------------------------------------------------------------- mutations
-    def add_to_inactive(self, block: Block) -> None:
-        """Insert a newly cached block (first access) and rebalance."""
-        self.inactive.append(block)
-        self.balance()
-
-    def promote(self, block: Block, now: float) -> None:
-        """Move ``block`` from the inactive to the active list (re-access)."""
-        self.inactive.remove(block)
-        block.touch(now)
-        self.active.append(block)
-        self.balance()
-
-    def remove(self, block: Block) -> None:
-        """Remove ``block`` from whichever list holds it."""
-        if block in self.inactive:
-            self.inactive.remove(block)
-        elif block in self.active:
-            self.active.remove(block)
-        else:
-            raise CacheConsistencyError(f"{block!r} is not cached")
-
     def balance(self) -> float:
         """Demote LRU active data until active <= ratio x inactive.
 
@@ -802,8 +686,6 @@ class PageCacheLists:
         where the active list is kept at most twice the inactive list.
         Returns the number of bytes demoted.
         """
-        if not self.balance_enabled:
-            return 0.0
         active, inactive = self.active, self.inactive
         ratio = ACTIVE_TO_INACTIVE_RATIO
         excess = active._size - ratio * inactive._size
@@ -822,9 +704,9 @@ class PageCacheLists:
             filename, dirty, storage = run.filename, run.dirty, run.storage
             needed = to_demote - demoted
             if size <= needed + BYTE_EPSILON:
-                handle = active.take(run, head)
+                mark = active.take(run, head)
                 inactive.push(filename, dirty, storage, size, entry_time,
-                              last_access, handle)
+                              last_access, mark)
                 demoted += size
             else:
                 # Demote the fragment's first ``needed`` bytes; both parts

@@ -12,7 +12,11 @@ of one host.  It implements:
   / :meth:`MemoryManager.put_to_cache` — the cache-side halves of
   Algorithms 2 and 3 (accounting only: the I/O controller charges the
   memory transfers);
-* the periodical-flush background process of Algorithm 1.
+* the periodical-flush background process of Algorithm 1: each pass
+  marks the expired dirty fragments (one
+  :class:`~repro.pagecache.extents.Mark` each: run, stamp and last
+  access) and writes them in turn, following the marks through the
+  promotions, demotions and cleanings that happen while it writes.
 
 Methods that consume simulated time (flushes) are generator-based
 processes and must be ``yield``-ed from a simulation process;
@@ -28,7 +32,6 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.des.environment import Environment
 from repro.errors import CacheConsistencyError, ConfigurationError, FlowAborted
-from repro.pagecache.block import Block
 from repro.pagecache.config import PageCacheConfig
 from repro.pagecache.lru import LRUList, PageCacheLists
 from repro.pagecache.policy import make_eviction_policy
@@ -516,14 +519,14 @@ class MemoryManager:
                     lru.push(filename, run.dirty, run.storage,
                              taken - remaining, entry_time, last_access)
                     taken = float(remaining)
-                    handle = None
+                    mark = None
                 else:
-                    handle = take(run, head)
+                    mark = take(run, head)
                 if run.dirty:
                     # Dirty fragments are moved independently to preserve
                     # their entry time (needed for expiration).
                     active.push(filename, True, run.storage, taken,
-                                entry_time, now, handle)
+                                entry_time, now, mark)
                 else:
                     if entry_time < merged_entry_time:
                         merged_entry_time = entry_time
@@ -587,15 +590,6 @@ class MemoryManager:
         return removed
 
     # ---------------------------------------------------- periodical flushing
-    def expired_blocks(self) -> List[Block]:
-        """Dirty blocks older than the configured expiration time."""
-        now = self.env.now
-        expiration = self.config.dirty_expire
-        return (
-            self.lists.inactive.expired_blocks(now, expiration)
-            + self.lists.active.expired_blocks(now, expiration)
-        )
-
     def _periodic_flush(self):
         """Algorithm 1: flush expired dirty blocks every ``writeback_interval``."""
         interval = self.config.writeback_interval
@@ -611,34 +605,40 @@ class MemoryManager:
     def _flush_expired(self):
         """One pass of the flusher: write the expired dirty fragments.
 
-        The pass holds a snapshot of handles across its writes.  A handle
-        follows its fragment when a read promotes it, ``balance`` demotes
-        it or a foreground flush cleans it; one whose fragment was split,
-        evicted or invalidated meanwhile is in no list and is skipped.  A
-        fragment a foreground flush already cleaned is written again.
-        Each handle is dropped once reached, so the snapshot costs only
-        the fragments still ahead.  Returns the bytes written.
+        The pass marks each expired dirty fragment, inactive list first,
+        each list in LRU order, and holds the marks across its writes.  A
+        mark follows its fragment when a read promotes it, ``balance``
+        demotes it or a foreground flush cleans it; one whose fragment
+        was split, evicted or invalidated meanwhile is dropped and
+        skipped.  A fragment a foreground flush already cleaned is
+        written again.  Each mark is unregistered once reached, so the
+        pass holds only the fragments still ahead.  Returns the bytes
+        written.
         """
-        inactive, active = self.lists.inactive, self.lists.active
+        now = self.env.now
+        expiration = self.config.dirty_expire
+        marks = (self.lists.inactive.expired_blocks(now, expiration)
+                 + self.lists.active.expired_blocks(now, expiration))
+        marks.reverse()
         flushed = 0.0
-        blocks = self.expired_blocks()
-        blocks.reverse()
-        while blocks:
-            block = blocks.pop()
-            # Mark clean before the write so foreground flushing does
-            # not pick the same fragment while this process waits on
-            # the storage device.
-            size = block.size
-            if block in inactive:
-                inactive.mark_clean(block)
-            elif block in active:
-                active.mark_clean(block)
-            else:
+        while marks:
+            mark = marks.pop()
+            run = mark.run
+            if run is None:
                 continue
+            offset = run.offset_of(mark)
+            run.unregister(mark.stamp)
+            size = run.row[offset]
+            storage = run.storage
+            # Clean it before the write so foreground flushing does not
+            # pick the same fragment while this process waits on the
+            # storage device.
+            if run.dirty:
+                run._list.clean(run, offset)
             flushed += size
-            if block.storage is not None:
+            if storage is not None:
                 try:
-                    yield block.storage.write(size, label=self._label_bg_flush)
+                    yield storage.write(size, label=self._label_bg_flush)
                 except FlowAborted:
                     # The device crashed mid-flush (fault injection).
                     # The whole cache is about to be invalidated, so

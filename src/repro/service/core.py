@@ -61,12 +61,9 @@ from repro.snapshot import (
     SnapshotPlan,
     build_from_recipe,
     canonical_json,
-    capture_state,
-    fingerprint,
-    to_jsonable,
     write_snapshot_doc,
 )
-from repro.snapshot.store import FORMAT, VERSION
+from repro.snapshot.run import snapshot_doc
 
 #: Service snapshot file prefix.
 SERVICE_SNAPSHOT_PREFIX = "svc"
@@ -606,22 +603,11 @@ class SimulationService:
                 (int(suffix) for suffix in suffixes if suffix.isdigit()),
                 default=0,
             )
-        sim = self._sim
-        state = to_jsonable(capture_state(sim))
-        doc = {
-            "format": FORMAT,
-            "version": VERSION,
-            "t": sim.env.now,
-            "experiment": self.recipe.experiment,
-            "params": self.recipe.encoded()["params"],
-            "fingerprint": fingerprint(state),
-            "state": state,
-            "service": {
-                "applied_seq": self._next_seq,
-                "frontier": self._frontier,
-                "closed": self._closed,
-            },
-        }
+        doc = snapshot_doc(self._sim, self.recipe, service={
+            "applied_seq": self._next_seq,
+            "frontier": self._frontier,
+            "closed": self._closed,
+        })
         self._snap_index += 1
         path = self.snapshot_dir / (
             f"{SERVICE_SNAPSHOT_PREFIX}-{self._snap_index:08d}.json"

@@ -71,11 +71,17 @@ def to_jsonable(value: Any,
     return repr(value)
 
 
+def canonical_dumps(data: Any) -> str:
+    """The canonical encoding of ``data`` that :func:`to_jsonable` has
+    already normalized."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
+
+
 def canonical_json(value: Any,
                    exclude: FrozenSet[str] = NONDETERMINISTIC_FIELDS) -> str:
     """The canonical (sorted, compact, strict) JSON encoding of ``value``."""
-    return json.dumps(to_jsonable(value, exclude), sort_keys=True,
-                      separators=(",", ":"), allow_nan=False)
+    return canonical_dumps(to_jsonable(value, exclude))
 
 
 def fingerprint(value: Any,

@@ -22,7 +22,7 @@ scheduler variants off the live replayed state.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Union
+from typing import Any, Dict, Union
 
 from repro.errors import SnapshotError, SnapshotIntegrityError
 from repro.snapshot.canonical import fingerprint, to_jsonable
@@ -56,17 +56,29 @@ def write_snapshot(sim, path: Union[str, Path]) -> Path:
             "snapshot a simulation only after it has started; advance it "
             "with step_until(t) first"
         )
-    state = to_jsonable(capture_state(sim))
-    doc = {
+    return write_snapshot_doc(snapshot_doc(sim, recipe), path)
+
+
+def snapshot_doc(sim, recipe: SimRecipe, **sections: Any) -> Dict[str, Any]:
+    """The snapshot document of ``sim`` at its current time.
+
+    The format tag and version, the time, the recipe's experiment and
+    parameters, the captured state and its fingerprint, plus any extra
+    ``sections`` (the service adds its own).  The document is normalized
+    by one :func:`to_jsonable` pass, so :func:`write_snapshot_doc` dumps
+    it as it is.
+    """
+    doc = to_jsonable({
         "format": FORMAT,
         "version": VERSION,
         "t": sim.env.now,
         "experiment": recipe.experiment,
         "params": recipe.encoded()["params"],
-        "fingerprint": fingerprint(state),
-        "state": state,
-    }
-    return write_snapshot_doc(doc, path)
+        "state": capture_state(sim),
+        **sections,
+    })
+    doc["fingerprint"] = fingerprint(doc["state"])
+    return doc
 
 
 def restore_simulation(path: Union[str, Path], *, verify: bool = True):

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Any, Dict, Union
 
 from repro.errors import SnapshotError
-from repro.snapshot.canonical import canonical_json
+from repro.snapshot.canonical import canonical_dumps
 
 #: Magic format tag; a file without it is not a snapshot at all.
 FORMAT = "repro-snapshot"
@@ -41,10 +41,15 @@ VERSION = 1
 
 def write_snapshot_doc(doc: Dict[str, Any],
                        path: Union[str, Path]) -> Path:
-    """Atomically write ``doc`` as canonical JSON to ``path``."""
+    """Atomically write ``doc`` as canonical JSON to ``path``.
+
+    ``doc`` is a normalized snapshot document, as
+    :func:`~repro.snapshot.run.snapshot_doc` builds it; it is dumped as
+    it is.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = canonical_json(doc).encode("utf-8")
+    payload = canonical_dumps(doc).encode("utf-8")
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as handle:

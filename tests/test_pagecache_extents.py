@@ -12,20 +12,14 @@ from __future__ import annotations
 
 import pytest
 
+from lru_rows import Fragment, fragment, fragments, marked, push
 from repro.errors import CacheConsistencyError
 from repro.pagecache import MemoryManager, PageCacheConfig
-from repro.pagecache.block import Block
 from repro.pagecache.lru import LRUList, PageCacheLists
 from repro.pagecache.stats import ExtentOccupancy
 from repro.platform.memory import MemoryDevice
 from repro.platform.storage import Disk
 from repro.units import GB, MB, MBps
-
-
-def make_block(filename="f", size=10.0, entry=0.0, access=None, dirty=False,
-               storage=None):
-    return Block(filename, size, entry_time=entry, last_access=access,
-                 dirty=dirty, storage=storage)
 
 
 def exact_totals(lru: LRUList):
@@ -65,8 +59,8 @@ class TestPartialFlushSplits:
         # fragment's halves carry exactly the split sizes.
         assert mm.dirty == 150.0 * MB
         assert mm.cached == 400.0 * MB
-        sizes = sorted(block.size for block in mm.lists.inactive.blocks
-                       if block.dirty)
+        sizes = sorted(f.size for f in fragments(mm.lists.inactive)
+                       if f.dirty)
         assert sizes == [50.0 * MB, 100.0 * MB]
         mm.lists.assert_consistent()
         total, dirty = exact_totals(mm.lists.inactive)
@@ -78,23 +72,25 @@ class TestPartialFlushSplits:
         env, mm, disk = mm_setup
         lru = mm.lists.inactive
         # Three dirty fragments; the middle one is old enough to expire.
-        lru.append(make_block("f", 10.0, entry=100.0, access=100.0,
-                              dirty=True, storage=disk))
-        lru.append(make_block("f", 20.0, entry=0.0, access=101.0,
-                              dirty=True, storage=disk))
-        lru.append(make_block("f", 30.0, entry=102.0, access=102.0,
-                              dirty=True, storage=disk))
+        push(lru, "f", 10.0, entry=100.0, access=100.0, dirty=True,
+             storage=disk)
+        push(lru, "f", 20.0, entry=0.0, access=101.0, dirty=True,
+             storage=disk)
+        push(lru, "f", 30.0, entry=102.0, access=102.0, dirty=True,
+             storage=disk)
         env._now = 103.0
-        expired = lru.expired_blocks(now=103.0, expiration=50.0)
-        assert [block.size for block in expired] == [20.0]
+        (mark,) = lru.expired_blocks(now=103.0, expiration=50.0)
+        assert [f.size for f in marked([mark])] == [20.0]
         # Cleaning the middle fragment moves it to the clean run; the
         # dirty neighbours stay in one dirty run (no split needed: order
         # lives in the position keys).
-        lru.mark_clean(expired[0])
+        run = mark.run
+        lru.clean(run, run.offset_of(mark))
         assert lru.dirty_size == 40.0
         assert lru.run_count == 2
-        assert [block.size for block in lru.blocks if block.dirty] == [10.0, 30.0]
-        assert [block.size for block in lru.blocks if not block.dirty] == [20.0]
+        assert [f.size for f in fragments(lru) if f.dirty] == [10.0, 30.0]
+        assert [f.size for f in fragments(lru) if not f.dirty] == [20.0]
+        assert marked([mark]) == [Fragment("f", 20.0, 0.0, 101.0, False)]
         # Byte-exact totals, no tolerance.
         total, dirty = exact_totals(lru)
         assert lru.size == total == 60.0
@@ -114,8 +110,7 @@ class TestEvictionCarving:
         assert evicted == 150.0 * MB
         assert mm.cached == 150.0 * MB
         # The carved fragment keeps the exact remainder.
-        sizes = [block.size for block in mm.lists.inactive.blocks
-                 if not block.dirty]
+        sizes = [f.size for f in fragments(mm.lists.inactive) if not f.dirty]
         assert sizes == [50.0 * MB, 100.0 * MB]
         mm.lists.assert_consistent()
 
@@ -192,9 +187,8 @@ class TestZeroLengthInvariants:
 
     def test_assert_consistent_rejects_stored_empty_run(self):
         lru = LRUList()
-        block = make_block("f", 10.0)
-        lru.append(block)
-        run = block._run
+        push(lru, "f", 10.0)
+        (run,) = lru.runs()
         # Corrupt the run behind the list's back.
         del run.row[:]
         run.head = 0
@@ -203,21 +197,21 @@ class TestZeroLengthInvariants:
 
     def test_assert_consistent_rejects_a_misaligned_stamp_row(self):
         lru = LRUList()
-        block = make_block("f", 10.0)
-        lru.append(block)
-        lru.append(make_block("f", 10.0, access=1.0))
+        push(lru, "f", 10.0)
+        push(lru, "f", 10.0, access=1.0)
         lru.assert_consistent()
         # Whole fragments of four doubles, consumed slots included: a
         # stray double shifts every stamp after it.
-        block._run.row.append(99.0)
+        (run,) = lru.runs()
+        run.row.append(99.0)
         with pytest.raises(CacheConsistencyError):
             lru.assert_consistent()
 
     def test_fragment_sizes_must_stay_positive(self):
         lru = LRUList()
-        block = make_block("f", 10.0)
-        lru.append(block)
-        block._run.row[block._run.head] = 0.0
+        push(lru, "f", 10.0)
+        (run,) = lru.runs()
+        run.row[run.head] = 0.0
         with pytest.raises(CacheConsistencyError):
             lru.assert_consistent()
 
@@ -253,8 +247,7 @@ class TestExactAccounting:
         # behind: 5 MB carved from the third fragment plus the fourth.
         assert mm.cached_amount("f") == float(40 * MB)
         assert mm.lists.active.cached_of_file("f") >= float(25 * MB)
-        sizes = [block.size for block in
-                 mm.lists.inactive.blocks_of_file("f")]
+        sizes = [f.size for f in fragments(mm.lists.inactive, "f")]
         assert sizes == [float(5 * MB), float(10 * MB)]
         mm.lists.assert_consistent()
 
@@ -264,38 +257,34 @@ class TestRunPooling:
 
     def test_killed_run_is_never_reused(self):
         lru = LRUList()
-        block = make_block("a", 10.0, access=0.0)
-        lru.append(block)
-        run = block._run
-        lru.remove(block)
+        push(lru, "a", 10.0, access=0.0)
+        (run,) = lru.runs()
+        lru.take(run, run.head)
         assert run._list is None
         assert len(run.row) == 0 and run.head == 0  # the row is cleared
-        again = make_block("a", 5.0, access=1.0)
-        lru.append(again)
-        other = make_block("b", 5.0, access=2.0)
-        lru.append(other)
-        assert again._run is not run and other._run is not run
+        push(lru, "a", 5.0, access=1.0)
+        push(lru, "b", 5.0, access=2.0)
+        assert all(live is not run for live in lru.runs())
         assert run._list is None  # dead for good
         lru.assert_consistent()
 
     def test_stale_file_cursor_sees_reuse_as_exhaustion(self):
         lru = LRUList()
-        block = make_block("a", 10.0, access=0.0)
-        lru.append(block)
+        push(lru, "a", 10.0, access=0.0)
         cursor = lru.file_cursor("a")
-        lru.remove(block)  # the run dies under the cursor
-        lru.append(make_block("a", 5.0, access=1.0))  # a new run for a
+        (run,) = lru.runs()
+        lru.take(run, run.head)  # the run dies under the cursor
+        push(lru, "a", 5.0, access=1.0)  # a new run for a
         assert cursor.next() is None
 
     def test_file_cursor_skips_fragments_linked_after_creation(self):
         lru = LRUList()
-        first = make_block("a", 10.0, access=0.0)
-        lru.append(first)
+        push(lru, "a", 10.0, access=0.0)
         cursor = lru.file_cursor("a")
-        lru.append(make_block("a", 20.0, access=1.0))
+        push(lru, "a", 20.0, access=1.0)
         run = cursor.next()
-        assert run.block(run.head) is first
-        lru.remove(first)
+        assert fragment(run, run.head) == Fragment("a", 10.0, 0.0, 0.0, False)
+        lru.take(run, run.head)
         # The second fragment was linked after the snapshot bound.
         assert cursor.next() is None
 
@@ -319,17 +308,19 @@ class TestOccupancy:
 class TestBalanceAcrossRuns:
     def test_demotion_carves_the_global_lru_front(self):
         lists = PageCacheLists()
-        # Fill inactive, promote everything, then let balancing demote
-        # exactly the excess from the least recently used end.
-        blocks = []
+        # Fill inactive, promote its front six times, and let balancing
+        # demote exactly the excess from the least recently used end.
         for step in range(6):
-            block = make_block(f"f{step % 2}", 30.0, access=float(step))
-            lists.add_to_inactive(block)
-            blocks.append(block)
-        for step, block in enumerate(blocks):
-            if block in lists.inactive:
-                lists.promote(block, now=10.0 + step)
-        assert lists.active.size <= 2 * lists.inactive.size + 1e-6
+            push(lists.inactive, f"f{step % 2}", 30.0, access=float(step))
+        inactive, active = lists.inactive, lists.active
+        for step in range(6):
+            run = inactive.front_run()
+            size, entry_time = run.row[run.head], run.row[run.head + 1]
+            inactive.take(run, run.head)
+            active.push(run.filename, False, None, size, entry_time,
+                        10.0 + step)
+            lists.balance()
+            assert active.size <= 2 * inactive.size + 1e-6
         total = lists.inactive.size + lists.active.size
         assert total == pytest.approx(180.0)
         lists.assert_consistent()
@@ -348,19 +339,22 @@ class TestPackedRows:
         assert list(run.row) == [10.0, 0.0, 0.0, 0.0,
                                  20.0, 1.0, 1.0, 1.0,
                                  30.0, 2.0, 2.0, 2.0]
-        assert run.handles is None  # nothing holds a fragment
+        assert run.marks is None  # no flusher pass holds a fragment
 
     def test_a_handle_is_registered_only_while_held(self):
+        # A flusher mark is registered from the expiry scan until the
+        # flusher reaches it and unregisters it.
         lru = LRUList()
-        lru.append(make_block("f", 10.0))  # the caller keeps no reference
+        push(lru, "f", 10.0, dirty=True)
         (run,) = lru.runs()
-        assert run.handles is None
-        block = lru.peek_lru()
-        assert block in lru and lru.peek_lru() is block
-        assert run.handles is not None
+        assert run.marks is None
+        (mark,) = lru.expired_blocks(now=30.0, expiration=30.0)
+        assert mark.run is run and run.marks == {mark.stamp: mark}
+        assert run.offset_of(mark) == run.head
         lru.assert_consistent()
-        del block
-        assert run.handles is None
+        assert run.unregister(mark.stamp) is mark
+        assert run.marks is None and mark.run is None
+        lru.assert_consistent()
 
     def test_a_file_keeps_one_storage_per_cache(self, mm_setup):
         env, mm, disk = mm_setup
@@ -369,3 +363,97 @@ class TestPackedRows:
         with pytest.raises(CacheConsistencyError):
             mm.add_to_cache("f", 10.0, other)
         mm.lists.assert_consistent()
+
+
+class TestMarks:
+    """A flusher mark follows its fragment through the three whole moves
+    (a read promotion, a ``balance`` demotion and cleaning) and is
+    dropped by any split, eviction or invalidation."""
+
+    @staticmethod
+    def mark_all(mm):
+        """Mark every dirty fragment, as a flusher pass with no expiry
+        delay would."""
+        now = mm.env.now
+        return (mm.lists.inactive.expired_blocks(now, 0.0)
+                + mm.lists.active.expired_blocks(now, 0.0))
+
+    def test_a_read_promotion_carries_the_mark(self, mm_setup):
+        env, mm, disk = mm_setup
+        mm.add_to_cache("big", 1000.0, disk)  # keeps balance from demoting
+        mm.put_to_cache("f", 10.0, disk)
+        (mark,) = self.mark_all(mm)
+        env._now = 5.0
+        assert mm.take_from_cache("f", 10.0) == 10.0
+        assert mark.run._list is mm.lists.active
+        assert marked([mark]) == [Fragment("f", 10.0, 0.0, 5.0, True)]
+        mm.assert_consistent()
+
+    def test_a_whole_demotion_carries_the_mark(self):
+        lists = PageCacheLists()
+        push(lists.inactive, "i", size=10)
+        push(lists.active, "d", size=30, access=1.0, dirty=True)
+        push(lists.active, "e", size=100, access=2.0)
+        (mark,) = lists.active.expired_blocks(now=0.0, expiration=0.0)
+        # 110 bytes of excess: d's whole fragment and a part of e's go.
+        lists.balance()
+        assert mark.run._list is lists.inactive
+        assert marked([mark]) == [Fragment("d", 30.0, 0.0, 1.0, True)]
+        lists.assert_consistent()
+
+    def test_cleaning_carries_the_mark(self):
+        lru = LRUList()
+        push(lru, "f", size=10, access=1.0, dirty=True)
+        push(lru, "f", size=20, access=2.0, dirty=True)
+        first, second = lru.expired_blocks(now=0.0, expiration=0.0)
+        run = second.run
+        lru.clean(run, run.offset_of(second))
+        assert second.run is not run and not second.run.dirty
+        assert marked([first, second]) == [
+            Fragment("f", 10.0, 0.0, 1.0, True),
+            Fragment("f", 20.0, 0.0, 2.0, False)]
+        lru.assert_consistent()
+
+    def test_a_split_demotion_drops_the_mark(self):
+        lists = PageCacheLists()
+        push(lists.inactive, "i", size=10)
+        push(lists.active, "d", size=100, access=1.0, dirty=True)
+        (mark,) = lists.active.expired_blocks(now=0.0, expiration=0.0)
+        lists.balance()  # demotes 80 / 3 bytes of d's fragment
+        assert mark.run is None
+        assert lists.active.cached_of_file("d") > 0
+        lists.assert_consistent()
+
+    def test_a_flush_split_drops_the_mark(self, mm_setup, runner):
+        env, mm, disk = mm_setup
+        mm.put_to_cache("f", 100.0, disk)
+        (mark,) = self.mark_all(mm)
+        assert runner(env, mm.flush(50.0)) == 50.0
+        assert mark.run is None
+        mm.assert_consistent()
+
+    def test_eviction_drops_the_mark(self, mm_setup, runner):
+        env, mm, disk = mm_setup
+        mm.put_to_cache("f", 100.0, disk)
+        (mark,) = self.mark_all(mm)
+        assert runner(env, mm.flush(100.0)) == 100.0  # cleaned: carried
+        assert mark.run is not None
+        assert mm.evict(100.0) == 100.0
+        assert mark.run is None
+        mm.assert_consistent()
+
+    def test_invalidation_drops_the_mark(self, mm_setup):
+        env, mm, disk = mm_setup
+        mm.put_to_cache("f", 100.0, disk)
+        (mark,) = self.mark_all(mm)
+        assert mm.invalidate_file("f") == 100.0
+        assert mark.run is None
+        mm.assert_consistent()
+
+    def test_assert_consistent_detects_a_stale_mark(self):
+        lru = LRUList()
+        push(lru, "f", size=10, dirty=True)
+        (mark,) = lru.expired_blocks(now=0.0, expiration=0.0)
+        mark.last_access = 5.0  # out of step with its fragment's key
+        with pytest.raises(CacheConsistencyError):
+            lru.assert_consistent()

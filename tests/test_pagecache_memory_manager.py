@@ -2,6 +2,7 @@
 
 import pytest
 
+from lru_rows import Fragment, fragments
 from repro.errors import ConfigurationError
 from repro.pagecache import MemoryManager, PageCacheConfig
 from repro.platform.memory import MemoryDevice
@@ -82,10 +83,8 @@ class TestCacheAccounting:
     def test_add_to_cache_creates_inactive_clean_block(self, setup):
         _, mm, disk = setup
         assert mm.add_to_cache("f", 1 * GB, disk) is None
-        (block,) = mm.lists.inactive.blocks_of_file("f")
-        assert block in mm.lists.inactive
-        assert block.size == 1 * GB
-        assert not block.dirty
+        assert fragments(mm.lists.inactive) == [
+            Fragment("f", 1 * GB, 0.0, 0.0, False)]
         assert mm.cached == 1 * GB
         assert mm.free_mem == 9 * GB
         assert mm.cached_amount("f") == 1 * GB
@@ -150,14 +149,13 @@ class TestEviction:
     def test_evicts_clean_inactive_blocks_lru_first(self, setup):
         env, mm, disk = setup
         mm.add_to_cache("a", 1 * GB, disk)
-        (first,) = mm.lists.inactive.blocks_of_file("a")
         env.run(until=1.0)
         mm.add_to_cache("b", 1 * GB, disk)
         evicted = mm.evict(1 * GB)
         assert evicted == 1 * GB
         assert mm.cached_amount("a") == 0  # oldest evicted first
         assert mm.cached_amount("b") == 1 * GB
-        assert first not in mm.lists.inactive
+        assert [f.filename for f in fragments(mm.lists.inactive)] == ["b"]
         mm.assert_consistent()
 
     def test_partial_eviction_splits_block(self, setup):
@@ -280,8 +278,7 @@ class TestFlushing:
         mm.put_to_cache("new", 1 * GB, disk)
         runner(env, mm.flush(1 * GB))
         # The oldest dirty block must have been flushed first.
-        dirty = [block.filename for block in mm.lists.inactive.blocks
-                 if block.dirty]
+        dirty = [f.filename for f in fragments(mm.lists.inactive) if f.dirty]
         assert dirty == ["new"]
 
     def test_flush_zero_or_negative_amount(self, setup, runner):
@@ -320,25 +317,24 @@ class TestCacheReads:
         mm.take_from_cache("f", 1 * GB)
         # The two clean blocks are merged into a single re-accessed block
         # (which balancing may split once between the two lists).
-        active_blocks = mm.lists.active.blocks_of_file("f")
-        inactive_blocks = mm.lists.inactive.blocks_of_file("f")
+        active_blocks = fragments(mm.lists.active, "f")
+        inactive_blocks = fragments(mm.lists.inactive, "f")
         assert len(active_blocks) == 1
         assert len(active_blocks) + len(inactive_blocks) <= 2
         assert mm.cached_amount("f") == pytest.approx(1 * GB)
 
     def test_one_fragment_hit_keeps_the_fragment_size(self, setup):
         _, mm, disk = setup
+        mm.add_to_cache("g", 1 * GB, disk)  # keeps balance from demoting
         mm.add_to_cache("f", 0.5 * GB, disk)
-        size = mm.lists.inactive.blocks_of_file("f")[0].size
-        mm.lists.balance_enabled = False
+        (size,) = [f.size for f in fragments(mm.lists.inactive, "f")]
         mm.take_from_cache("f", 0.5 * GB)
         # The merged fragment of a hit on one clean fragment holds that
         # fragment's size: the same double, packed in the active list's
         # row (a cached size is no float object of its own).
         (run,) = mm.lists.active.runs()
         assert run.row[run.head] == size
-        (merged,) = mm.lists.active.blocks_of_file("f")
-        assert merged.size == size
+        assert [f.size for f in fragments(mm.lists.active, "f")] == [size]
 
     def test_read_moves_dirty_blocks_individually(self, setup):
         _, mm, disk = setup
@@ -347,11 +343,10 @@ class TestCacheReads:
         mm.take_from_cache("f", 1 * GB)
         # Dirty blocks are not merged: they keep their identity (and entry
         # time) when promoted, so the file still spans several dirty blocks.
-        fragments = (
-            mm.lists.active.blocks_of_file("f") + mm.lists.inactive.blocks_of_file("f")
-        )
-        assert len(fragments) >= 2
-        assert all(block.dirty for block in fragments)
+        cached = (fragments(mm.lists.active, "f")
+                  + fragments(mm.lists.inactive, "f"))
+        assert len(cached) >= 2
+        assert all(f.dirty for f in cached)
         assert mm.dirty == pytest.approx(1 * GB)
 
     def test_partial_block_read_splits(self, setup):
@@ -435,13 +430,13 @@ class TestPeriodicFlushing:
 
         env.process(scenario(env))
         env.run(until=34.0)
-        assert [block.filename for block in mm.lists.active.blocks
-                if block.dirty] == ["C", "B"]
+        assert [f.filename for f in fragments(mm.lists.active)
+                if f.dirty] == ["C", "B"]
         env.run(until=37.0)
         mm.stop()
-        dirty_files = {block.filename
+        dirty_files = {f.filename
                        for lru in (mm.lists.inactive, mm.lists.active)
-                       for block in lru.blocks if block.dirty}
+                       for f in fragments(lru) if f.dirty}
         assert dirty_files == {"C"}
         assert mm.dirty == pytest.approx(100 * MB)
         assert mm.stats.background_flushed_bytes == pytest.approx(100 * MB)
@@ -453,19 +448,22 @@ class TestPeriodicFlushing:
                                                         dirty_expire=5.0))
         mm.add_to_cache("clean", 1 * GB, disk)
         mm.add_to_cache("dirty", 1 * GB, disk, dirty=True)
-        (dirty_block,) = mm.lists.inactive.blocks_of_file("dirty")
         env.timeout(10.0)
         env.run()
-        assert mm.expired_blocks() == [dirty_block]
+        # The flusher's pass writes exactly the expired dirty fragment.
+        flushed = env.run(until=env.process(mm._flush_expired()))
+        assert flushed == 1 * GB
+        assert mm.dirty == 0.0
+        assert disk.bytes_written == 1 * GB
 
 
 class TestFlusherSnapshot:
     """The periodic flusher holds its expiry snapshot across its writes.
 
-    At t = 10 the flusher's pass snapshots two expired dirty fragments,
-    ``a`` then ``b``, marks ``a`` clean and writes it for one second.
-    Meanwhile something happens to ``b``; these tests pin what the
-    flusher then does with the fragment it still holds.
+    At t = 10 the flusher's pass marks two expired dirty fragments, ``a``
+    then ``b``, cleans ``a`` and writes it for one second.  Meanwhile
+    something happens to ``b``; these tests pin what the flusher then
+    does with the fragment it still holds a mark of.
     """
 
     @staticmethod
@@ -515,21 +513,18 @@ class TestFlusherSnapshot:
         mm, disk = self.make(env)
 
         def setup():
-            mm.lists.balance_enabled = False
             mm.put_to_cache("a", 100 * MB, disk)
             mm.put_to_cache("b", 100 * MB, disk)
             yield env.timeout(1.0)
             mm.take_from_cache("b", 100 * MB)
             yield env.timeout(1.0)
             mm.add_to_cache("d", 500 * MB, disk)
-            mm.take_from_cache("d", 500 * MB)
             assert mm.lists.active.dirty_size == 100 * MB
 
         def meddle():
-            # Balancing demotes b's whole fragment (the active list's
-            # oldest) and part of d's.
-            mm.lists.balance_enabled = True
-            mm.lists.balance()
+            # A read promotes d, and balancing demotes b's whole fragment
+            # (the active list's oldest) and part of d's.
+            mm.take_from_cache("d", 500 * MB)
             assert mm.lists.active.dirty_size == 0.0
             assert mm.lists.inactive.dirty_size == 100 * MB
             yield env.timeout(0)

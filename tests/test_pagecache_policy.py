@@ -48,11 +48,12 @@ def make_cache(policy, *, memory_size=512 * MB, chunk_size=16 * MB):
 
 
 def next_victim(mm, lru):
-    """The fragment the policy would evict next from ``lru`` (not removed)."""
+    """The fragment the policy would evict next from ``lru`` (not
+    removed), as its run and stamp."""
     cursor = mm.policy.clean_cursor(lru)
     try:
         run = cursor.next()
-        return None if run is None else run.block(run.head)
+        return None if run is None else (run, run.row[run.head + 3])
     finally:
         cursor.close()
 
@@ -327,15 +328,16 @@ class TestVictimCursor:
         lru = mm.lists.inactive
         peeked = next_victim(mm, lru)
         assert peeked is not None
-        before = mm.lists.cached_of_file(peeked.filename)
+        filename = peeked[0].filename
+        before = mm.lists.cached_of_file(filename)
         cursor = mm.policy.clean_cursor(lru)
         run = cursor.next()
-        popped = run.block(run.head)
-        lru.remove(popped)
+        popped = (run, run.row[run.head + 3])
+        lru.take(run, run.head)
         cursor.close()
-        assert popped is peeked
-        assert mm.lists.cached_of_file(peeked.filename) < before
-        assert next_victim(mm, lru) is not popped
+        assert popped == peeked
+        assert mm.lists.cached_of_file(filename) < before
+        assert next_victim(mm, lru) != popped
 
     def test_excluded_file_never_surfaces(self):
         env, mm, io, disk = make_cache(TwoQPolicy(), memory_size=1 * GB)
@@ -486,5 +488,5 @@ class TestCustomPolicySubclass:
         env, mm, io, disk = make_cache(MRUPolicy(), memory_size=1 * GB)
         read(env, io, disk, "a", 64 * MB)
         read(env, io, disk, "b", 64 * MB)
-        victim = next_victim(mm, mm.lists.inactive)
-        assert victim.filename == "b"
+        run, _stamp = next_victim(mm, mm.lists.inactive)
+        assert run.filename == "b"

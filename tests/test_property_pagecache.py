@@ -4,7 +4,7 @@ These tests drive the LRU lists and the Memory Manager with randomly
 generated operation sequences and check the structural invariants that the
 simulation results rely on:
 
-* list accounting always matches the blocks actually stored;
+* list accounting always matches the fragments actually stored;
 * the two-list balance invariant (active <= 2 x inactive) holds;
 * memory accounting is conservative: free + cached + anonymous == total;
 * flushing and eviction never create or destroy cached bytes out of thin
@@ -16,11 +16,12 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lru_rows import Fragment, fragment, fragments, located
 from repro.des import Environment
-from repro.pagecache.block import Block
 from repro.pagecache.config import PageCacheConfig
-from repro.pagecache.extents import _COMPACT_THRESHOLD, WIDTH
+from repro.pagecache.extents import _COMPACT_THRESHOLD, WIDTH, Mark
 from repro.pagecache.lru import LRUList, PageCacheLists
+from repro.pagecache.tolerances import BYTE_EPSILON
 from repro.pagecache.memory_manager import MemoryManager
 from repro.platform.memory import MemoryDevice
 from repro.platform.storage import Disk
@@ -50,19 +51,30 @@ def test_lru_lists_invariants_under_random_operations(operations):
         kind = operation[0]
         if kind == "add":
             _, file_index, size, dirty = operation
-            lists.add_to_inactive(
-                Block(f"file{file_index}", size, entry_time=clock[0], dirty=dirty)
-            )
+            lists.inactive.push(f"file{file_index}", dirty, None, size,
+                                clock[0], clock[0])
+            lists.balance()
         elif kind == "promote":
+            # Re-access: the fragment moves to the active list, touched.
             _, index = operation
             if len(lists.inactive) > 0:
-                block = lists.inactive.blocks[index % len(lists.inactive)]
-                lists.promote(block, now=clock[0])
+                run, offset = located(lists.inactive)[
+                    index % len(lists.inactive)]
+                promoted = fragment(run, offset)
+                lists.inactive.take(run, offset)
+                lists.active.push(promoted.filename, promoted.dirty,
+                                  run.storage, promoted.size,
+                                  promoted.entry_time, clock[0])
+                lists.balance()
         elif kind == "remove":
             _, index = operation
-            blocks = lists.inactive.blocks + lists.active.blocks
-            if blocks:
-                lists.remove(blocks[index % len(blocks)])
+            cached = ([(lists.inactive, run, offset)
+                       for run, offset in located(lists.inactive)]
+                      + [(lists.active, run, offset)
+                         for run, offset in located(lists.active)])
+            if cached:
+                lru, run, offset = cached[index % len(cached)]
+                lru.take(run, offset)
         elif kind == "balance":
             lists.balance()
 
@@ -85,11 +97,12 @@ def test_lru_lists_invariants_under_random_operations(operations):
 class _StampedList:
     """An :class:`LRUList` checked against a model of its position keys.
 
-    The model gives every appended fragment the next stamp, keeps it
+    The model gives every pushed fragment the next stamp, keeps it
     through state changes and forgets it on removal; after each step the
     list must hold exactly the model's fragments, in key order, and every
     run's row must hold whole fragments whose keys are the model's.  The
-    model holds every handle, so each row edit must carry them along.
+    model marks every fragment, so each row edit must keep the marks in
+    step: cleaning carries a mark, a removal drops it.
     """
 
     def __init__(self):
@@ -97,17 +110,26 @@ class _StampedList:
         self.keys = {}
         self.next_stamp = 0
 
-    def append(self, block):
-        self.lru.append(block)
-        self.keys[block] = (block.last_access, self.next_stamp)
+    def append(self, filename, entry, access, dirty):
+        stamp = self.next_stamp
         self.next_stamp += 1
+        self.lru.push(filename, dirty, None, 10.0, entry, access)
+        run = self.run_of(filename, dirty)
+        mark = Mark(run, stamp, access)
+        run.register(mark, stamp)
+        self.keys[mark] = (access, stamp)
+        return mark
 
-    def remove(self, block):
-        self.lru.remove(block)
-        del self.keys[block]
+    def remove(self, mark):
+        run = mark.run
+        assert self.lru.take(run, run.offset_of(mark)) is mark
+        assert mark.run is None
+        del self.keys[mark]
 
-    def mark_clean(self, block):
-        self.lru.mark_clean(block)
+    def clean(self, mark):
+        run = mark.run
+        self.lru.clean(run, run.offset_of(mark))
+        assert not mark.run.dirty
 
     def run_of(self, filename, dirty):
         index = self.lru._file_runs.get(filename)
@@ -118,18 +140,26 @@ class _StampedList:
     def check(self):
         self.lru.assert_consistent()
         keys = self.keys
-        assert self.lru.blocks == sorted(keys, key=keys.get)
+        expected = [keys[mark][1] for mark in sorted(keys, key=keys.get)]
+        assert [run.row[offset + 3]
+                for run, offset in located(self.lru)] == expected
         for run in self.lru.runs():
             row = run.row
             assert len(row) % WIDTH == 0
             for offset in run.offsets():
-                block = run.block(offset)
-                assert keys[block] == (row[offset + 2], row[offset + 3])
+                mark = mark_at(run, offset)
+                assert mark.run is run and run.offset_of(mark) == offset
+                assert keys[mark] == (row[offset + 2], row[offset + 3])
 
 
-def fragments(run):
-    """The handles of ``run``'s live fragments, oldest first."""
-    return [run.block(offset) for offset in run.offsets()]
+def mark_at(run, offset):
+    """The model's mark of the fragment at ``offset`` of ``run``."""
+    return run.marks[run.row[offset + 3]]
+
+
+def marks_of(run):
+    """The marks of ``run``'s live fragments, oldest first."""
+    return [mark_at(run, offset) for offset in run.offsets()]
 
 
 def _play(model, operations):
@@ -141,27 +171,26 @@ def _play(model, operations):
             # arg < 0 inserts behind the newest access time: a sorted
             # insert, a new front (head-slot reuse) or a tie.
             clock += 1.0
-            model.append(Block(filename, 10.0, entry_time=clock,
-                               last_access=clock + min(arg, 0) * 2.5,
-                               dirty=kind == "append-dirty"))
+            model.append(filename, clock, clock + min(arg, 0) * 2.5,
+                         kind == "append-dirty")
         elif kind == "burst":
             for _ in range(arg):
                 clock += 1.0
-                model.append(Block(filename, 10.0, entry_time=clock))
+                model.append(filename, clock, clock, False)
         else:
             kind, _, state = kind.partition("-")
             run = model.run_of(filename, kind == "clean" or state == "dirty")
             if run is not None:
-                live = fragments(run)
+                live = marks_of(run)
                 if kind == "carve":
                     # Front carves: past the compaction threshold for
                     # long runs, and the whole run (its death) for short.
-                    for block in live[:arg]:
-                        model.remove(block)
+                    for mark in live[:arg]:
+                        model.remove(mark)
                 elif kind == "remove":
                     model.remove(live[arg % len(live)])
                 else:
-                    model.mark_clean(live[arg % len(live)])
+                    model.clean(live[arg % len(live)])
         model.check()
 
 
@@ -196,32 +225,28 @@ def test_stamp_rows_scripted_edits():
     # consumed head slot.
     _play(model, [("carve", 0, 1)])
     assert run.head == WIDTH
-    front = run.block(WIDTH)
-    block = Block("file0", 10.0, entry_time=0.0,
-                  last_access=front.last_access - 0.5)
-    model.append(block)
+    front = fragment(run, WIDTH)
+    mark = model.append("file0", 0.0, front.last_access - 0.5, False)
     model.check()
-    assert run.head == 0 and run.block(0) is block
+    assert run.head == 0 and mark_at(run, 0) is mark
     # A sorted insert into the middle, a middle removal and a back pop.
-    middle = run.block(5 * WIDTH)
-    block = Block("file0", 10.0, entry_time=0.0,
-                  last_access=middle.last_access - 0.5)
-    model.append(block)
+    middle = fragment(run, 5 * WIDTH)
+    mark = model.append("file0", 0.0, middle.last_access - 0.5, False)
     model.check()
-    assert run.block(5 * WIDTH) is block
-    model.remove(run.block(7 * WIDTH))
+    assert mark_at(run, 5 * WIDTH) is mark
+    model.remove(mark_at(run, 7 * WIDTH))
     model.check()
-    model.remove(run.block(len(run.row) - WIDTH))
+    model.remove(mark_at(run, len(run.row) - WIDTH))
     model.check()
-    # mark_clean of dirty fragments in the middle, at the back and at the
+    # Cleaning dirty fragments in the middle, at the back and at the
     # front of their run: each rejoins the clean run with its old stamp.
     _play(model, [("append-dirty", 0, 0) for _ in range(5)])
     dirty = model.run_of("file0", True)
-    model.mark_clean(dirty.block(dirty.head + 2 * WIDTH))
+    model.clean(mark_at(dirty, dirty.head + 2 * WIDTH))
     model.check()
-    model.mark_clean(dirty.block(len(dirty.row) - WIDTH))
+    model.clean(mark_at(dirty, len(dirty.row) - WIDTH))
     model.check()
-    model.mark_clean(dirty.block(dirty.head))
+    model.clean(mark_at(dirty, dirty.head))
     model.check()
     # Run death: carving every fragment of the dirty run retires it.
     _play(model, [("carve-dirty", 0, 10)])
@@ -361,14 +386,23 @@ def test_evict_frees_exactly_what_it_reports(cached_files, evict_request):
     fraction=st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
 )
 def test_block_split_conserves_size_and_metadata(size, fraction):
-    block = Block("f", size, entry_time=3.0, last_access=7.0, dirty=True)
+    # A foreground flush of ``first_size`` bytes splits the dirty
+    # fragment into a clean part of exactly that size and a dirty rest.
     first_size = size * fraction
-    if not (0 < first_size < size):
-        return  # degenerate floating point corner, nothing to check
-    first, second = block.split(first_size)
+    if not (BYTE_EPSILON < first_size < size - BYTE_EPSILON):
+        return  # within the byte tolerance a flush does not split
+    env = Environment()
+    memory = MemoryDevice.symmetric(env, "ram", 1000 * MBps, size=2e12)
+    disk = Disk.symmetric(env, "ssd", 100 * MBps)
+    mm = MemoryManager(env, memory, PageCacheConfig(periodic_flushing=False))
+    env._now = 3.0
+    mm.put_to_cache("f", size, disk)
+    per_device, flushed = mm.select_flush(first_size)
+    assert flushed == first_size and per_device == {disk: first_size}
+    first, second = fragments(mm.lists.inactive)
+    assert first == Fragment("f", first_size, 3.0, 3.0, False)
+    assert second == Fragment("f", size - first_size, 3.0, 3.0, True)
     assert first.size + second.size == pytest.approx(size)
-    for part in (first, second):
-        assert part.entry_time == block.entry_time
-        assert part.last_access == block.last_access
-        assert part.dirty == block.dirty
-        assert part.filename == block.filename
+    (run,) = [run for run in mm.lists.inactive.runs() if run.dirty]
+    assert run.storage is disk
+    mm.assert_consistent()

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 from repro.des import Environment
 from repro.errors import ConfigurationError
 from repro.filesystem.file import File
-from repro.pagecache.block import Block
 from repro.pagecache.config import PageCacheConfig
 from repro.pagecache.memory_manager import MemoryManager
 from repro.platform.host import Host
@@ -130,10 +129,10 @@ def fill_cache(node: NodeState, state) -> None:
     """Put ``state``'s fragments into the node's two LRU lists."""
     lists = node.host.memory_manager.lists
     for clock, (index, size, active) in enumerate(state):
-        block = Block(f"f{index}", size * MB, float(clock), dirty=False)
-        lists.add_to_inactive(block)
-        if active:
-            lists.promote(block, now=float(clock))
+        lru = lists.active if active else lists.inactive
+        lru.push(f"f{index}", False, None, size * MB, float(clock),
+                 float(clock))
+        lists.balance()
 
 
 def reference_select(placement, job, candidates, penalty=None):
